@@ -12,7 +12,7 @@ from math import tau
 
 import numpy as np
 
-from .sim import StateVector, apply_cz, apply_ry, zero_state
+from .sim import StateVector, apply_cz, apply_ry
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,18 @@ def execute(ansatz: Ansatz, params: np.ndarray) -> StateVector:
     theta = np.asarray(params, dtype=float)
     if theta.shape != (ansatz.param_count,):
         raise ValueError(f"expected {ansatz.param_count} parameters, got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("parameters must be finite")
     theta = np.mod(theta, tau)
-    state = zero_state(ansatz.n_qubits)
+    n = ansatz.n_qubits
+    amp = np.zeros((2,) * n)
+    amp[(0,) * n] = 1.0
     for g in ansatz.gates:
         if isinstance(g, RyGate):
-            state = apply_ry(state, g.qubit, theta[g.param_slot])
+            amp = apply_ry(amp, g.qubit, theta[g.param_slot])
         else:
-            state = apply_cz(state, g.qa, g.qb)
-    return state
+            amp = apply_cz(amp, g.qa, g.qb)
+    return StateVector(n, amp.reshape(-1))
 
 
 def u2_block(theta: float, gamma: float, beta: float) -> StateVector:
@@ -138,9 +142,9 @@ def u2_block(theta: float, gamma: float, beta: float) -> StateVector:
     is (cos(b)cos(u), sin(b)cos(v), cos(b)sin(u), sin(b)sin(v)) with
     u = (theta+gamma)/2, v = (theta-gamma)/2, b = beta/2, a polar chart of S^3.
     """
-    state = zero_state(2)
-    state = apply_ry(state, 1, beta)
-    state = apply_ry(state, 0, gamma)
-    state = apply_cz(state, 0, 1)
-    state = apply_ry(state, 0, theta)
-    return state
+    amp = np.array([[1.0, 0.0], [0.0, 0.0]])
+    amp = apply_ry(amp, 1, beta)
+    amp = apply_ry(amp, 0, gamma)
+    amp = apply_cz(amp, 0, 1)
+    amp = apply_ry(amp, 0, theta)
+    return StateVector(2, amp.reshape(-1))

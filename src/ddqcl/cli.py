@@ -4,19 +4,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .harness import (
-    ConfigError,
-    confusion_dict,
-    export,
-    load_config,
-    run_batch,
-)
+from .harness import ConfigError, export, export_confusion, load_config, run_batch
 from .readout import calibrate
 
 
@@ -72,11 +65,7 @@ def main(argv: list[str] | None = None) -> int:
                 cfg.readout.calibration_shots,
                 np.random.default_rng((cfg.base_seed, 1)),
             )
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / "confusion.json"
-            with open(path, "w", encoding="utf-8", newline="\n") as f:
-                f.write(json.dumps(confusion_dict(matrix), indent=2, sort_keys=True) + "\n")
-            print(f"wrote {path}")
+            print(f"wrote {export_confusion(matrix, out)}")
             return 0
 
         result = run_batch(cfg)

@@ -402,6 +402,19 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"failed writing {path}: {e}") from e
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _make_dir(out_dir: str | Path) -> Path:
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise OSError(f"cannot create output directory {out}: {e}") from e
+    return out
+
+
 def summary_dict(result: BatchResult) -> dict:
     """The summary.json document: per-run figures plus batch counters."""
     cfg = result.config
@@ -449,15 +462,11 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
     summary.json, and confusion.json when a calibration was used.  UTF-8,
     LF endings, floats at 17 significant digits.
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise OSError(f"cannot create output directory {out}: {e}") from e
+    out = _make_dir(out_dir)
     written = []
 
     path = out / "config.json"
-    _write_text(path, json.dumps(result.config.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(path, result.config.to_dict())
     written.append(path)
 
     for i, r in enumerate(result.runs):
@@ -477,15 +486,16 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
     written.append(path)
 
     path = out / "summary.json"
-    _write_text(path, json.dumps(summary_dict(result), indent=2, sort_keys=True) + "\n")
+    _write_json(path, summary_dict(result))
     written.append(path)
 
     if result.confusion is not None:
-        path = out / "confusion.json"
-        _write_text(path, json.dumps(confusion_dict(result.confusion), indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        written.append(export_confusion(result.confusion, out))
     return written
 
 
-def confusion_dict(m: ConfusionMatrix) -> dict:
-    return {"n_qubits": m.n_qubits, "entries": m.entries.reshape(-1).tolist()}
+def export_confusion(m: ConfusionMatrix, out_dir: str | Path) -> Path:
+    """Write confusion.json (row-major entries) into out_dir; returns its path."""
+    path = _make_dir(out_dir) / "confusion.json"
+    _write_json(path, {"n_qubits": m.n_qubits, "entries": m.entries.reshape(-1).tolist()})
+    return path

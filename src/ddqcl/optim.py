@@ -73,18 +73,6 @@ class CostContext:
         self.best_params: np.ndarray | None = None
 
     @classmethod
-    def from_function(
-        cls,
-        cost_fn: Callable[[np.ndarray], float],
-        param_count: int,
-        budget: int,
-        rng: np.random.Generator,
-        seed: int | None = None,
-    ) -> "CostContext":
-        """Wrap an arbitrary objective (used by toy problems and tests)."""
-        return cls(cost_fn, param_count, budget, rng, seed)
-
-    @classmethod
     def for_circuit(
         cls,
         ansatz: Ansatz,
@@ -156,10 +144,6 @@ class CostContext:
             best_cost=self.best_cost,
             final_params=np.asarray(final_params, dtype=float).copy(),
         )
-
-
-def evaluate_cost(params: np.ndarray, ctx: CostContext) -> float:
-    return ctx.evaluate(params)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ matrix M with p(y|x) in column x; correction solves M P_x = P_y back.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import reduce
 
@@ -72,18 +71,6 @@ class ConfusionMatrix:
             worst = float(np.max(np.abs(colsums - 1.0)))
             raise ValueError(f"columns must sum to 1 (worst deviation {worst:.3e})")
         object.__setattr__(self, "entries", m)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n_qubits": self.n_qubits, "entries": self.entries.reshape(-1).tolist()}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConfusionMatrix":
-        doc = json.loads(text)
-        n = int(doc["n_qubits"])
-        dim = 2**n
-        return cls(n, np.asarray(doc["entries"], dtype=float).reshape(dim, dim))
 
 
 def synth_confusion(model: PerQubitFlipModel) -> ConfusionMatrix:

@@ -1,5 +1,11 @@
 """Exact statevector simulation of Ry/CZ circuits with seeded finite-shot sampling.
 
+Ry and CZ have real matrices, so a state started at |0...0> never leaves the
+reals: amplitudes are float64 throughout.  The gate kernels `apply_ry` and
+`apply_cz` act on a float64 array of shape (2,)*N and do no validation;
+callers check qubit indices and angles once, where they enter the API
+(`Topology`, `build_ansatz`, `execute`).
+
 Bit ordering convention, used everywhere in this package: qubit 0 is the most
 significant bit of a basis-state index, so the 4-qubit index 0b1010 means
 qubit 0 = 1, qubit 1 = 0, qubit 2 = 1, qubit 3 = 0 and prints as "1010".
@@ -12,7 +18,7 @@ from math import cos, sin
 
 import numpy as np
 
-# Register width ceiling; amplitudes are dense, so memory is 2^N complex.
+# Register width ceiling; amplitudes are dense, so memory is 2^N float64.
 MAX_QUBITS = 20
 
 _NORM_TOL = 1e-10
@@ -59,20 +65,22 @@ class BitString:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Normalized register state: 2^N complex amplitudes."""
+    """Normalized register state: 2^N real float64 amplitudes."""
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         _check_n_qubits(self.n_qubits)
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        if np.iscomplexobj(self.amplitudes):
+            raise ValueError("amplitudes must be real; Ry/CZ circuits never leave the reals")
+        amp = np.asarray(self.amplitudes, dtype=np.float64)
         if amp.shape != (2**self.n_qubits,):
             raise ValueError(
                 f"expected {2**self.n_qubits} amplitudes, got shape {amp.shape}"
             )
-        norm = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm - 1.0) > _NORM_TOL:
+        norm = float(np.sum(amp**2))
+        if not abs(norm - 1.0) <= _NORM_TOL:  # also rejects NaN
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
         object.__setattr__(self, "amplitudes", amp)
 
@@ -125,49 +133,37 @@ class Histogram:
 
 def zero_state(n_qubits: int) -> StateVector:
     """The all-zeros computational basis state |0...0>."""
-    amp = np.zeros(2**n_qubits, dtype=complex)
+    amp = np.zeros(2**n_qubits)
     amp[0] = 1.0
     return StateVector(n_qubits, amp)
 
 
-def apply_ry(state: StateVector, qubit: int, theta: float) -> StateVector:
-    """Rotate one qubit around the y axis by theta.
+def apply_ry(amp: np.ndarray, qubit: int, theta: float) -> np.ndarray:
+    """Rotate one qubit of a (2,)*N amplitude array around the y axis by theta.
 
     The 2x2 action on the (bit=0, bit=1) amplitude pair is
-    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].
+    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Returns a new array.
     """
-    n = state.n_qubits
-    if not 0 <= qubit < n:
-        raise ValueError(f"qubit {qubit} out of range for {n}-qubit state")
-    if not np.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta!r}")
     c, s = cos(theta / 2.0), sin(theta / 2.0)
-    amp = state.amplitudes.reshape([2] * n)
     a0 = amp.take(0, axis=qubit)
     a1 = amp.take(1, axis=qubit)
-    out = np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=qubit)
-    return StateVector(n, out.reshape(-1))
+    return np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=qubit)
 
 
-def apply_cz(state: StateVector, qa: int, qb: int) -> StateVector:
-    """Controlled-Z: negate amplitudes of basis states with both bits set."""
-    n = state.n_qubits
-    for q in (qa, qb):
-        if not 0 <= q < n:
-            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
-    if qa == qb:
-        raise ValueError(f"cz needs two distinct qubits, got {qa} twice")
-    amp = state.amplitudes.reshape([2] * n).copy()
-    sel: list[object] = [slice(None)] * n
+def apply_cz(amp: np.ndarray, qa: int, qb: int) -> np.ndarray:
+    """Controlled-Z on a (2,)*N amplitude array: negate the entries with both
+    bits set.  Returns a new array."""
+    out = amp.copy()
+    sel: list[object] = [slice(None)] * amp.ndim
     sel[qa] = 1
     sel[qb] = 1
-    amp[tuple(sel)] *= -1
-    return StateVector(n, amp.reshape(-1))
+    out[tuple(sel)] *= -1
+    return out
 
 
 def probabilities(state: StateVector) -> Distribution:
     """Born-rule outcome probabilities |amp|^2."""
-    return Distribution(state.n_qubits, np.abs(state.amplitudes) ** 2)
+    return Distribution(state.n_qubits, state.amplitudes**2)
 
 
 def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> Histogram:

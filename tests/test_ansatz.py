@@ -141,7 +141,23 @@ def test_execute_pure_function():
 def test_real_amplitudes():
     a = build_ansatz(4, star_topology(4), 2)
     out = execute(a, np.random.default_rng(2).uniform(0, 2 * np.pi, 16))
-    assert np.max(np.abs(out.amplitudes.imag)) == 0.0
+    assert out.amplitudes.dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_execute_rejects_non_finite_params(monkeypatch, bad):
+    import ddqcl.ansatz
+
+    def no_gates(*args):
+        raise AssertionError("a gate ran before the parameters were checked")
+
+    monkeypatch.setattr(ddqcl.ansatz, "apply_ry", no_gates)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_cz", no_gates)
+    a = build_ansatz(4, line_topology(4), 1)
+    p = np.zeros(a.param_count)
+    p[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        execute(a, p)
 
 
 def test_single_edge_ansatz_subsumes_u2():

@@ -1,0 +1,62 @@
+"""Golden outputs: tiny 4-qubit batches whose exported bytes are pinned by sha256.
+
+A change to any digest here means the program now computes, samples or
+formats something differently.  That change must be deliberate: say so in
+CHANGES.md and re-record the digests.  At 4 qubits the BLAS thread count does
+not change any exported byte.
+"""
+
+import hashlib
+
+import pytest
+
+from ddqcl.harness import ExperimentConfig, export, run_batch
+
+_BASE = {"rows": 2, "cols": 2, "topology": "line", "layers": 1, "runs": 2, "budget": 120}
+
+BATCHES = {
+    "exact-adam": {**_BASE, "optimizer": "adam", "exact_mode": True},
+    "shots-svhc": {**_BASE, "optimizer": "svhc", "shots": 500, "base_seed": 3},
+    "readout-zoo": {
+        **_BASE,
+        "optimizer": "zoo",
+        "shots": 500,
+        "base_seed": 5,
+        "readout": {"p10": 0.05, "p01": 0.08, "correction": True, "calibration_shots": 2000},
+    },
+}
+
+DIGESTS = {
+    "exact-adam": {
+        "config.json": "d9c55f442a0856c89f95f75f3718768e4a123f448805daf614ba4cad987fcc17",
+        "curve_run0.csv": "f03e5f04cf5175e6176620557144980e485bc021ae506ba3fee85428c5d962d2",
+        "curve_run1.csv": "44274de9dbe25405efaaabd606a641a3c5dff9e0587200e7aa0184544fa6cbbc",
+        "aggregate.csv": "cf4c2c77fda28c01de19f75b723cb0c53b275ae76002efe3e19ed4e79ef5c978",
+        "summary.json": "a3c1242f6b956ccf2e8391fe0ffb26384c5641c13fdc1f9bf0917a5b7eff5181",
+    },
+    "shots-svhc": {
+        "config.json": "54a39f999556e3e659d544fe943caee1814b9bcb2c79972f3dcde398f4fc379b",
+        "curve_run0.csv": "2833ff43a7b7d338130153a8d32b4c7e4690231475c3af10f1abcbd38bbf1c1e",
+        "curve_run1.csv": "2865a0a22a53c03fddafaafe9eacc19835777c234978462dbbc57a984968b4a4",
+        "aggregate.csv": "d74b48983b97f34e356bff7dba76f67a44154e9cad1ddbf33e5de46325e4fafc",
+        "summary.json": "f1a524dee1d95f0b8e9ac7bdd6b4a38fa9995ac36afcec38b0e7c6306f0da7bf",
+    },
+    "readout-zoo": {
+        "config.json": "f24692515b9e19a745261c3822770975ed91ec90c8772c8462a6aca3f1291de4",
+        "curve_run0.csv": "737a6ba5dd0e044302f572007d6b041c52c7184a8a67f079dad86ace521256cc",
+        "curve_run1.csv": "2ae9cd4a93c36e01101ba58cf4bbeff5b5862c0a5d55e1385912f850f92b5795",
+        "aggregate.csv": "fc8bbf83e3939bd095da601d42768c70acf5b220ae08e09480c88c1c42d774d0",
+        "summary.json": "3ea17009558867b7676057516a13265187960954e2f3f48a6928a4a61be484db",
+        "confusion.json": "98ba01db268aeeff2885ffdf565bf406f799b7a7a149811e4148c7452c91e5bc",
+    },
+}
+
+
+def _digests(tmp_path, doc):
+    files = export(run_batch(ExperimentConfig.from_dict(doc)), tmp_path)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+
+
+@pytest.mark.parametrize("name", sorted(BATCHES))
+def test_golden_export_digests(tmp_path, name):
+    assert _digests(tmp_path, BATCHES[name]) == DIGESTS[name]

@@ -284,6 +284,18 @@ def test_export_includes_confusion_when_calibrated(tmp_path):
     assert len(doc["entries"]) == 256
 
 
+def test_exported_confusion_entries_exact(tmp_path):
+    cfg = ExperimentConfig.from_dict(
+        _small_doc(exact_mode=False, runs=1, readout={"p10": 0.03, "p01": 0.07,
+                                                      "calibration_shots": 100})
+    )
+    result = run_batch(cfg)
+    export(result, tmp_path)
+    doc = json.loads((tmp_path / "confusion.json").read_text(encoding="utf-8"))
+    entries = np.array(doc["entries"]).reshape(16, 16)
+    np.testing.assert_array_equal(entries, result.confusion.entries)
+
+
 def test_export_deterministic_bytes(tmp_path):
     cfg = ExperimentConfig.from_dict(_small_doc())
     export(run_batch(cfg), tmp_path / "a")
@@ -395,6 +407,17 @@ def test_cli_calibrate(tmp_path, capsys):
     assert main(["calibrate", "--config", path, "--out", str(out_dir)]) == 0
     written = json.loads((out_dir / "confusion.json").read_text(encoding="utf-8"))
     assert written["n_qubits"] == 4
+
+
+def test_cli_calibrate_and_run_write_same_confusion(tmp_path, capsys):
+    doc = _small_doc(
+        exact_mode=False, runs=1, readout={"p10": 0.05, "calibration_shots": 100}
+    )
+    path = _write_config(tmp_path, doc)
+    assert main(["calibrate", "--config", path, "--out", str(tmp_path / "cal"), "--seed", "7"]) == 0
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run"), "--seed", "7"]) == 0
+    cal = (tmp_path / "cal" / "confusion.json").read_bytes()
+    assert cal == (tmp_path / "run" / "confusion.json").read_bytes()
 
 
 def test_cli_calibrate_needs_readout(tmp_path, capsys):

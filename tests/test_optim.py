@@ -38,7 +38,7 @@ def _angular_dist(x):
 
 
 def _ctx(fn, n, budget, seed):
-    return CostContext.from_function(fn, n, budget, np.random.default_rng(seed), seed)
+    return CostContext(fn, n, budget, np.random.default_rng(seed), seed)
 
 
 # --- budget contract ---

@@ -274,14 +274,7 @@ def test_uncorrected_kl_floor(p, floor_value):
     )
 
 
-# --- serialization ---
-
-
-def test_confusion_json_roundtrip():
-    m = synth_confusion(PerQubitFlipModel.uniform(2, 0.05, 0.02))
-    m2 = ConfusionMatrix.from_json(m.to_json())
-    assert m2.n_qubits == 2
-    np.testing.assert_array_equal(m2.entries, m.entries)
+# --- validation ---
 
 
 def test_confusion_validation():

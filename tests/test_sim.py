@@ -1,6 +1,11 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddqcl.ansatz import RyGate, Topology, build_ansatz, execute, line_topology, star_topology
 from ddqcl.sim import (
     MAX_QUBITS,
     BitString,
@@ -63,6 +68,15 @@ def test_state_requires_normalization():
         StateVector(2, np.array([1.0, 0.0]))
 
 
+def test_state_is_real_float64():
+    assert zero_state(2).amplitudes.dtype == np.float64
+    assert StateVector(1, [0, 1]).amplitudes.dtype == np.float64
+    with pytest.raises(ValueError, match="real"):
+        StateVector(1, np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError):
+        StateVector(1, np.array([np.nan, 0.0]))
+
+
 def test_qubit_count_bounds():
     with pytest.raises(ValueError):
         zero_state(0)
@@ -88,9 +102,13 @@ def test_histogram_validation():
         Histogram(1, np.array([-1, 5]), 4)
 
 
-# --- gates ---
+# --- gate kernels: float64 (2,)*N arrays in, new arrays out ---
 
 _RY = lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.cos(t / 2)]])
+
+
+def _basis0(n):
+    return zero_state(n).amplitudes.reshape((2,) * n)
 
 
 def test_ry_single_qubit_matches_matrix():
@@ -99,22 +117,20 @@ def test_ry_single_qubit_matches_matrix():
         t = rng.uniform(-10, 10)
         amp = rng.normal(size=2)
         amp = amp / np.linalg.norm(amp)
-        out = apply_ry(StateVector(1, amp.astype(complex)), 0, t)
-        np.testing.assert_allclose(out.amplitudes, _RY(t) @ amp, atol=1e-12)
+        np.testing.assert_allclose(apply_ry(amp, 0, t), _RY(t) @ amp, atol=1e-12)
 
 
 def test_ry_identity_at_zero():
-    s = zero_state(4)
+    amp = _basis0(4)
     for q in range(4):
-        s = apply_ry(s, q, 0.0)
-    np.testing.assert_array_equal(s.amplitudes, zero_state(4).amplitudes)
+        amp = apply_ry(amp, q, 0.0)
+    np.testing.assert_array_equal(amp, _basis0(4))
 
 
 def test_ry_acts_on_named_qubit_only():
     # rotating qubit 0 of |000> by pi moves all mass to |100>
-    out = apply_ry(zero_state(3), 0, np.pi)
-    p = probabilities(out).probs
-    assert p[0b100] == pytest.approx(1.0)
+    out = apply_ry(_basis0(3), 0, np.pi)
+    assert out[1, 0, 0] ** 2 == pytest.approx(1.0)
 
 
 def test_ry_multi_qubit_matches_kron():
@@ -126,46 +142,86 @@ def test_ry_multi_qubit_matches_kron():
         ops = [np.eye(2)] * 3
         ops[q] = _RY(t)
         full = np.kron(np.kron(ops[0], ops[1]), ops[2])
-        out = apply_ry(StateVector(3, amp.astype(complex)), q, t)
-        np.testing.assert_allclose(out.amplitudes, full @ amp, atol=1e-12)
+        out = apply_ry(amp.reshape(2, 2, 2), q, t)
+        np.testing.assert_allclose(out.reshape(-1), full @ amp, atol=1e-12)
 
 
 def test_ry_does_not_mutate_input():
-    s = zero_state(2)
-    apply_ry(s, 0, 1.0)
-    assert s.amplitudes[0] == 1.0
+    amp = _basis0(2)
+    apply_ry(amp, 0, 1.0)
+    assert amp[0, 0] == 1.0
+
+
+def test_kernels_return_new_float64_arrays():
+    amp = np.full((2, 2), 0.5)
+    for out in (apply_ry(amp, 0, 1.0), apply_cz(amp, 0, 1)):
+        assert out is not amp
+        assert out.dtype == np.float64 and out.shape == (2, 2)
+    np.testing.assert_array_equal(amp, np.full((2, 2), 0.5))
 
 
 def test_cz_negates_only_both_ones():
-    amp = np.full(4, 0.5, dtype=complex)
-    out = apply_cz(StateVector(2, amp), 0, 1)
-    np.testing.assert_allclose(out.amplitudes, [0.5, 0.5, 0.5, -0.5])
+    out = apply_cz(np.full((2, 2), 0.5), 0, 1)
+    np.testing.assert_array_equal(out.reshape(-1), [0.5, 0.5, 0.5, -0.5])
 
 
 def test_cz_symmetric_and_involutive():
     rng = np.random.default_rng(2)
-    amp = rng.normal(size=8) + 1j * rng.normal(size=8)
-    amp = amp / np.linalg.norm(amp)
-    s = StateVector(3, amp)
-    np.testing.assert_array_equal(apply_cz(s, 0, 2).amplitudes, apply_cz(s, 2, 0).amplitudes)
-    np.testing.assert_allclose(apply_cz(apply_cz(s, 0, 2), 0, 2).amplitudes, amp)
+    amp = rng.normal(size=(2, 2, 2))
+    np.testing.assert_array_equal(apply_cz(amp, 0, 2), apply_cz(amp, 2, 0))
+    np.testing.assert_array_equal(apply_cz(apply_cz(amp, 0, 2), 0, 2), amp)
 
 
-def test_cz_rejects_bad_qubits():
-    s = zero_state(2)
-    with pytest.raises(ValueError):
-        apply_cz(s, 0, 0)
-    with pytest.raises(ValueError):
-        apply_cz(s, 0, 2)
-    with pytest.raises(ValueError):
-        apply_ry(s, 2, 0.1)
+# --- execute against a dense Kronecker-product matrix oracle ---
+
+
+def _dense_gate(n, gate, theta):
+    if isinstance(gate, RyGate):
+        ops = [np.eye(2)] * n
+        ops[gate.qubit] = _RY(theta[gate.param_slot])
+        return reduce(np.kron, ops)
+    bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
+    return np.diag(np.where(bits[:, gate.qa] & bits[:, gate.qb], -1.0, 1.0))
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["line", "star", "random"]))
+    if kind == "line":
+        topo = line_topology(n)
+    elif kind == "star":
+        topo = star_topology(n)
+    else:
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+        topo = Topology(n, tuple(edges))
+    layers = draw(st.integers(0, 3)) if topo.edges else 0
+    ansatz = build_ansatz(n, topo, layers)
+    angle = st.floats(0.0, 2 * np.pi, exclude_max=True)
+    theta = np.array(draw(st.lists(angle, min_size=ansatz.param_count,
+                                   max_size=ansatz.param_count)))
+    return ansatz, theta
+
+
+@settings(max_examples=100, deadline=None)
+@given(_circuits())
+def test_execute_matches_dense_oracle(circuit):
+    ansatz, theta = circuit
+    n = ansatz.n_qubits
+    expected = zero_state(n).amplitudes
+    for gate in ansatz.gates:
+        expected = _dense_gate(n, gate, theta) @ expected
+    out = execute(ansatz, theta)
+    assert out.amplitudes.dtype == np.float64
+    np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
 
 # --- measurement ---
 
 
 def test_probabilities_born_rule():
-    amp = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
+    amp = np.array([0.6, 0.0, 0.0, 0.8])
     p = probabilities(StateVector(2, amp))
     np.testing.assert_allclose(p.probs, [0.36, 0.0, 0.0, 0.64])
 
