@@ -71,22 +71,6 @@ class Ansatz:
     gates: tuple[RyGate | CzGate, ...]
     param_count: int
 
-    def to_json_dict(self) -> dict:
-        """Plain-JSON description for reproducibility records."""
-        gates = [
-            {"gate": "ry", "qubit": g.qubit, "param_slot": g.param_slot}
-            if isinstance(g, RyGate)
-            else {"gate": "cz", "qubits": [g.qa, g.qb]}
-            for g in self.gates
-        ]
-        return {
-            "n_qubits": self.n_qubits,
-            "edges": [list(e) for e in self.topology.edges],
-            "layers": self.layers,
-            "param_count": self.param_count,
-            "gates": gates,
-        }
-
 
 def build_ansatz(n_qubits: int, topology: Topology, layers: int) -> Ansatz:
     """Lay out the gate program.

@@ -71,11 +71,6 @@ def bas_patterns(spec: BasSpec) -> set[BitString]:
     return patterns
 
 
-def format_patterns(patterns: set[BitString]) -> str:
-    """Newline-separated sorted bitstrings, for eyeballing a pattern set."""
-    return "\n".join(p.format() for p in sorted(patterns)) + "\n"
-
-
 def bas_target_distribution(spec: BasSpec) -> Distribution:
     """Uniform distribution over the pattern set, zero elsewhere."""
     patterns = bas_patterns(spec)

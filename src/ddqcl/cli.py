@@ -7,10 +7,8 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .harness import ConfigError, export, export_confusion, load_config, run_batch
-from .readout import calibrate
+from .harness import ConfigError, calibrate_readout, export, export_confusion
+from .harness import load_config, run_batch
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,14 +56,7 @@ def main(argv: list[str] | None = None) -> int:
         out = _resolve_out(cfg, args)
 
         if args.command == "calibrate":
-            if cfg.readout is None:
-                raise ConfigError("calibrate needs a readout section in the config")
-            matrix = calibrate(
-                cfg.build_channel(),
-                cfg.readout.calibration_shots,
-                np.random.default_rng((cfg.base_seed, 1)),
-            )
-            print(f"wrote {export_confusion(matrix, out)}")
+            print(f"wrote {export_confusion(calibrate_readout(cfg), out)}")
             return 0
 
         result = run_batch(cfg)

@@ -19,17 +19,11 @@ import numpy as np
 from .ansatz import Ansatz, Topology, build_ansatz, execute, line_topology, star_topology
 from .bas import BasSpec, bas_patterns, bas_target_distribution
 from .metrics import QbasScore, histogram_to_distribution, kl_divergence, qbas_score
-from .optim import (
-    AdamConfig,
-    CostContext,
-    LearningCurve,
-    OptimizerConfig,
-    SvhcConfig,
-    ZooConfig,
-    run as run_solver,
-)
+from .optim import SOLVERS, CostContext, LearningCurve, OptimizerConfig, check_sizes
+from .optim import run as run_solver
 from .readout import (
     DEFAULT_CALIBRATION_SHOTS,
+    MAX_CORRECTION_QUBITS,
     ConfusionMatrix,
     PerQubitFlipModel,
     apply_channel_sampled,
@@ -44,7 +38,6 @@ class ConfigError(ValueError):
 
 
 _TOPOLOGIES = {"line": line_topology, "star": star_topology}
-_OPTION_TYPES = {"adam": AdamConfig, "svhc": SvhcConfig, "zoo": ZooConfig}
 
 
 @dataclass(frozen=True)
@@ -57,9 +50,6 @@ class ReadoutConfig:
     calibration_shots: int = DEFAULT_CALIBRATION_SHOTS
 
     def __post_init__(self) -> None:
-        for name, p in (("p10", self.p10), ("p01", self.p01)):
-            if not 0.0 <= p < 0.5:
-                raise ConfigError(f"readout.{name} must lie in [0, 0.5), got {p}")
         if self.calibration_shots < 1:
             raise ConfigError(
                 f"readout.calibration_shots must be >= 1, got {self.calibration_shots}"
@@ -82,28 +72,29 @@ class ExperimentConfig:
     readout: ReadoutConfig | None = None
 
     def __post_init__(self) -> None:
-        try:
-            BasSpec(self.rows, self.cols)  # validates rows/cols and the qubit cap
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
         if self.topology not in _TOPOLOGIES:
             raise ConfigError(
                 f"unknown topology {self.topology!r}; choose from {sorted(_TOPOLOGIES)}"
             )
-        if self.layers < 0:
-            raise ConfigError(f"layers must be >= 0, got {self.layers}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.exact_mode and self.readout is not None:
             raise ConfigError("readout noise has no effect in exact mode; drop one of the two")
-        ansatz = self.build_ansatz()  # validates topology/layers compatibility
-        n_ini = self.optimizer.n_ini(ansatz.param_count)
-        if self.optimizer.budget < n_ini + 1:
+        try:
+            # building each part validates it: image shape and qubit cap,
+            # topology and layers, flip probabilities, budget and solver sizes
+            ansatz = self.build_ansatz()
+            self.build_channel()
+            check_sizes(self.optimizer, ansatz.param_count, self.optimizer.budget)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        n = ansatz.n_qubits
+        if self.readout is not None and self.readout.correction and n > MAX_CORRECTION_QUBITS:
             raise ConfigError(
-                f"budget {self.optimizer.budget} too small for initialization "
-                f"({n_ini} evaluations) plus at least one solver step"
+                f"readout correction on {n} qubits needs a dense {2**n}x{2**n} float64 matrix "
+                f"({8 * 4**n / 2**30:g} GiB); the cap is {MAX_CORRECTION_QUBITS} qubits"
             )
 
     # --- derived objects ---
@@ -116,10 +107,7 @@ class ExperimentConfig:
         return _TOPOLOGIES[self.topology](self.bas.n_qubits)
 
     def build_ansatz(self) -> Ansatz:
-        try:
-            return build_ansatz(self.bas.n_qubits, self.build_topology(), self.layers)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return build_ansatz(self.bas.n_qubits, self.build_topology(), self.layers)
 
     def build_channel(self) -> PerQubitFlipModel | None:
         if self.readout is None:
@@ -145,12 +133,12 @@ class ExperimentConfig:
                 raise ConfigError(f"missing required config key {key!r}")
 
         kind = _expect(doc, "optimizer", str)
-        if kind not in _OPTION_TYPES:
-            raise ConfigError(f"unknown optimizer {kind!r}; choose from {sorted(_OPTION_TYPES)}")
+        if kind not in SOLVERS:
+            raise ConfigError(f"unknown optimizer {kind!r}; choose from {sorted(SOLVERS)}")
         options = doc.get("optimizer_options", {})
         if not isinstance(options, dict):
             raise ConfigError("optimizer_options must be a JSON object")
-        option_type = _OPTION_TYPES[kind]
+        option_type = SOLVERS[kind][0]
         allowed = {f.name for f in dataclasses.fields(option_type)}
         bad = set(options) - allowed
         if bad:
@@ -159,13 +147,11 @@ class ExperimentConfig:
                 f"(allowed: {sorted(allowed)})"
             )
         try:
-            solver_options = option_type(**options)
             optimizer = OptimizerConfig(
-                kind=kind,
+                option_type(**options),
                 budget=_expect(doc, "budget", int, 2000),
                 shots=_expect(doc, "shots", int, 3000),
                 n_ini_multiplier=_expect(doc, "n_ini_multiplier", int, 3),
-                **{kind: solver_options},
             )
         except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
@@ -207,14 +193,13 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        options = dataclasses.asdict(getattr(self.optimizer, self.optimizer.kind))
         doc = {
             "rows": self.rows,
             "cols": self.cols,
             "topology": self.topology,
             "layers": self.layers,
             "optimizer": self.optimizer.kind,
-            "optimizer_options": options,
+            "optimizer_options": dataclasses.asdict(self.optimizer.options),
             "runs": self.runs,
             "shots": self.optimizer.shots,
             "budget": self.optimizer.budget,
@@ -346,16 +331,22 @@ def _final_metrics(
     return kl_divergence(target, model), score
 
 
+def calibrate_readout(cfg: ExperimentConfig) -> ConfusionMatrix:
+    """The batch's confusion matrix, drawn from default_rng((base_seed, 1))."""
+    if cfg.readout is None:
+        raise ConfigError("calibrate needs a readout section in the config")
+    rng = np.random.default_rng((cfg.base_seed, 1))
+    return calibrate(cfg.build_channel(), cfg.readout.calibration_shots, rng)
+
+
 def run_batch(cfg: ExperimentConfig) -> BatchResult:
     """Calibrate once (when correcting), then train `runs` seeded models."""
     ansatz = cfg.build_ansatz()
     target = bas_target_distribution(cfg.bas)
     channel = cfg.build_channel()
     confusion = None
-    if channel is not None and cfg.readout is not None and cfg.readout.correction:
-        confusion = calibrate(
-            channel, cfg.readout.calibration_shots, np.random.default_rng((cfg.base_seed, 1))
-        )
+    if cfg.readout is not None and cfg.readout.correction:
+        confusion = calibrate_readout(cfg)
     results = []
     for i in range(cfg.runs):
         seed = cfg.base_seed + i

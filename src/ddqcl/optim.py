@@ -12,8 +12,9 @@ canonical values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import pi, tau
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -169,6 +170,27 @@ def init_search(ctx: CostContext, n_ini: int) -> InitResult:
 # --- solver configs ---
 
 
+# Allowed option ranges, keyed by how the error message states them.
+_COUNT, _PERIOD = "an integer >= 1", "an integer >= 0"
+_RANGES = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    _COUNT: lambda v: isinstance(v, Integral) and v >= 1,
+    _PERIOD: lambda v: isinstance(v, Integral) and v >= 0,
+}
+
+
+def _check_ranges(cfg: object, **ranges: str) -> None:
+    """Raise ValueError for the first named field outside its range; None is unset."""
+    for name, rule in ranges.items():
+        value = getattr(cfg, name)
+        if value is not None and not _RANGES[rule](value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdamConfig:
     alpha: float = 0.2
@@ -177,12 +199,24 @@ class AdamConfig:
     fd_step: float = pi / 20
     eps: float = 1e-8
 
+    def __post_init__(self) -> None:
+        _check_ranges(
+            self, alpha="> 0", beta1="in [0, 1)", beta2="in [0, 1)", fd_step="> 0", eps="> 0"
+        )
+
 
 @dataclass(frozen=True)
 class SvhcConfig:
     sigma: float = 0.3
     subset_size: int | None = None  # None -> ceil(L/4)
     suppression_period: int = 25
+
+    def __post_init__(self) -> None:
+        _check_ranges(self, sigma=">= 0", subset_size=_COUNT, suppression_period=_PERIOD)
+
+    def subset(self, param_count: int) -> int:
+        """Coordinates moved per step: subset_size, or ceil(L/4) when unset."""
+        return self.subset_size if self.subset_size is not None else -(-param_count // 4)
 
 
 @dataclass(frozen=True)
@@ -194,37 +228,48 @@ class ZooConfig:
     stall_limit: int = 15
     suppression_period: int = 25
 
+    def __post_init__(self) -> None:
+        _check_ranges(
+            self, elite_size=_COUNT, elite_prob="in [0, 1]", region_width="> 0",
+            region_shrink="in (0, 1]", stall_limit=_COUNT, suppression_period=_PERIOD,
+        )
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str
+    """One solver's options plus the budget settings every solver shares."""
+
+    options: AdamConfig | SvhcConfig | ZooConfig
     budget: int = 2000
     shots: int = 3000
     n_ini_multiplier: int = 3
-    adam: AdamConfig = field(default_factory=AdamConfig)
-    svhc: SvhcConfig = field(default_factory=SvhcConfig)
-    zoo: ZooConfig = field(default_factory=ZooConfig)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("adam", "svhc", "zoo"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
-        if self.n_ini_multiplier < 1:
-            raise ValueError(f"n_ini_multiplier must be >= 1, got {self.n_ini_multiplier}")
+        if type(self.options) not in _KINDS:
+            names = [t.__name__ for t in _KINDS]
+            raise ValueError(f"options must be one of {names}, got {self.options!r}")
+        _check_ranges(self, budget=_COUNT, shots=_COUNT, n_ini_multiplier=_COUNT)
+
+    @property
+    def kind(self) -> str:
+        """The solver's name, as the config's `optimizer` key spells it."""
+        return _KINDS[type(self.options)]
 
     def n_ini(self, param_count: int) -> int:
         return self.n_ini_multiplier * param_count
 
 
-def _check_budget(ctx: CostContext, cfg: OptimizerConfig) -> int:
-    n_ini = cfg.n_ini(ctx.param_count)
-    if ctx.budget < n_ini + 1:
+def check_sizes(cfg: OptimizerConfig, param_count: int, budget: int) -> int:
+    """Check the budget and SVHC subset against L parameters; returns n_ini."""
+    n_ini = cfg.n_ini(param_count)
+    if budget < n_ini + 1:
         raise ValueError(
-            f"budget {ctx.budget} too small: initialization alone needs {n_ini} "
+            f"budget {budget} too small: initialization alone needs {n_ini} "
             f"evaluations, and the solver needs at least one more"
+        )
+    if isinstance(cfg.options, SvhcConfig) and cfg.options.subset(param_count) > param_count:
+        raise ValueError(
+            f"subset_size must be in [1, {param_count}], got {cfg.options.subset_size}"
         )
     return n_ini
 
@@ -239,8 +284,8 @@ def run_adam(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
     incumbent itself — without the incumbent evaluation the recorded best
     would sit O(h^2) above the model actually trained.
     """
-    a = cfg.adam
-    n_ini = _check_budget(ctx, cfg)
+    a = cfg.options
+    n_ini = check_sizes(cfg, ctx.param_count, ctx.budget)
     theta = init_search(ctx, n_ini).params.copy()
     n = ctx.param_count
     m = np.zeros(n)
@@ -272,14 +317,12 @@ def run_svhc(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
     accepted on strict improvement; the incumbent's cost is refreshed every
     suppression period to shake off lucky shot-noise values.
     """
-    s = cfg.svhc
-    n_ini = _check_budget(ctx, cfg)
+    s = cfg.options
+    n_ini = check_sizes(cfg, ctx.param_count, ctx.budget)
     ini = init_search(ctx, n_ini)
     x, fx = ini.params.copy(), ini.cost
     n = ctx.param_count
-    k = s.subset_size if s.subset_size is not None else -(-n // 4)
-    if not 1 <= k <= n:
-        raise ValueError(f"subset_size must be in [1, {n}], got {k}")
+    k = s.subset(n)
     iteration = 0
     try:
         while True:
@@ -304,12 +347,8 @@ def run_zoo(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
     after stall_limit consecutive non-improving candidates, and elite costs
     are refreshed every suppression period.
     """
-    z = cfg.zoo
-    if z.elite_size < 1:
-        raise ValueError(f"elite_size must be >= 1, got {z.elite_size}")
-    if not 0.0 <= z.elite_prob <= 1.0:
-        raise ValueError(f"elite_prob must be in [0, 1], got {z.elite_prob}")
-    n_ini = _check_budget(ctx, cfg)
+    z = cfg.options
+    n_ini = check_sizes(cfg, ctx.param_count, ctx.budget)
     pool = sorted(init_search(ctx, n_ini).pool, key=lambda t: t[0])
     elites = [(c, p.copy()) for c, p in pool[: z.elite_size]]
     n = ctx.param_count
@@ -344,9 +383,15 @@ def run_zoo(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
     return ctx.curve(elites[0][1])
 
 
-_SOLVERS = {"adam": run_adam, "svhc": run_svhc, "zoo": run_zoo}
+# The one list of solvers: config name -> (options type, training loop).
+SOLVERS = {
+    "adam": (AdamConfig, run_adam),
+    "svhc": (SvhcConfig, run_svhc),
+    "zoo": (ZooConfig, run_zoo),
+}
+_KINDS = {options: name for name, (options, _) in SOLVERS.items()}
 
 
 def run(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
-    """Dispatch on cfg.kind; consumes the context's entire budget."""
-    return _SOLVERS[cfg.kind](ctx, cfg)
+    """Dispatch on the options' solver; consumes the context's entire budget."""
+    return SOLVERS[cfg.kind][1](ctx, cfg)

@@ -17,6 +17,7 @@ from .sim import Distribution, Histogram, _check_n_qubits
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
+MAX_CORRECTION_QUBITS = 12  # dense correction holds 2^n x 2^n float64: 128 MiB at 12
 
 
 @dataclass(frozen=True)
@@ -60,16 +61,19 @@ class ConfusionMatrix:
 
     def __post_init__(self) -> None:
         _check_n_qubits(self.n_qubits)
-        m = np.asarray(self.entries, dtype=float)
+        m = np.array(self.entries, dtype=float)  # a private, read-only copy: checked once
+        m.setflags(write=False)
         dim = 2**self.n_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got shape {m.shape}")
         if np.any(m < 0):
             raise ValueError("entries must be non-negative")
-        colsums = m.sum(axis=0)
-        if np.any(np.abs(colsums - 1.0) > 1e-9):
-            worst = float(np.max(np.abs(colsums - 1.0)))
+        worst = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+        if worst > 1e-9:
             raise ValueError(f"columns must sum to 1 (worst deviation {worst:.3e})")
+        cond = float(np.linalg.cond(m))  # once per matrix, so `correct` only solves
+        if not np.isfinite(cond) or cond > DEFAULT_MAX_CONDITION:
+            raise ValueError(f"confusion matrix too ill-conditioned to invert (cond ~ {cond:.3e})")
         object.__setattr__(self, "entries", m)
 
 
@@ -133,22 +137,11 @@ def calibrate(
     return ConfusionMatrix(n, cols)
 
 
-def correct_raw(observed: Distribution, m: ConfusionMatrix) -> np.ndarray:
-    """Solve M P_x = P_y without cleanup; entries may be negative."""
+def correct(observed: Distribution, m: ConfusionMatrix) -> Distribution:
+    """Solve M P_x = P_y, clamp negative probabilities to 0, renormalize."""
     if observed.n_qubits != m.n_qubits:
         raise ValueError(f"width mismatch: {observed.n_qubits} vs {m.n_qubits} qubits")
-    cond = float(np.linalg.cond(m.entries))
-    if not np.isfinite(cond) or cond > DEFAULT_MAX_CONDITION:
-        raise ValueError(
-            f"confusion matrix too ill-conditioned to invert (cond ~ {cond:.3e})"
-        )
-    return np.linalg.solve(m.entries, observed.probs)
-
-
-def correct(observed: Distribution, m: ConfusionMatrix) -> Distribution:
-    """Invert the channel, clamp negative probabilities to 0, renormalize."""
-    raw = correct_raw(observed, m)
-    clamped = np.maximum(raw, 0.0)
+    clamped = np.maximum(np.linalg.solve(m.entries, observed.probs), 0.0)
     total = clamped.sum()
     if total <= 0:
         raise ValueError("corrected distribution has no positive mass")

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -221,19 +219,6 @@ def test_u2_reaches_random_real_states():
             for _ in range(5)
         )
         assert best < 1e-3  # fidelity > 0.999
-
-
-# --- serialization ---
-
-
-def test_json_document_roundtrip():
-    a = build_ansatz(4, star_topology(4), 2)
-    doc = json.loads(json.dumps(a.to_json_dict()))
-    assert doc["param_count"] == 16
-    assert doc["layers"] == 2
-    assert doc["edges"] == [[0, 1], [0, 2], [0, 3]]
-    assert len([g for g in doc["gates"] if g["gate"] == "cz"]) == 6
-    assert [g["param_slot"] for g in doc["gates"] if g["gate"] == "ry"] == list(range(16))
 
 
 # --- trained-model regression fixture ---

@@ -7,7 +7,6 @@ from ddqcl.bas import (
     bas_target_distribution,
     decode_image,
     encode_image,
-    format_patterns,
 )
 from ddqcl.sim import BitString
 
@@ -120,8 +119,3 @@ def test_2x3_target_tenth():
     nz = t.probs[t.probs > 0]
     assert len(nz) == 10
     np.testing.assert_allclose(nz, 0.1)
-
-
-def test_format_patterns_text():
-    text = format_patterns(bas_patterns(BasSpec(1, 2)))
-    assert text == "00\n01\n10\n11\n"

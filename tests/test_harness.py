@@ -18,7 +18,7 @@ from ddqcl.harness import (
     run_batch,
 )
 from ddqcl.metrics import kl_divergence, qbas_score
-from ddqcl.optim import LearningCurve, OptimizerConfig
+from ddqcl.optim import SOLVERS, AdamConfig, LearningCurve
 from ddqcl.sim import probabilities, sample
 
 MINIMAL = {"rows": 2, "cols": 2, "topology": "line", "layers": 2, "optimizer": "adam"}
@@ -87,9 +87,63 @@ def test_optimizer_options_reach_solver_config():
     cfg = ExperimentConfig.from_dict(
         {**MINIMAL, "optimizer_options": {"alpha": 0.5, "fd_step": 0.1}}
     )
-    assert cfg.optimizer.adam.alpha == 0.5
-    assert cfg.optimizer.adam.fd_step == 0.1
-    assert cfg.optimizer.adam.beta1 == 0.9  # untouched default
+    assert isinstance(cfg.optimizer.options, AdamConfig)
+    assert cfg.optimizer.options.alpha == 0.5
+    assert cfg.optimizer.options.fd_step == 0.1
+    assert cfg.optimizer.options.beta1 == 0.9  # untouched default
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [
+        ("adam", "alpha", 0.0),
+        ("adam", "beta1", 1.0),
+        ("adam", "beta1", -0.1),
+        ("adam", "beta2", 1.0),
+        ("adam", "fd_step", 0.0),
+        ("adam", "fd_step", -0.1),
+        ("adam", "eps", 0.0),
+        ("svhc", "sigma", -0.1),
+        ("svhc", "subset_size", 0),
+        ("svhc", "subset_size", 17),  # L = 16 on the 2-layer 4-qubit line
+        ("svhc", "subset_size", 2.5),
+        ("svhc", "suppression_period", -1),
+        ("svhc", "suppression_period", 2.5),
+        ("zoo", "elite_size", 0),
+        ("zoo", "elite_size", 2.5),
+        ("zoo", "elite_prob", -0.1),
+        ("zoo", "elite_prob", 1.5),
+        ("zoo", "region_width", 0.0),
+        ("zoo", "region_shrink", 0.0),
+        ("zoo", "region_shrink", 1.5),
+        ("zoo", "stall_limit", 0),
+        ("zoo", "stall_limit", 1.5),
+        ("zoo", "suppression_period", -1),
+    ],
+)
+def test_out_of_range_optimizer_options_rejected(kind, key, value):
+    doc = {**MINIMAL, "optimizer": kind, "optimizer_options": {key: value}}
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, options",
+    [
+        ("adam", {}),
+        ("svhc", {}),
+        ("zoo", {}),
+        ("adam", {"beta1": 0.0, "beta2": 0.0}),
+        ("svhc", {"sigma": 0.0, "subset_size": 16, "suppression_period": 0}),
+        ("zoo", {"elite_prob": 0.0, "region_shrink": 1.0, "suppression_period": 0}),
+        ("zoo", {"elite_prob": 1.0, "stall_limit": 1}),
+    ],
+)
+def test_default_and_edge_optimizer_options_accepted(kind, options):
+    doc = {**MINIMAL, "optimizer": kind, "optimizer_options": options}
+    optimizer = ExperimentConfig.from_dict(doc).optimizer
+    assert optimizer.kind == kind
+    assert optimizer.options == SOLVERS[kind][0](**options)
 
 
 def test_bad_names_rejected():
@@ -110,16 +164,33 @@ def test_budget_must_cover_initialization():
     # 2 layers on the 4-qubit line: L = 16, n_ini = 48
     with pytest.raises(ConfigError, match="budget 48 too small"):
         ExperimentConfig.from_dict({**MINIMAL, "budget": 48})
+    assert ExperimentConfig.from_dict({**MINIMAL, "budget": 49}).optimizer.budget == 49
 
 
 def test_readout_validation():
+    # flip probabilities are checked by building the channel
     with pytest.raises(ConfigError, match="p10"):
-        ReadoutConfig(p10=0.5, p01=0.1)
+        ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.5, "p01": 0.1}})
+    with pytest.raises(ConfigError, match="p01"):
+        ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.05, "p01": -0.1}})
     with pytest.raises(ConfigError, match="calibration_shots"):
         ReadoutConfig(p10=0.05, p01=0.05, calibration_shots=0)
     r = ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.05}}).readout
     assert r.p01 == 0.05  # p01 defaults to p10
     assert r.correction is True
+
+
+def test_dense_correction_width_cap():
+    # 12 qubits (3x4) is the widest corrected register; 13 (1x13) needs 512 MiB
+    wide = {**MINIMAL, "layers": 0, "readout": {"p10": 0.05}}
+    ExperimentConfig.from_dict({**wide, "rows": 3, "cols": 4})
+    with pytest.raises(ConfigError, match=r"13 qubits .* 8192x8192 .* \(0.5 GiB\)"):
+        ExperimentConfig.from_dict({**wide, "rows": 1, "cols": 13})
+    with pytest.raises(ConfigError, match=r"16 qubits .* \(32 GiB\)"):
+        ExperimentConfig.from_dict({**wide, "rows": 4, "cols": 4})
+    # the sampled channel alone needs no matrix
+    doc = {**wide, "rows": 4, "cols": 4, "readout": {"p10": 0.05, "correction": False}}
+    assert ExperimentConfig.from_dict(doc).readout.correction is False
 
 
 def test_roundtrip_through_dict():
@@ -418,6 +489,36 @@ def test_cli_calibrate_and_run_write_same_confusion(tmp_path, capsys):
     assert main(["run", "--config", path, "--out", str(tmp_path / "run"), "--seed", "7"]) == 0
     cal = (tmp_path / "cal" / "confusion.json").read_bytes()
     assert cal == (tmp_path / "run" / "confusion.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["calibrate", "run"])
+def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
+    # one shot per basis state at 45% flips: with seed 1 both columns read 1
+    doc = {
+        "rows": 1, "cols": 1, "topology": "line", "layers": 0, "optimizer": "adam",
+        "readout": {"p10": 0.45, "calibration_shots": 1},
+    }
+    path = _write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out_dir), "--seed", "1"]) == 1
+    assert "ill-conditioned" in capsys.readouterr().err
+    assert not (out_dir / "confusion.json").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"optimizer_options": {"fd_step": 0.0}},
+        {"optimizer": "zoo", "optimizer_options": {"region_shrink": 0.0}},
+        {"rows": 4, "cols": 4, "layers": 0, "readout": {"p10": 0.05}},
+    ],
+)
+def test_cli_validate_rejects_in_one_line(tmp_path, capsys, overrides):
+    path = _write_config(tmp_path, {**MINIMAL, **overrides})
+    assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_calibrate_needs_readout(tmp_path, capsys):

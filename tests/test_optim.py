@@ -8,12 +8,12 @@ from ddqcl.ansatz import Topology, build_ansatz, line_topology
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
 from ddqcl.optim import (
+    SOLVERS,
     AdamConfig,
     BudgetExhausted,
     CostContext,
     OptimizerConfig,
     SvhcConfig,
-    ZooConfig,
     init_search,
     run,
 )
@@ -41,6 +41,11 @@ def _ctx(fn, n, budget, seed):
     return CostContext(fn, n, budget, np.random.default_rng(seed), seed)
 
 
+def _cfg(kind, **kwargs):
+    # the named solver with its default options
+    return OptimizerConfig(SOLVERS[kind][0](), **kwargs)
+
+
 # --- budget contract ---
 
 
@@ -64,7 +69,7 @@ def test_evaluate_rejects_wrong_shape():
 def test_solvers_spend_exact_budget(kind):
     budget = 73
     ctx = _ctx(_bowl, 4, budget, 1)
-    curve = run(ctx, OptimizerConfig(kind=kind, budget=budget))
+    curve = run(ctx, _cfg(kind, budget=budget))
     assert ctx.evaluations == budget
     assert len(curve.costs) == budget
     assert len(curve.best_costs) == budget
@@ -75,12 +80,13 @@ def test_budget_too_small_for_init(kind):
     # n_ini = 3 * 4 = 12, so 12 evaluations leave nothing for the solver
     ctx = _ctx(_bowl, 4, 12, 0)
     with pytest.raises(ValueError, match="too small"):
-        run(ctx, OptimizerConfig(kind=kind, budget=12))
+        run(ctx, _cfg(kind, budget=12))
+    assert ctx.evaluations == 0  # checked before the first evaluation
 
 
 def test_envelope_is_running_minimum():
     ctx = _ctx(_bowl, 4, 100, 2)
-    curve = run(ctx, OptimizerConfig(kind="zoo", budget=100))
+    curve = run(ctx, _cfg("zoo", budget=100))
     np.testing.assert_array_equal(curve.best_costs, np.minimum.accumulate(curve.costs))
     assert curve.best_cost == curve.best_costs[-1] == min(curve.costs)
 
@@ -89,7 +95,7 @@ def test_envelope_is_running_minimum():
 def test_same_seed_same_curve(kind):
     ansatz = build_ansatz(4, line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
-    cfg = OptimizerConfig(kind=kind, budget=50, shots=200)
+    cfg = _cfg(kind, budget=50, shots=200)
 
     def one():
         ctx = CostContext.for_circuit(
@@ -178,7 +184,7 @@ def test_improvement_snapshots_replay():
     ctx = CostContext.for_circuit(
         ansatz, target, budget=60, shots=1, rng=np.random.default_rng(7), exact_mode=True
     )
-    curve = run(ctx, OptimizerConfig(kind="svhc", budget=60))
+    curve = run(ctx, _cfg("svhc", budget=60))
     assert curve.improvements  # at least the first evaluation improves on +inf
     for idx, params in curve.improvements:
         replay = js_divergence(probabilities(execute(ansatz, params)), target)
@@ -197,7 +203,7 @@ def test_shot_noise_shows_in_raw_costs(kind):
     ctx = CostContext.for_circuit(
         ansatz, target, budget=40, shots=100, rng=np.random.default_rng(8)
     )
-    curve = run(ctx, OptimizerConfig(kind=kind, budget=40, shots=100))
+    curve = run(ctx, _cfg(kind, budget=40, shots=100))
     assert np.max(curve.costs) - np.min(curve.costs) > 0
 
 
@@ -205,30 +211,28 @@ def test_shot_noise_shows_in_raw_costs(kind):
 
 
 def test_optimizer_config_validation():
+    with pytest.raises(ValueError, match="options must be one of"):
+        OptimizerConfig("spsa")
     with pytest.raises(ValueError):
-        OptimizerConfig(kind="spsa")
+        _cfg("adam", budget=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(kind="adam", budget=0)
+        _cfg("adam", shots=0)
     with pytest.raises(ValueError):
-        OptimizerConfig(kind="adam", shots=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(kind="adam", n_ini_multiplier=0)
-    assert OptimizerConfig(kind="adam").n_ini(16) == 48
+        _cfg("adam", n_ini_multiplier=0)
+    assert _cfg("adam").n_ini(16) == 48
 
 
 def test_svhc_subset_size_default():
-    # subset defaults to ceil(L/4); an explicit out-of-range value is rejected
-    cfg = OptimizerConfig(kind="svhc", budget=40, svhc=SvhcConfig(subset_size=9))
-    ctx = _ctx(_bowl, 8, 40, 0)
-    with pytest.raises(ValueError, match="subset_size"):
-        run(ctx, cfg)
+    # subset defaults to ceil(L/4); an explicit size is kept as given
+    assert [SvhcConfig().subset(n) for n in (1, 4, 5, 8, 9)] == [1, 1, 2, 2, 3]
+    assert SvhcConfig(subset_size=3).subset(8) == 3
 
 
 # --- toy convergence ---
 
 
 def test_adam_finds_bowl_minimum():
-    cfg = OptimizerConfig(kind="adam", budget=400)
+    cfg = _cfg("adam", budget=400)
     for seed in range(5):
         ctx = _ctx(_bowl, 2, 400, seed)
         curve = run(ctx, cfg)
@@ -237,7 +241,7 @@ def test_adam_finds_bowl_minimum():
 
 
 def test_svhc_descends_quadratic():
-    cfg = OptimizerConfig(kind="svhc", budget=500, svhc=SvhcConfig(sigma=0.05))
+    cfg = OptimizerConfig(SvhcConfig(sigma=0.05), budget=500)
     for seed in range(5):
         ctx = _ctx(_quad, 2, 500, seed)
         curve = run(ctx, cfg)
@@ -246,7 +250,7 @@ def test_svhc_descends_quadratic():
 
 
 def test_svhc_zero_sigma_never_moves():
-    cfg = OptimizerConfig(kind="svhc", budget=60, svhc=SvhcConfig(sigma=0.0))
+    cfg = OptimizerConfig(SvhcConfig(sigma=0.0), budget=60)
     ctx = _ctx(_quad, 2, 60, 9)
     curve = run(ctx, cfg)
     # after the 6 init draws every proposal equals the incumbent: no improvement
@@ -255,21 +259,13 @@ def test_svhc_zero_sigma_never_moves():
 
 
 def test_zoo_descends_separable_bowl():
-    cfg = OptimizerConfig(kind="zoo", budget=2000)
+    cfg = _cfg("zoo", budget=2000)
     hits = 0
     for seed in range(5):
         ctx = _ctx(_bowl, 10, 2000, seed)
         curve = run(ctx, cfg)
         hits += curve.best_cost < 0.05
     assert hits >= 4
-
-
-def test_zoo_config_validation():
-    ctx = _ctx(_bowl, 2, 20, 0)
-    with pytest.raises(ValueError, match="elite_size"):
-        run(ctx, OptimizerConfig(kind="zoo", budget=20, zoo=ZooConfig(elite_size=0)))
-    with pytest.raises(ValueError, match="elite_prob"):
-        run(ctx, OptimizerConfig(kind="zoo", budget=20, zoo=ZooConfig(elite_prob=1.5)))
 
 
 def test_adam_config_defaults():

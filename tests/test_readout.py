@@ -14,7 +14,6 @@ from ddqcl.readout import (
     apply_channel_sampled,
     calibrate,
     correct,
-    correct_raw,
     synth_confusion,
 )
 from ddqcl.sim import Distribution, Histogram
@@ -220,16 +219,50 @@ def test_correct_clamps_negative_mass():
     # so correction must clamp the negative entry and renormalize
     m = synth_confusion(PerQubitFlipModel.uniform(1, 0.05, 0.05))
     observed = Distribution(1, np.array([0.96, 0.04]))
-    raw = correct_raw(observed, m)
+    raw = np.linalg.solve(m.entries, observed.probs)
     assert raw.min() < 0
     out = correct(observed, m)
     np.testing.assert_allclose(out.probs, [1.0, 0.0], atol=1e-12)
 
 
 def test_correct_rejects_ill_conditioned():
-    m = synth_confusion(PerQubitFlipModel.uniform(4, 0.49999))
+    # a near-singular channel is refused where the matrix is built, so no
+    # correction can ever be attempted with it
     with pytest.raises(ValueError, match="ill-conditioned"):
-        correct(Distribution(4, np.full(16, 1 / 16)), m)
+        synth_confusion(PerQubitFlipModel.uniform(4, 0.49999))
+
+
+def test_calibrate_rejects_singular_estimate():
+    # one shot per basis state at 45% flips: with this stream both columns read 1
+    with pytest.raises(ValueError, match="ill-conditioned"):
+        calibrate(PerQubitFlipModel.uniform(1, 0.45), 1, np.random.default_rng((1, 1)))
+
+
+def test_confusion_entries_are_a_read_only_copy():
+    # the conditioning check runs once, so the checked entries must not change
+    source = np.eye(2)
+    m = ConfusionMatrix(1, source)
+    source[:, 1] = source[:, 0]  # the caller's array stays the caller's
+    np.testing.assert_array_equal(m.entries, np.eye(2))
+    with pytest.raises(ValueError, match="read-only"):
+        m.entries[:, 1] = m.entries[:, 0]
+
+
+def test_condition_number_computed_once_per_matrix(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counting_cond(*args, **kwargs):
+        calls.append(1)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    m = synth_confusion(PerQubitFlipModel.uniform(3, 0.05, 0.02))
+    assert len(calls) == 1
+    observed = apply_channel_exact(Distribution(3, np.full(8, 1 / 8)), m)
+    for _ in range(100):
+        correct(observed, m)
+    assert len(calls) == 1
 
 
 def test_correct_improves_sampled_estimates():
