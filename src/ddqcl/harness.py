@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -386,11 +387,17 @@ def _fmt(x: float) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write a sibling temp file and rename it over `path`: a failed write leaves
+    `path` as it was and no other file behind."""
+    tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
+        os.replace(tmp, path)
     except OSError as e:
         raise OSError(f"failed writing {path}: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_json(path: Path, doc: dict) -> None:

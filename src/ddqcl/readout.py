@@ -18,6 +18,9 @@ from .sim import Distribution, Histogram, _check_n_qubits
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
 MAX_CORRECTION_QUBITS = 12  # dense correction holds 2^n x 2^n float64: 128 MiB at 12
+# uniform doubles per block of the sampled channel (64 KiB): memory stays bounded
+# at any shot count, and a single (shots, n) draw made calibration slower
+_BLOCK_DRAWS = 2**13
 
 
 @dataclass(frozen=True)
@@ -96,23 +99,29 @@ def apply_channel_exact(p: Distribution, m: ConfusionMatrix) -> Distribution:
 def apply_channel_sampled(
     h: Histogram, model: PerQubitFlipModel, rng: np.random.Generator
 ) -> Histogram:
-    """Corrupt a histogram shot by shot, flipping each bit independently."""
+    """Corrupt a histogram shot by shot, flipping each bit independently.
+
+    Shots are taken in basis-state order and their flips drawn as
+    ``rng.random((k, n))`` over consecutive blocks of at most ``_BLOCK_DRAWS``
+    doubles: the same stream as one draw per outcome, in bounded memory.
+    """
     n = h.n_qubits
     if n != model.n_qubits:
         raise ValueError(f"width mismatch: {n} vs {model.n_qubits} qubits")
-    p10 = np.array(model.p10)
-    p01 = np.array(model.p01)
-    out = np.zeros_like(h.counts)
-    for x in range(2**n):
-        c = int(h.counts[x])
-        if c == 0:
-            continue
-        bits = np.array([(x >> (n - 1 - q)) & 1 for q in range(n)])
-        flip_prob = np.where(bits == 0, p10, p01)
-        flips = rng.random((c, n)) < flip_prob
-        read = bits[None, :] ^ flips
-        y = read @ (1 << np.arange(n - 1, -1, -1))
-        out += np.bincount(y, minlength=2**n)
+    weights = 1 << np.arange(n - 1, -1, -1)
+    bit_values = weights.astype(float)  # sums of distinct powers of two: exact in float64
+    xs = np.flatnonzero(h.counts)
+    thresholds = np.where(xs[:, None] & weights, model.p01, model.p10)  # (states, n)
+    ends = np.cumsum(h.counts[xs])
+    starts = ends - h.counts[xs]
+    out = np.zeros(2**n, dtype=np.int64)
+    block = max(1, _BLOCK_DRAWS // n)
+    for lo in range(0, h.shots, block):
+        hi = min(lo + block, h.shots)
+        in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
+        flips = rng.random((hi - lo, n)) < np.repeat(thresholds, in_block, axis=0)
+        read = np.repeat(xs, in_block) ^ (flips @ bit_values).astype(np.int64)
+        out += np.bincount(read, minlength=2**n)
     return Histogram(n, out, h.shots)
 
 

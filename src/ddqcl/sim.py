@@ -100,7 +100,7 @@ class Distribution:
         if np.any(p < 0):
             raise ValueError("probabilities must be non-negative")
         total = float(p.sum())
-        if abs(total - 1.0) > _DIST_TOL:
+        if not abs(total - 1.0) <= _DIST_TOL:  # also rejects NaN
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "probs", p)
 

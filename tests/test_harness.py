@@ -12,6 +12,7 @@ from ddqcl.harness import (
     ConfigError,
     ExperimentConfig,
     ReadoutConfig,
+    _write_text,
     aggregate,
     export,
     load_config,
@@ -342,6 +343,32 @@ def test_export_file_set(tmp_path):
                      "summary.json"]
     for p in files:
         assert p.exists()
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write fails midway
+    target = tmp_path / "summary.json"
+    target.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        _write_text(target, "new\ud800\n")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+
+
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    (tmp_path / "summary.json").mkdir()  # a directory cannot be replaced by a file
+    with pytest.raises(OSError, match="failed writing"):
+        _write_text(tmp_path / "summary.json", "{}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["summary.json"]
+    assert (tmp_path / "summary.json").is_dir()
+
+
+def test_write_replaces_the_old_file(tmp_path):
+    target = tmp_path / "aggregate.csv"
+    target.write_text("old\n", encoding="utf-8")
+    _write_text(target, "new\n")
+    assert target.read_bytes() == b"new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["aggregate.csv"]
 
 
 def test_export_includes_confusion_when_calibrated(tmp_path):

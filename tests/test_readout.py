@@ -1,10 +1,14 @@
 """Readout-error channel, calibration, and correction tests."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ddqcl import readout
 from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
 from ddqcl.metrics import kl_divergence
 from ddqcl.readout import (
@@ -162,6 +166,86 @@ def test_sampled_channel_width_mismatch():
     with pytest.raises(ValueError):
         apply_channel_sampled(h, PerQubitFlipModel.uniform(3, 0.05),
                               np.random.default_rng(0))
+
+
+# --- sampled channel against a per-outcome oracle ---
+
+
+def _oracle_channel(h, model, rng):
+    # one rng.random((c, n)) draw per basis state with c > 0 counts, in order
+    n = h.n_qubits
+    p10 = np.array(model.p10)
+    p01 = np.array(model.p01)
+    out = np.zeros_like(h.counts)
+    for x in range(2**n):
+        c = int(h.counts[x])
+        if c == 0:
+            continue
+        bits = np.array([(x >> (n - 1 - q)) & 1 for q in range(n)])
+        flip_prob = np.where(bits == 0, p10, p01)
+        flips = rng.random((c, n)) < flip_prob
+        read = bits[None, :] ^ flips
+        y = read @ (1 << np.arange(n - 1, -1, -1))
+        out += np.bincount(y, minlength=2**n)
+    return out
+
+
+@st.composite
+def _channel_cases(draw):
+    n = draw(st.integers(1, 10))
+    rate = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True))
+    p10 = draw(st.lists(rate, min_size=n, max_size=n))
+    p01 = draw(st.lists(rate, min_size=n, max_size=n))
+    block = readout._BLOCK_DRAWS // n
+    shots = draw(st.integers(2 * block + 1, 4 * block))  # at least 3 blocks
+    support = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=40, unique=True))
+    weights = draw(st.lists(st.integers(0, 5), min_size=len(support), max_size=len(support)))
+    weights[0] += 1  # keep at least one state with counts
+    mix = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.zeros(2**n, dtype=np.int64)
+    counts[support] = mix.multinomial(shots, np.array(weights) / sum(weights))
+    return Histogram(n, counts, shots), PerQubitFlipModel(tuple(p10), tuple(p01))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_channel_cases(), st.integers(0, 2**32 - 1))
+def test_sampled_channel_matches_per_outcome_oracle(case, seed):
+    # the blocked draw consumes the oracle's exact stream: same counts, same state
+    h, model = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = apply_channel_sampled(h, model, rng)
+    np.testing.assert_array_equal(out.counts, _oracle_channel(h, model, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_calibrate_matches_per_outcome_oracle():
+    model = PerQubitFlipModel((0.0, 0.04, 0.2), (0.1, 0.0, 0.07))
+    shots = 3 * (readout._BLOCK_DRAWS // 3) + 17  # 3 full blocks and a partial one per state
+    oracle_rng = np.random.default_rng(11)
+    expected = np.empty((8, 8))
+    for x in range(8):
+        prepared = np.zeros(8, dtype=np.int64)
+        prepared[x] = shots
+        expected[:, x] = _oracle_channel(Histogram(3, prepared, shots), model, oracle_rng) / shots
+    m = calibrate(model, shots, np.random.default_rng(11))
+    np.testing.assert_array_equal(m.entries, expected)
+
+
+def test_sampled_channel_memory_is_bounded():
+    # drawing per block, not per shot: a million shots stay far below the
+    # ~80 MB that one (shots, n) draw and its threshold array would take
+    counts = np.zeros(512, dtype=np.int64)
+    counts[[5, 300]] = 500_000
+    h = Histogram(9, counts, 1_000_000)
+    model = PerQubitFlipModel.uniform(9, 0.05, 0.02)
+    tracemalloc.start()
+    try:
+        out = apply_channel_sampled(h, model, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shots == 1_000_000
+    assert peak < 16 * 2**20
 
 
 # --- calibration ---

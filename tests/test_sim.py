@@ -93,6 +93,13 @@ def test_distribution_validation():
     assert d.probs[3] == 1.0 and d.probs.sum() == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_distribution_rejects_non_finite(bad):
+    # NaN passes `p < 0` and would make `sample` put every shot in bin 0
+    with pytest.raises(ValueError, match="sum to"):
+        Distribution(2, np.array([bad, 0.5, 0.25, 0.25]))
+
+
 def test_histogram_validation():
     h = Histogram(1, np.array([2, 3]), 5)
     assert h.counts.sum() == 5
