@@ -12,6 +12,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,129 +121,94 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-        known = {
-            "rows", "cols", "topology", "layers", "optimizer", "optimizer_options",
-            "runs", "shots", "budget", "n_ini_multiplier", "exact_mode",
-            "base_seed", "out_dir", "readout",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key in ("rows", "cols", "topology", "layers", "optimizer"):
-            if key not in doc:
-                raise ConfigError(f"missing required config key {key!r}")
-
-        kind = _expect(doc, "optimizer", str)
+        # the budget settings sit at the top level, beside the solver's name
+        args, budget = _read(
+            doc, "config", (cls, OptimizerConfig), ("optimizer", "optimizer_options", "readout")
+        )
+        if "optimizer" not in doc:
+            raise ConfigError("missing required config key 'optimizer'")
+        kind = _value("optimizer", doc["optimizer"], (str,))
         if kind not in SOLVERS:
             raise ConfigError(f"unknown optimizer {kind!r}; choose from {sorted(SOLVERS)}")
-        options = doc.get("optimizer_options", {})
-        if not isinstance(options, dict):
-            raise ConfigError("optimizer_options must be a JSON object")
         option_type = SOLVERS[kind][0]
-        allowed = {f.name for f in dataclasses.fields(option_type)}
-        bad = set(options) - allowed
-        if bad:
-            raise ConfigError(
-                f"unknown optimizer_options keys for {kind}: {sorted(bad)} "
-                f"(allowed: {sorted(allowed)})"
-            )
+        (options,) = _read(doc.get("optimizer_options", {}), "optimizer_options", (option_type,))
         try:
-            optimizer = OptimizerConfig(
-                option_type(**options),
-                budget=_expect(doc, "budget", int, 2000),
-                shots=_expect(doc, "shots", int, 3000),
-                n_ini_multiplier=_expect(doc, "n_ini_multiplier", int, 3),
-            )
-        except (TypeError, ValueError) as e:
+            optimizer = OptimizerConfig(option_type(**options), **budget)
+        except ValueError as e:
             raise ConfigError(str(e)) from e
 
-        readout_doc = doc.get("readout")
-        readout = None
-        if readout_doc is not None:
-            if not isinstance(readout_doc, dict):
-                raise ConfigError("readout must be a JSON object or null")
-            bad = set(readout_doc) - {"p10", "p01", "correction", "calibration_shots"}
-            if bad:
-                raise ConfigError(f"unknown readout keys: {sorted(bad)}")
-            if "p10" not in readout_doc:
-                raise ConfigError("readout.p10 is required when readout is configured")
-            p10 = _expect(readout_doc, "p10", float)
-            readout = ReadoutConfig(
-                p10=p10,
-                p01=_expect(readout_doc, "p01", float, p10),
-                correction=_expect(readout_doc, "correction", bool, True),
-                calibration_shots=_expect(
-                    readout_doc, "calibration_shots", int, DEFAULT_CALIBRATION_SHOTS
-                ),
-            )
-
-        out_dir = doc.get("out_dir")
-        if out_dir is not None and not isinstance(out_dir, str):
-            raise ConfigError("out_dir must be a string or null")
-        return cls(
-            rows=_expect(doc, "rows", int),
-            cols=_expect(doc, "cols", int),
-            topology=_expect(doc, "topology", str),
-            layers=_expect(doc, "layers", int),
-            optimizer=optimizer,
-            runs=_expect(doc, "runs", int, 5),
-            exact_mode=_expect(doc, "exact_mode", bool, False),
-            base_seed=_expect(doc, "base_seed", int, 0),
-            out_dir=out_dir,
-            readout=readout,
-        )
+        readout = doc.get("readout")
+        if readout is not None:
+            if isinstance(readout, dict) and "p10" in readout:
+                readout = {"p01": readout["p10"], **readout}  # p01 defaults to p10
+            (fields,) = _read(readout, "readout", (ReadoutConfig,))
+            readout = ReadoutConfig(**fields)
+        return cls(optimizer=optimizer, readout=readout, **args)
 
     def to_dict(self) -> dict:
-        doc = {
-            "rows": self.rows,
-            "cols": self.cols,
-            "topology": self.topology,
-            "layers": self.layers,
-            "optimizer": self.optimizer.kind,
-            "optimizer_options": dataclasses.asdict(self.optimizer.options),
-            "runs": self.runs,
-            "shots": self.optimizer.shots,
-            "budget": self.optimizer.budget,
-            "n_ini_multiplier": self.optimizer.n_ini_multiplier,
-            "exact_mode": self.exact_mode,
-            "base_seed": self.base_seed,
-            "out_dir": self.out_dir,
-            "readout": None
-            if self.readout is None
-            else {
-                "p10": self.readout.p10,
-                "p01": self.readout.p01,
-                "correction": self.readout.correction,
-                "calibration_shots": self.readout.calibration_shots,
-            },
-        }
+        doc = dataclasses.asdict(self)
+        optimizer = doc.pop("optimizer")
+        doc.update(
+            optimizer=self.optimizer.kind, optimizer_options=optimizer.pop("options"), **optimizer
+        )
         return doc
 
 
-def _expect(doc: dict, key: str, kind: type, default=None):
-    """Fetch a typed config value, failing closed on wrong JSON types."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config key {key!r} must be a boolean, got {value!r}")
-        return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
+# JSON scalar types a config field may declare, as the error messages name them
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+def _read(doc: object, where: str, classes: tuple[type, ...], extra: tuple[str, ...] = ()):
+    """Check the JSON object `doc` against the scalar fields of `classes`.
+
+    Each field typed bool, int, float or str (or that or None) is one key,
+    required when the field has no default.  Returns one dict of keyword
+    arguments per class, holding only the keys `doc` sets, so each dataclass
+    supplies its own defaults.  Keys in `extra` are allowed and left to the
+    caller.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    groups = [list(_scalar_fields(c)) for c in classes]
+    allowed = {f.name for group in groups for f, _ in group} | set(extra)
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
+    prefix = "" if where == "config" else f"{where}."
+    out = []
+    for group in groups:
+        args = {}
+        for f, kinds in group:
+            if f.name in doc:
+                args[f.name] = _value(prefix + f.name, doc[f.name], kinds)
+            elif f.default is dataclasses.MISSING:
+                raise ConfigError(f"missing required config key {prefix + f.name!r}")
+        out.append(args)
+    return out
+
+
+def _scalar_fields(cls: type):
+    """(field, JSON types) for each field of `cls` that is one config key."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)  # (T, NoneType) for T | None
+        if kinds[0] in _JSON_TYPES:
+            yield f, kinds
+
+
+def _value(key: str, value: object, kinds: tuple[type, ...]):
+    """`value` as the first of the JSON types `kinds`, or None when they allow it."""
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise ConfigError(f"config key {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+        if not -sys.float_info.max <= value <= sys.float_info.max:  # also rejects NaN
+            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
         return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-        return value
-    raise TypeError(f"unsupported config type {kind}")
+    return value
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

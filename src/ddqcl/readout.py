@@ -13,14 +13,11 @@ from functools import reduce
 
 import numpy as np
 
-from .sim import Distribution, Histogram, _check_n_qubits
+from .sim import _BLOCK_DRAWS, Distribution, Histogram, _check_n_qubits
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
 MAX_CORRECTION_QUBITS = 12  # dense correction holds 2^n x 2^n float64: 128 MiB at 12
-# uniform doubles per block of the sampled channel (64 KiB): memory stays bounded
-# at any shot count, and a single (shots, n) draw made calibration slower
-_BLOCK_DRAWS = 2**13
 
 
 @dataclass(frozen=True)

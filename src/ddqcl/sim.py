@@ -23,6 +23,10 @@ MAX_QUBITS = 20
 
 _NORM_TOL = 1e-10
 _DIST_TOL = 1e-9
+# uniform doubles per block drawn by `sample` and the sampled readout channel
+# (64 KiB): memory stays bounded at any shot count, and a single (shots, n)
+# draw made readout calibration slower
+_BLOCK_DRAWS = 2**13
 
 
 def _check_n_qubits(n_qubits: int) -> None:
@@ -169,12 +173,16 @@ def probabilities(state: StateVector) -> Distribution:
 def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> Histogram:
     """Draw `shots` i.i.d. basis-state outcomes via inverse-CDF search.
 
-    Deterministic for a fixed generator state.
+    Draws the uniforms in consecutive blocks of at most `_BLOCK_DRAWS`, which
+    is the same stream of doubles as one `rng.random(shots)`.  Deterministic
+    for a fixed generator state.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     cdf = np.cumsum(dist.probs)
     cdf[-1] = 1.0  # guard against rounding in the last bin
-    outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
-    counts = np.bincount(outcomes, minlength=len(dist.probs))
+    counts = np.zeros(len(cdf), dtype=np.int64)
+    for start in range(0, shots, _BLOCK_DRAWS):
+        u = rng.random(min(_BLOCK_DRAWS, shots - start))
+        counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(cdf))
     return Histogram(dist.n_qubits, counts, shots)

@@ -1,6 +1,9 @@
 """Config parsing, batch execution, aggregation, export, and CLI tests."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +85,20 @@ def test_from_dict_types_fail_closed():
         ExperimentConfig.from_dict({**MINIMAL, "topology": 4})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict([1, 2])
+    # optimizer_options are typed like the top-level keys: no booleans as numbers
+    for kind, key, value, message in [
+        ("svhc", "subset_size", True, "an integer"),
+        ("svhc", "sigma", True, "a number"),
+        ("svhc", "suppression_period", False, "an integer"),
+        ("adam", "alpha", True, "a number"),
+        ("adam", "alpha", None, "a number"),
+        ("adam", "fd_step", "0.1", "a number"),
+        ("zoo", "elite_size", True, "an integer"),
+        ("zoo", "region_width", True, "a number"),
+    ]:
+        doc = {**MINIMAL, "optimizer": kind, "optimizer_options": {key: value}}
+        with pytest.raises(ConfigError, match=f"'optimizer_options.{key}' must be {message}"):
+            ExperimentConfig.from_dict(doc)
 
 
 def test_optimizer_options_reach_solver_config():
@@ -194,21 +211,58 @@ def test_dense_correction_width_cap():
     assert ExperimentConfig.from_dict(doc).readout.correction is False
 
 
+# every option of each solver, none at its default
+_NON_DEFAULT_OPTIONS = {
+    "adam": {"alpha": 0.1, "beta1": 0.8, "beta2": 0.99, "fd_step": 0.2, "eps": 1e-6},
+    "svhc": {"sigma": 0.1, "subset_size": 2, "suppression_period": 10},
+    "zoo": {
+        "elite_size": 4, "elite_prob": 0.5, "region_width": 1.5, "region_shrink": 0.8,
+        "stall_limit": 5, "suppression_period": 10,
+    },
+}
+
+
 def test_roundtrip_through_dict():
-    doc = {
-        **MINIMAL,
-        "optimizer_options": {"sigma": 0.1, "subset_size": 2, "suppression_period": 10},
-        "optimizer": "svhc",
-        "runs": 3,
-        "budget": 100,
-        "shots": 500,
-        "exact_mode": False,
-        "base_seed": 11,
-        "out_dir": "results",
-        "readout": {"p10": 0.02, "p01": 0.03, "correction": False, "calibration_shots": 100},
-    }
+    for kind, options in _NON_DEFAULT_OPTIONS.items():
+        doc = {
+            **MINIMAL,
+            "optimizer_options": options,
+            "optimizer": kind,
+            "runs": 3,
+            "budget": 100,
+            "shots": 500,
+            "n_ini_multiplier": 2,
+            "exact_mode": False,
+            "base_seed": 11,
+            "out_dir": "results",
+            "readout": {"p10": 0.02, "p01": 0.03, "correction": False, "calibration_shots": 100},
+        }
+        defaults = dataclasses.asdict(SOLVERS[kind][0]())
+        assert defaults.keys() == options.keys()
+        assert all(options[k] != v for k, v in defaults.items())
+        cfg = ExperimentConfig.from_dict(doc)
+        assert cfg.to_dict() == doc
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_readme_config_is_the_schema():
+    # the README's full config sets every key and shows the defaults it claims
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    doc = json.loads(re.search(r"A full config:\n\n```json\n(.*?)```", text, re.S).group(1))
     cfg = ExperimentConfig.from_dict(doc)
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    echo = cfg.to_dict()
+    assert ExperimentConfig.from_dict(echo) == cfg
+    assert set(echo) == set(doc)
+    assert set(echo["readout"]) == set(doc["readout"])
+    required = {k: doc[k] for k in ("rows", "cols", "topology", "layers", "optimizer")}
+    defaults = ExperimentConfig.from_dict({**required, "readout": {"p10": doc["readout"]["p10"]}})
+    defaults = defaults.to_dict()
+    for key in ("runs", "budget", "shots", "n_ini_multiplier", "exact_mode", "base_seed"):
+        assert doc[key] == defaults[key], key
+    assert doc["readout"] == defaults["readout"]
+    options = {k: defaults["optimizer_options"][k] for k in doc["optimizer_options"]}
+    assert doc["optimizer_options"] == pytest.approx(options, abs=1e-3)
+    assert defaults["out_dir"] is None
 
 
 def test_load_config_errors(tmp_path):
@@ -538,6 +592,8 @@ def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
         {"optimizer_options": {"fd_step": 0.0}},
         {"optimizer": "zoo", "optimizer_options": {"region_shrink": 0.0}},
         {"rows": 4, "cols": 4, "layers": 0, "readout": {"p10": 0.05}},
+        {"optimizer_options": {"alpha": float("inf")}},  # written as Infinity
+        {"readout": {"p10": 10**400}},  # too large for float64
     ],
 )
 def test_cli_validate_rejects_in_one_line(tmp_path, capsys, overrides):

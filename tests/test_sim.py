@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ddqcl import sim
 from ddqcl.ansatz import RyGate, Topology, build_ansatz, execute, line_topology, star_topology
 from ddqcl.sim import (
     MAX_QUBITS,
@@ -257,3 +259,45 @@ def test_sample_rejects_bad_shots():
     d = Distribution.delta(1, 0)
     with pytest.raises(ValueError):
         sample(d, 0, np.random.default_rng(0))
+
+
+def _oracle_sample(dist, shots, rng):
+    # one rng.random(shots) draw for all shots
+    cdf = np.cumsum(dist.probs)
+    cdf[-1] = 1.0
+    outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
+    return np.bincount(outcomes, minlength=len(dist.probs))
+
+
+@st.composite
+def _sample_cases(draw):
+    n = draw(st.integers(1, 8))
+    weights = draw(st.lists(st.integers(0, 9), min_size=2**n, max_size=2**n))
+    weights[draw(st.integers(0, 2**n - 1))] += 1
+    block = sim._BLOCK_DRAWS
+    shots = draw(st.one_of(st.integers(1, block), st.integers(block + 1, 3 * block + 7)))
+    return Distribution(n, np.array(weights) / sum(weights)), shots
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sample_cases(), st.integers(0, 2**32 - 1))
+def test_sample_matches_single_draw_oracle(case, seed):
+    # blocks of draws consume the single draw's exact stream: same counts, same state
+    dist, shots = case
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    h = sample(dist, shots, rng)
+    np.testing.assert_array_equal(h.counts, _oracle_sample(dist, shots, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def test_sample_memory_is_bounded():
+    # one draw for a million shots would hold 16 MB of uniforms and outcomes
+    d = Distribution(9, np.full(512, 1 / 512))
+    tracemalloc.start()
+    try:
+        h = sample(d, 1_000_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.shots == 1_000_000
+    assert peak < 4 * 2**20
