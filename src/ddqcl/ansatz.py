@@ -1,8 +1,9 @@
-"""Hardware-style layered circuit: one Ry per qubit, then CZ + endpoint Ry
-pairs swept over a fixed entangling topology, repeated per layer.
+"""Hardware-style layered Ry/CZ circuit over a fixed entangling topology.
 
-For 4 qubits and 3 edges this gives 10 rotations / 3 CZs at one layer and
-16 rotations / 6 CZs at two.
+An `Ansatz` is just its topology and depth; `execute` lays the gates out from
+them as it runs, by the rule in the `Ansatz` docstring.  For 4 qubits and 3
+edges this gives 10 rotations / 3 CZs at one layer and 16 rotations / 6 CZs
+at two.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from math import tau
 
 import numpy as np
 
-from .sim import StateVector, apply_cz, apply_ry
+from .sim import StateVector, _check_n_qubits, apply_cz, apply_ry
 
 
 @dataclass(frozen=True)
@@ -23,8 +24,7 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        _check_n_qubits(self.n_qubits)
         edges = tuple((int(a), int(b)) for a, b in self.edges)
         seen: set[tuple[int, int]] = set()
         for a, b in edges:
@@ -50,71 +50,52 @@ def star_topology(n_qubits: int) -> Topology:
 
 
 @dataclass(frozen=True)
-class RyGate:
-    qubit: int
-    param_slot: int
-
-
-@dataclass(frozen=True)
-class CzGate:
-    qa: int
-    qb: int
-
-
-@dataclass(frozen=True)
 class Ansatz:
-    """Immutable gate program with L free rotation angles."""
+    """Layered circuit over a topology, with `param_count` rotation angles.
 
-    n_qubits: int
+    Gate layout: one Ry per qubit in qubit order, then per layer, for each
+    edge (a, b) in listed order: CZ(a, b), Ry(a), Ry(b).  Rotation k (counted
+    in that order) takes angle k.  Layers = 0 keeps just the initial rotations
+    (product states only).
+    """
+
     topology: Topology
     layers: int
-    gates: tuple[RyGate | CzGate, ...]
-    param_count: int
 
+    def __post_init__(self) -> None:
+        if self.layers < 0:
+            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        if self.layers >= 1 and not self.topology.edges:
+            raise ValueError("entangling layers need at least one edge")
 
-def build_ansatz(n_qubits: int, topology: Topology, layers: int) -> Ansatz:
-    """Lay out the gate program.
+    @property
+    def n_qubits(self) -> int:
+        return self.topology.n_qubits
 
-    One initial Ry per qubit, then per layer, for each edge in listed order:
-    CZ on the edge followed by an Ry on each endpoint.  Layers = 0 keeps just
-    the initial rotations (product states only).
-    """
-    if topology.n_qubits != n_qubits:
-        raise ValueError(f"topology is for {topology.n_qubits} qubits, asked for {n_qubits}")
-    if layers < 0:
-        raise ValueError(f"layers must be >= 0, got {layers}")
-    if layers >= 1 and not topology.edges:
-        raise ValueError("entangling layers need at least one edge")
-    gates: list[RyGate | CzGate] = []
-    slot = 0
-    for q in range(n_qubits):
-        gates.append(RyGate(q, slot))
-        slot += 1
-    for _ in range(layers):
-        for a, b in topology.edges:
-            gates.append(CzGate(a, b))
-            gates.append(RyGate(a, slot))
-            gates.append(RyGate(b, slot + 1))
-            slot += 2
-    return Ansatz(n_qubits, topology, layers, tuple(gates), slot)
+    @property
+    def param_count(self) -> int:
+        return self.n_qubits + 2 * self.layers * len(self.topology.edges)
 
 
 def execute(ansatz: Ansatz, params: np.ndarray) -> StateVector:
-    """Run the gate program on |0...0>.  Angles are reduced modulo 2*pi."""
+    """Run the circuit on |0...0> in the layout of `Ansatz`.  Angles are
+    reduced modulo 2*pi."""
     theta = np.asarray(params, dtype=float)
     if theta.shape != (ansatz.param_count,):
         raise ValueError(f"expected {ansatz.param_count} parameters, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameters must be finite")
-    theta = np.mod(theta, tau)
+    angles = iter(np.mod(theta, tau))
     n = ansatz.n_qubits
     amp = np.zeros((2,) * n)
     amp[(0,) * n] = 1.0
-    for g in ansatz.gates:
-        if isinstance(g, RyGate):
-            amp = apply_ry(amp, g.qubit, theta[g.param_slot])
-        else:
-            amp = apply_cz(amp, g.qa, g.qb)
+    for q in range(n):
+        amp = apply_ry(amp, q, next(angles))
+    for _ in range(ansatz.layers):
+        for a, b in ansatz.topology.edges:
+            amp = apply_cz(amp, a, b)
+            amp = apply_ry(amp, a, next(angles))
+            amp = apply_ry(amp, b, next(angles))
     return StateVector(n, amp.reshape(-1))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import Ansatz, Topology, build_ansatz, execute, line_topology, star_topology
+from .ansatz import Ansatz, Topology, execute, line_topology, star_topology
 from .bas import BasSpec, bas_patterns, bas_target_distribution
 from .metrics import QbasScore, histogram_to_distribution, kl_divergence, qbas_score
 from .optim import SOLVERS, CostContext, LearningCurve, OptimizerConfig, check_sizes
@@ -110,7 +110,7 @@ class ExperimentConfig:
         return _TOPOLOGIES[self.topology](self.bas.n_qubits)
 
     def build_ansatz(self) -> Ansatz:
-        return build_ansatz(self.bas.n_qubits, self.build_topology(), self.layers)
+        return Ansatz(self.build_topology(), self.layers)
 
     def build_channel(self) -> PerQubitFlipModel | None:
         if self.readout is None:
@@ -284,12 +284,9 @@ def _final_metrics(
     patterns = bas_patterns(cfg.bas)
     dist = probabilities(execute(ansatz, curve.best_params))
     rng = np.random.default_rng((seed, 2))
-    shots = cfg.optimizer.shots
+    h = sample(dist, cfg.optimizer.shots, rng)
     if cfg.exact_mode:
-        kl = kl_divergence(target, dist)
-        h = sample(dist, shots, rng)
-        return kl, qbas_score(h, patterns)
-    h = sample(dist, shots, rng)
+        return kl_divergence(target, dist), qbas_score(h, patterns)
     if channel is not None:
         h = apply_channel_sampled(h, channel, rng)
     score = qbas_score(h, patterns)

@@ -3,8 +3,8 @@
 Ry and CZ have real matrices, so a state started at |0...0> never leaves the
 reals: amplitudes are float64 throughout.  The gate kernels `apply_ry` and
 `apply_cz` act on a float64 array of shape (2,)*N and do no validation;
-callers check qubit indices and angles once, where they enter the API
-(`Topology`, `build_ansatz`, `execute`).
+the register width and qubit indices are checked once, in `Topology`, and
+the angles once, in `execute`.
 
 Bit ordering convention, used everywhere in this package: qubit 0 is the most
 significant bit of a basis-state index, so the 4-qubit index 0b1010 means

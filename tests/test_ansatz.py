@@ -1,12 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ddqcl.ansatz import (
     Ansatz,
-    CzGate,
-    RyGate,
     Topology,
-    build_ansatz,
     execute,
     line_topology,
     star_topology,
@@ -14,7 +13,7 @@ from ddqcl.ansatz import (
 )
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
-from ddqcl.sim import probabilities, zero_state
+from ddqcl.sim import MAX_QUBITS, probabilities, zero_state
 
 # 4x4 matrix oracle for the two-qubit primitive, built from scratch
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -52,27 +51,94 @@ def test_topology_validation():
         Topology(3, ((0, 1), (1, 0)))
 
 
+def test_topology_width_checked_where_built():
+    # a register too wide to simulate is refused before any gate runs on it
+    with pytest.raises(ValueError, match=rf"n_qubits must be in \[1, {MAX_QUBITS}\]"):
+        line_topology(MAX_QUBITS + 1)
+    with pytest.raises(ValueError, match=rf"n_qubits must be in \[1, {MAX_QUBITS}\]"):
+        Topology(0, ())
+
+
 # --- construction ---
 
 
-def test_gate_counts_one_layer_line():
-    a = build_ansatz(4, line_topology(4), 1)
+def _spy_gates(monkeypatch):
+    # record (kind, qubits, angle) for every kernel call execute makes
+    import ddqcl.ansatz
+
+    calls = []
+    real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
+
+    def ry(amp, qubit, theta):
+        calls.append(("ry", (qubit,), float(theta)))
+        return real_ry(amp, qubit, theta)
+
+    def cz(amp, qa, qb):
+        calls.append(("cz", (qa, qb), None))
+        return real_cz(amp, qa, qb)
+
+    monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
+    return calls
+
+
+def _expected_calls(topo, layers, theta):
+    # the documented rule: one Ry per qubit, then per layer and per edge (a, b)
+    # in listed order CZ(a, b), Ry(a), Ry(b); rotation k takes theta_k mod 2*pi
+    angles = iter(float(t) for t in np.mod(theta, 2 * np.pi))
+    calls = [("ry", (q,), next(angles)) for q in range(topo.n_qubits)]
+    for _ in range(layers):
+        for a, b in topo.edges:
+            calls += [("cz", (a, b), None), ("ry", (a,), next(angles)), ("ry", (b,), next(angles))]
+    return calls
+
+
+def _gate_counts(monkeypatch, ansatz):
+    calls = _spy_gates(monkeypatch)
+    execute(ansatz, np.zeros(ansatz.param_count))
+    kinds = [kind for kind, _, _ in calls]
+    return kinds.count("ry"), kinds.count("cz")
+
+
+def test_ansatz_is_topology_and_depth():
+    assert [f.name for f in dataclasses.fields(Ansatz)] == ["topology", "layers"]
+    a = Ansatz(star_topology(5), 2)
+    assert a.n_qubits == 5
+
+
+def test_gate_counts_one_layer_line(monkeypatch):
+    a = Ansatz(line_topology(4), 1)
     assert a.param_count == 10
-    assert sum(isinstance(g, RyGate) for g in a.gates) == 10
-    assert sum(isinstance(g, CzGate) for g in a.gates) == 3
+    assert _gate_counts(monkeypatch, a) == (10, 3)
 
 
-def test_gate_counts_two_layer_star():
-    a = build_ansatz(4, star_topology(4), 2)
+def test_gate_counts_two_layer_star(monkeypatch):
+    a = Ansatz(star_topology(4), 2)
     assert a.param_count == 16
-    assert sum(isinstance(g, RyGate) for g in a.gates) == 16
-    assert sum(isinstance(g, CzGate) for g in a.gates) == 6
+    assert _gate_counts(monkeypatch, a) == (16, 6)
 
 
-def test_param_slots_each_used_once():
-    a = build_ansatz(4, star_topology(4), 3)
-    slots = [g.param_slot for g in a.gates if isinstance(g, RyGate)]
-    assert sorted(slots) == list(range(a.param_count))
+def test_param_slots_each_used_once(monkeypatch):
+    # distinct angles, some outside [0, 2*pi): rotation k gets exactly theta_k mod 2*pi
+    a = Ansatz(star_topology(4), 3)
+    theta = np.random.default_rng(6).uniform(-3 * np.pi, 5 * np.pi, a.param_count)
+    calls = _spy_gates(monkeypatch)
+    execute(a, theta)
+    angles = [t for kind, _, t in calls if kind == "ry"]
+    assert angles == [float(t) for t in np.mod(theta, 2 * np.pi)]
+
+
+def test_execute_follows_layout_rule(monkeypatch):
+    rng = np.random.default_rng(7)
+    topologies = [line_topology(5), star_topology(4), Topology(4, ((2, 0), (1, 3), (0, 3)))]
+    calls = _spy_gates(monkeypatch)
+    for topo in topologies:
+        for layers in range(4):
+            a = Ansatz(topo, layers)
+            theta = rng.uniform(-10, 10, a.param_count)
+            calls.clear()
+            execute(a, theta)
+            assert calls == _expected_calls(topo, layers, theta), (topo, layers)
 
 
 def test_param_count_formula():
@@ -81,46 +147,51 @@ def test_param_count_formula():
         n = int(rng.integers(2, 7))
         layers = int(rng.integers(1, 4))
         topo = line_topology(n) if rng.random() < 0.5 else star_topology(n)
-        a = build_ansatz(n, topo, layers)
+        a = Ansatz(topo, layers)
         assert a.param_count == n + layers * 2 * len(topo.edges)
 
 
-def test_two_qubit_single_edge_layout():
-    a = build_ansatz(2, Topology(2, ((0, 1),)), 1)
-    kinds = [type(g).__name__ for g in a.gates]
-    assert kinds == ["RyGate", "RyGate", "CzGate", "RyGate", "RyGate"]
+def test_two_qubit_single_edge_layout(monkeypatch):
+    a = Ansatz(Topology(2, ((0, 1),)), 1)
+    calls = _spy_gates(monkeypatch)
+    execute(a, np.array([0.1, 0.2, 0.3, 0.4]))
+    assert calls == [("ry", (0,), 0.1), ("ry", (1,), 0.2), ("cz", (0, 1), None),
+                     ("ry", (0,), 0.3), ("ry", (1,), 0.4)]
 
 
-def test_layers_zero_keeps_initial_rotations_only():
-    a = build_ansatz(3, line_topology(3), 0)
+def test_layers_zero_keeps_initial_rotations_only(monkeypatch):
+    a = Ansatz(line_topology(3), 0)
     assert a.param_count == 3
-    assert all(isinstance(g, RyGate) for g in a.gates)
+    assert _gate_counts(monkeypatch, a) == (3, 0)
 
 
 def test_entangling_layers_need_edges():
-    with pytest.raises(ValueError):
-        build_ansatz(2, Topology(2, ()), 1)
-    with pytest.raises(ValueError):
-        build_ansatz(3, line_topology(4), 1)
+    with pytest.raises(ValueError, match="at least one edge"):
+        Ansatz(Topology(2, ()), 1)
+
+
+def test_layers_must_be_non_negative():
+    with pytest.raises(ValueError, match="layers must be >= 0"):
+        Ansatz(line_topology(3), -1)
 
 
 # --- execution ---
 
 
 def test_zero_params_is_zero_state():
-    a = build_ansatz(4, line_topology(4), 2)
+    a = Ansatz(line_topology(4), 2)
     out = execute(a, np.zeros(16))
     np.testing.assert_array_equal(out.amplitudes, zero_state(4).amplitudes)
 
 
 def test_param_length_checked():
-    a = build_ansatz(4, line_topology(4), 1)
+    a = Ansatz(line_topology(4), 1)
     with pytest.raises(ValueError):
         execute(a, np.zeros(9))
 
 
 def test_angles_reduced_mod_2pi():
-    a = build_ansatz(3, star_topology(3), 1)
+    a = Ansatz(star_topology(3), 1)
     rng = np.random.default_rng(1)
     p = rng.uniform(0, 2 * np.pi, a.param_count)
     s1 = execute(a, p)
@@ -131,13 +202,13 @@ def test_angles_reduced_mod_2pi():
 
 
 def test_execute_pure_function():
-    a = build_ansatz(4, line_topology(4), 2)
+    a = Ansatz(line_topology(4), 2)
     p = np.linspace(0, 5, 16)
     np.testing.assert_array_equal(execute(a, p).amplitudes, execute(a, p).amplitudes)
 
 
 def test_real_amplitudes():
-    a = build_ansatz(4, star_topology(4), 2)
+    a = Ansatz(star_topology(4), 2)
     out = execute(a, np.random.default_rng(2).uniform(0, 2 * np.pi, 16))
     assert out.amplitudes.dtype == np.float64
 
@@ -151,7 +222,7 @@ def test_execute_rejects_non_finite_params(monkeypatch, bad):
 
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", no_gates)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", no_gates)
-    a = build_ansatz(4, line_topology(4), 1)
+    a = Ansatz(line_topology(4), 1)
     p = np.zeros(a.param_count)
     p[5] = bad
     with pytest.raises(ValueError, match="finite"):
@@ -160,7 +231,7 @@ def test_execute_rejects_non_finite_params(monkeypatch, bad):
 
 def test_single_edge_ansatz_subsumes_u2():
     # initial rotations carry (gamma, beta), the edge pair carries (theta, 0)
-    a = build_ansatz(2, Topology(2, ((0, 1),)), 1)
+    a = Ansatz(Topology(2, ((0, 1),)), 1)
     rng = np.random.default_rng(3)
     for _ in range(20):
         theta, gamma, beta = rng.uniform(0, 2 * np.pi, 3)
@@ -234,7 +305,7 @@ TRAINED_LINE2_PARAMS = np.array([
 
 
 def test_trained_params_reproduce_target():
-    a = build_ansatz(4, line_topology(4), 2)
+    a = Ansatz(line_topology(4), 2)
     model = probabilities(execute(a, TRAINED_LINE2_PARAMS))
     target = bas_target_distribution(BasSpec(2, 2))
     assert js_divergence(model, target) < 0.05

@@ -2,14 +2,18 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ddqcl.ansatz import execute
-from ddqcl.bas import bas_patterns, bas_target_distribution
+from ddqcl.ansatz import Ansatz, execute, line_topology
+from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
 from ddqcl.cli import main
 from ddqcl.harness import (
     ConfigError,
@@ -21,7 +25,7 @@ from ddqcl.harness import (
     load_config,
     run_batch,
 )
-from ddqcl.metrics import kl_divergence, qbas_score
+from ddqcl.metrics import js_divergence, kl_divergence, qbas_score
 from ddqcl.optim import SOLVERS, AdamConfig, LearningCurve
 from ddqcl.sim import probabilities, sample
 
@@ -263,6 +267,33 @@ def test_readme_config_is_the_schema():
     options = {k: defaults["optimizer_options"][k] for k in doc["optimizer_options"]}
     assert doc["optimizer_options"] == pytest.approx(options, abs=1e-3)
     assert defaults["out_dir"] is None
+
+
+def test_readme_library_example_runs(tmp_path):
+    # the README's library block, run against this checkout's src/
+    root = Path(__file__).parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    best_js, zero_js = (float(line) for line in proc.stdout.split())
+    assert 0.0 <= best_js < np.log(2)
+    zero = probabilities(execute(Ansatz(line_topology(4), 2), np.zeros(16)))
+    assert zero_js == js_divergence(zero, bas_target_distribution(BasSpec(2, 2)))
+
+
+@pytest.mark.parametrize("layers", [100_000, 10**400], ids=["1e5", "1e400"])
+def test_layers_beyond_the_budget_rejected_at_once(layers):
+    # the parameter count alone shows the budget is too small; nothing is laid out
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="budget 2000 too small"):
+            ExperimentConfig.from_dict({**MINIMAL, "layers": layers})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_load_config_errors(tmp_path):

@@ -4,7 +4,7 @@ convergence for each of the three training loops."""
 import numpy as np
 import pytest
 
-from ddqcl.ansatz import Topology, build_ansatz, line_topology
+from ddqcl.ansatz import Ansatz, Topology, line_topology
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
 from ddqcl.optim import (
@@ -93,7 +93,7 @@ def test_envelope_is_running_minimum():
 
 @pytest.mark.parametrize("kind", ["adam", "svhc", "zoo"])
 def test_same_seed_same_curve(kind):
-    ansatz = build_ansatz(4, line_topology(4), 1)
+    ansatz = Ansatz(line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
     cfg = _cfg(kind, budget=50, shots=200)
 
@@ -139,7 +139,7 @@ def test_init_search_rejects_zero():
 
 def test_exact_cost_of_zero_params():
     # all-zero angles leave the register in |0000>, a delta distribution
-    ansatz = build_ansatz(4, line_topology(4), 2)
+    ansatz = Ansatz(line_topology(4), 2)
     target = bas_target_distribution(BasSpec(2, 2))
     ctx = CostContext.for_circuit(
         ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True
@@ -149,7 +149,7 @@ def test_exact_cost_of_zero_params():
 
 def test_exact_cost_reaches_zero():
     # one qubit, no entangling layers: Ry(pi/2) gives the uniform distribution
-    ansatz = build_ansatz(1, Topology(1, ()), 0)
+    ansatz = Ansatz(Topology(1, ()), 0)
     target = probabilities(execute(ansatz, np.array([np.pi / 2])))
     ctx = CostContext.for_circuit(
         ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True
@@ -158,7 +158,7 @@ def test_exact_cost_reaches_zero():
 
 
 def test_shot_cost_converges_to_exact():
-    ansatz = build_ansatz(4, line_topology(4), 1)
+    ansatz = Ansatz(line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
     params = np.random.default_rng(6).uniform(0, TAU, 10)
 
@@ -179,7 +179,7 @@ def test_shot_cost_converges_to_exact():
 
 
 def test_improvement_snapshots_replay():
-    ansatz = build_ansatz(4, line_topology(4), 1)
+    ansatz = Ansatz(line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
     ctx = CostContext.for_circuit(
         ansatz, target, budget=60, shots=1, rng=np.random.default_rng(7), exact_mode=True
@@ -198,7 +198,7 @@ def test_improvement_snapshots_replay():
 
 @pytest.mark.parametrize("kind", ["adam", "svhc", "zoo"])
 def test_shot_noise_shows_in_raw_costs(kind):
-    ansatz = build_ansatz(4, line_topology(4), 1)
+    ansatz = Ansatz(line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
     ctx = CostContext.for_circuit(
         ansatz, target, budget=40, shots=100, rng=np.random.default_rng(8)

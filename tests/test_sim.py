@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddqcl import sim
-from ddqcl.ansatz import RyGate, Topology, build_ansatz, execute, line_topology, star_topology
+from ddqcl.ansatz import Ansatz, Topology, execute, line_topology, star_topology
 from ddqcl.sim import (
     MAX_QUBITS,
     BitString,
@@ -184,13 +184,29 @@ def test_cz_symmetric_and_involutive():
 # --- execute against a dense Kronecker-product matrix oracle ---
 
 
-def _dense_gate(n, gate, theta):
-    if isinstance(gate, RyGate):
-        ops = [np.eye(2)] * n
-        ops[gate.qubit] = _RY(theta[gate.param_slot])
-        return reduce(np.kron, ops)
+def _dense_ry(n, qubit, t):
+    ops = [np.eye(2)] * n
+    ops[qubit] = _RY(t)
+    return reduce(np.kron, ops)
+
+
+def _dense_cz(n, qa, qb):
     bits = (np.arange(2**n)[:, None] >> (n - 1 - np.arange(n))) & 1
-    return np.diag(np.where(bits[:, gate.qa] & bits[:, gate.qb], -1.0, 1.0))
+    return np.diag(np.where(bits[:, qa] & bits[:, qb], -1.0, 1.0))
+
+
+def _dense_circuit(topo, layers, theta):
+    # the documented layout, spelled out: Ry(q) for each qubit, then per layer
+    # and per edge (a, b) in listed order CZ(a, b), Ry(a), Ry(b); rotation k
+    # takes theta[k]
+    n = topo.n_qubits
+    angles = iter(theta)
+    mats = [_dense_ry(n, q, next(angles)) for q in range(n)]
+    for _ in range(layers):
+        for a, b in topo.edges:
+            mats += [_dense_cz(n, a, b), _dense_ry(n, a, next(angles)), _dense_ry(n, b, next(angles))]
+    assert next(angles, None) is None
+    return reduce(lambda v, m: m @ v, mats, zero_state(n).amplitudes)
 
 
 @st.composite
@@ -203,27 +219,25 @@ def _circuits(draw):
         topo = star_topology(n)
     else:
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)) if pairs else []
+        pairs += [(b, a) for a, b in pairs]
+        edges = draw(st.lists(st.sampled_from(pairs), unique_by=lambda e: frozenset(e),
+                              max_size=8)) if pairs else []
         topo = Topology(n, tuple(edges))
     layers = draw(st.integers(0, 3)) if topo.edges else 0
-    ansatz = build_ansatz(n, topo, layers)
+    count = n + 2 * layers * len(topo.edges)
     angle = st.floats(0.0, 2 * np.pi, exclude_max=True)
-    theta = np.array(draw(st.lists(angle, min_size=ansatz.param_count,
-                                   max_size=ansatz.param_count)))
-    return ansatz, theta
+    theta = np.array(draw(st.lists(angle, min_size=count, max_size=count)))
+    return topo, layers, theta
 
 
 @settings(max_examples=100, deadline=None)
 @given(_circuits())
 def test_execute_matches_dense_oracle(circuit):
-    ansatz, theta = circuit
-    n = ansatz.n_qubits
-    expected = zero_state(n).amplitudes
-    for gate in ansatz.gates:
-        expected = _dense_gate(n, gate, theta) @ expected
-    out = execute(ansatz, theta)
+    topo, layers, theta = circuit
+    out = execute(Ansatz(topo, layers), theta)
     assert out.amplitudes.dtype == np.float64
-    np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(out.amplitudes, _dense_circuit(topo, layers, theta),
+                               rtol=0, atol=1e-12)
 
 
 # --- measurement ---
