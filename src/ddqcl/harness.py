@@ -324,7 +324,6 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
             exact_mode=cfg.exact_mode,
             channel=channel,
             confusion=confusion,
-            seed=seed,
         )
         curve = run_solver(ctx, cfg.optimizer)
         kl, score = _final_metrics(cfg, ansatz, target, curve, seed, channel, confusion)
@@ -392,7 +391,7 @@ def summary_dict(result: BatchResult) -> dict:
                 "qbas_precision": r.qbas.precision,
                 "qbas_recall": r.qbas.recall,
                 "qbas_f1": r.qbas.f1,
-                "improvement_evaluations": [i for i, _ in r.curve.improvements],
+                "improvement_evaluations": r.curve.improvements.tolist(),
                 "best_params": r.curve.best_params.tolist(),
                 "final_params": r.curve.final_params.tolist(),
             }

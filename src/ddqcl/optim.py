@@ -1,9 +1,11 @@
 """Derivative-free training loops over a noisy scalar cost.
 
-Three solvers share one evaluation-budget contract: a run consumes exactly
-`budget` cost calls, every call is recorded, and the reported learning curve
-is the monotone best-so-far envelope of the raw evaluations.  All solvers
-start from the best of n_ini uniformly drawn parameter vectors.
+`run` is the one implementation of the evaluation-budget contract: it draws
+the n_ini uniform starts, hands that pool to the solver, and ends the run
+when exactly `budget` cost calls are recorded.  The learning curve is those
+costs; its best-so-far envelope and improvements are derived from them.  A
+solver is only its update rule: a generator that yields its incumbent before
+each step, so the last incumbent yielded is the run's final one.
 
 SVHC and the elite-set zeroth-order search are reconstructions from their
 one-line descriptions; their hyperparameters are explicit config, not
@@ -13,9 +15,12 @@ canonical values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, tau
+from decimal import Decimal
+from itertools import count
+from math import isfinite, pi, tau
 from numbers import Integral
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,17 +34,36 @@ class BudgetExhausted(RuntimeError):
     """Raised by CostContext.evaluate once the evaluation budget is spent."""
 
 
+# A run holds its initial pool, n_ini x L float64, and its cost record, 32 bytes
+# per evaluation (a list slot and a Python float).  1 GiB is a quarter of a 4 GiB
+# host, and far more than a run that trains in hours needs (L = 1000: 24 MB).
+MAX_RUN_BYTES = 2**30
+
+Pool = list[tuple[float, np.ndarray]]  # (cost, params) per initial draw
+_by_cost = itemgetter(0)
+
+
 @dataclass(frozen=True)
 class LearningCurve:
-    """Everything recorded during one run, one entry per cost evaluation."""
+    """One run: its raw cost per evaluation, in order, and two parameter vectors."""
 
-    seed: int | None
     costs: np.ndarray
-    best_costs: np.ndarray
-    improvements: tuple[tuple[int, np.ndarray], ...]
-    best_params: np.ndarray
-    best_cost: float
-    final_params: np.ndarray
+    best_params: np.ndarray  # the first evaluation at the lowest cost
+    final_params: np.ndarray  # the solver's incumbent when the budget ran out
+
+    @property
+    def best_costs(self) -> np.ndarray:
+        """Best cost so far after each evaluation."""
+        return np.minimum.accumulate(self.costs)
+
+    @property
+    def best_cost(self) -> float:
+        return float(self.costs.min())
+
+    @property
+    def improvements(self) -> np.ndarray:
+        """Indices of the evaluations whose cost beats every earlier cost."""
+        return np.flatnonzero(np.diff(self.best_costs, prepend=np.inf) < 0)
 
 
 class CostContext:
@@ -55,7 +79,6 @@ class CostContext:
         param_count: int,
         budget: int,
         rng: np.random.Generator,
-        seed: int | None = None,
     ) -> None:
         if param_count < 1:
             raise ValueError(f"param_count must be >= 1, got {param_count}")
@@ -65,11 +88,7 @@ class CostContext:
         self.param_count = param_count
         self.budget = budget
         self.rng = rng
-        self.seed = seed
-        self.evaluations = 0
         self.costs: list[float] = []
-        self.best_costs: list[float] = []
-        self.improvements: list[tuple[int, np.ndarray]] = []
         self.best_cost = float("inf")
         self.best_params: np.ndarray | None = None
 
@@ -84,7 +103,6 @@ class CostContext:
         exact_mode: bool = False,
         channel: PerQubitFlipModel | None = None,
         confusion: ConfusionMatrix | None = None,
-        seed: int | None = None,
     ) -> "CostContext":
         """Circuit-training cost: run the ansatz, read out, compare to target.
 
@@ -114,7 +132,11 @@ class CostContext:
                     model = correct(model, confusion)
                 return js_divergence(model, target)
 
-        return cls(cost_fn, ansatz.param_count, budget, rng, seed)
+        return cls(cost_fn, ansatz.param_count, budget, rng)
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.costs)
 
     def evaluate(self, params: np.ndarray) -> float:
         """Score one parameter vector, recording it against the budget."""
@@ -124,47 +146,33 @@ class CostContext:
         if theta.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got shape {theta.shape}")
         cost = float(self._cost_fn(theta))
-        self.evaluations += 1
+        if not isfinite(cost):
+            raise ValueError(f"cost function returned {cost} at evaluation {self.evaluations}")
         self.costs.append(cost)
         if cost < self.best_cost:
             self.best_cost = cost
             self.best_params = theta.copy()
-            self.improvements.append((self.evaluations - 1, self.best_params))
-        self.best_costs.append(self.best_cost)
         return cost
 
     def curve(self, final_params: np.ndarray) -> LearningCurve:
         if self.best_params is None:
             raise RuntimeError("no evaluations recorded")
         return LearningCurve(
-            seed=self.seed,
             costs=np.array(self.costs),
-            best_costs=np.array(self.best_costs),
-            improvements=tuple(self.improvements),
             best_params=self.best_params,
-            best_cost=self.best_cost,
             final_params=np.asarray(final_params, dtype=float).copy(),
         )
 
 
-@dataclass(frozen=True)
-class InitResult:
-    params: np.ndarray
-    cost: float
-    evaluations: int
-    pool: tuple[tuple[float, np.ndarray], ...]
-
-
-def init_search(ctx: CostContext, n_ini: int) -> InitResult:
-    """Evaluate n_ini uniform random parameter vectors, return the argmin."""
+def init_search(ctx: CostContext, n_ini: int) -> Pool:
+    """Evaluate n_ini uniform random parameter vectors; (cost, params) in draw order."""
     if n_ini < 1:
         raise ValueError(f"n_ini must be >= 1, got {n_ini}")
-    pool: list[tuple[float, np.ndarray]] = []
+    pool = []
     for _ in range(n_ini):
         cand = ctx.rng.uniform(0.0, tau, ctx.param_count)
         pool.append((ctx.evaluate(cand), cand))
-    best_cost, best_params = min(pool, key=lambda t: t[0])
-    return InitResult(best_params, best_cost, n_ini, tuple(pool))
+    return pool
 
 
 # --- solver configs ---
@@ -260,12 +268,18 @@ class OptimizerConfig:
 
 
 def check_sizes(cfg: OptimizerConfig, param_count: int, budget: int) -> int:
-    """Check the budget and SVHC subset against L parameters; returns n_ini."""
+    """Check the budget, memory and SVHC subset for L parameters; returns n_ini."""
     n_ini = cfg.n_ini(param_count)
     if budget < n_ini + 1:
         raise ValueError(
             f"budget {budget} too small: initialization alone needs {n_ini} "
             f"evaluations, and the solver needs at least one more"
+        )
+    held = 8 * n_ini * param_count + 32 * budget
+    if held > MAX_RUN_BYTES:
+        raise ValueError(
+            f"a run of {n_ini} initial draws of {param_count} parameters and {budget} recorded "
+            f"costs holds {Decimal(held):.3g} bytes; the cap is {MAX_RUN_BYTES} bytes"
         )
     if isinstance(cfg.options, SvhcConfig) and cfg.options.subset(param_count) > param_count:
         raise ValueError(
@@ -277,121 +291,104 @@ def check_sizes(cfg: OptimizerConfig, param_count: int, budget: int) -> int:
 # --- solvers ---
 
 
-def run_adam(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
-    """ADAM on a central finite-difference gradient.
+def adam_steps(ctx: CostContext, a: AdamConfig, pool: Pool) -> Iterator[np.ndarray]:
+    """ADAM on a central finite-difference gradient, from the best pool start.
 
     Each step spends 2L evaluations on the gradient probes plus one on the
     incumbent itself — without the incumbent evaluation the recorded best
     would sit O(h^2) above the model actually trained.
     """
-    a = cfg.options
-    n_ini = check_sizes(cfg, ctx.param_count, ctx.budget)
-    theta = init_search(ctx, n_ini).params.copy()
+    theta = min(pool, key=_by_cost)[1]
     n = ctx.param_count
-    m = np.zeros(n)
-    v = np.zeros(n)
-    t = 0
-    try:
-        while True:
-            t += 1
-            ctx.evaluate(theta)
-            grad = np.zeros(n)
-            for i in range(n):
-                step = np.zeros(n)
-                step[i] = a.fd_step
-                grad[i] = (ctx.evaluate(theta + step) - ctx.evaluate(theta - step)) / (
-                    2.0 * a.fd_step
-                )
-            m = a.beta1 * m + (1.0 - a.beta1) * grad
-            v = a.beta2 * v + (1.0 - a.beta2) * grad * grad
-            m_hat = m / (1.0 - a.beta1**t)
-            v_hat = v / (1.0 - a.beta2**t)
-            theta = theta - a.alpha * m_hat / (np.sqrt(v_hat) + a.eps)
-    except BudgetExhausted:
-        pass
-    return ctx.curve(theta)
+    m, v = np.zeros(n), np.zeros(n)
+    for t in count(1):
+        yield theta
+        ctx.evaluate(theta)
+        grad = np.zeros(n)
+        for i in range(n):
+            step = np.zeros(n)
+            step[i] = a.fd_step
+            diff = ctx.evaluate(theta + step) - ctx.evaluate(theta - step)
+            grad[i] = diff / (2.0 * a.fd_step)
+        m = a.beta1 * m + (1.0 - a.beta1) * grad
+        v = a.beta2 * v + (1.0 - a.beta2) * grad * grad
+        m_hat = m / (1.0 - a.beta1**t)
+        v_hat = v / (1.0 - a.beta2**t)
+        theta = theta - a.alpha * m_hat / (np.sqrt(v_hat) + a.eps)
 
 
-def run_svhc(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
-    """Stochastic hill climbing: Gaussian steps on a random coordinate subset,
-    accepted on strict improvement; the incumbent's cost is refreshed every
-    suppression period to shake off lucky shot-noise values.
+def svhc_steps(ctx: CostContext, s: SvhcConfig, pool: Pool) -> Iterator[np.ndarray]:
+    """Stochastic hill climbing from the best pool start: Gaussian steps on a
+    random coordinate subset, accepted on strict improvement; the incumbent's
+    cost is refreshed every suppression period to shake off lucky shot-noise
+    values.
     """
-    s = cfg.options
-    n_ini = check_sizes(cfg, ctx.param_count, ctx.budget)
-    ini = init_search(ctx, n_ini)
-    x, fx = ini.params.copy(), ini.cost
+    fx, x = min(pool, key=_by_cost)
     n = ctx.param_count
     k = s.subset(n)
-    iteration = 0
-    try:
-        while True:
-            iteration += 1
-            if s.suppression_period > 0 and iteration % s.suppression_period == 0:
-                fx = ctx.evaluate(x)
-                continue
-            y = x.copy()
-            idx = ctx.rng.choice(n, size=k, replace=False)
-            y[idx] += ctx.rng.normal(0.0, s.sigma, size=k)
-            fy = ctx.evaluate(y)
-            if fy < fx:
-                x, fx = y, fy
-    except BudgetExhausted:
-        pass
-    return ctx.curve(x)
+    for iteration in count(1):
+        yield x
+        if s.suppression_period > 0 and iteration % s.suppression_period == 0:
+            fx = ctx.evaluate(x)
+            continue
+        y = x.copy()
+        idx = ctx.rng.choice(n, size=k, replace=False)
+        y[idx] += ctx.rng.normal(0.0, s.sigma, size=k)
+        fy = ctx.evaluate(y)
+        if fy < fx:
+            x, fx = y, fy
 
 
-def run_zoo(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
-    """Elite-set zeroth-order search: sample inside a shrinking box around a
-    random elite with probability elite_prob, else uniformly; the box shrinks
-    after stall_limit consecutive non-improving candidates, and elite costs
-    are refreshed every suppression period.
+def zoo_steps(ctx: CostContext, z: ZooConfig, pool: Pool) -> Iterator[np.ndarray]:
+    """Elite-set zeroth-order search over the pool's best elite_size starts:
+    sample inside a shrinking box around a random elite with probability
+    elite_prob, else uniformly; the box shrinks after stall_limit consecutive
+    non-improving candidates, and the best elite's cost is refreshed every
+    suppression period.
     """
-    z = cfg.options
-    n_ini = check_sizes(cfg, ctx.param_count, ctx.budget)
-    pool = sorted(init_search(ctx, n_ini).pool, key=lambda t: t[0])
-    elites = [(c, p.copy()) for c, p in pool[: z.elite_size]]
+    elites = sorted(pool, key=_by_cost)[: z.elite_size]
     n = ctx.param_count
     width = z.region_width
     stall = 0
-    iteration = 0
-    try:
-        while True:
-            iteration += 1
-            if z.suppression_period > 0 and iteration % z.suppression_period == 0:
-                best_params = elites[0][1]
-                elites[0] = (ctx.evaluate(best_params), best_params)
-                elites.sort(key=lambda t: t[0])
-                continue
-            if ctx.rng.random() < z.elite_prob:
-                base = elites[ctx.rng.integers(len(elites))][1]
-                cand = base + ctx.rng.uniform(-width, width, n)
-            else:
-                cand = ctx.rng.uniform(0.0, tau, n)
-            c = ctx.evaluate(cand)
-            if c < elites[-1][0]:
-                elites[-1] = (c, cand)
-                elites.sort(key=lambda t: t[0])
+    for iteration in count(1):
+        yield elites[0][1]
+        if z.suppression_period > 0 and iteration % z.suppression_period == 0:
+            best_params = elites[0][1]
+            elites[0] = (ctx.evaluate(best_params), best_params)
+            elites.sort(key=_by_cost)
+            continue
+        if ctx.rng.random() < z.elite_prob:
+            base = elites[ctx.rng.integers(len(elites))][1]
+            cand = base + ctx.rng.uniform(-width, width, n)
+        else:
+            cand = ctx.rng.uniform(0.0, tau, n)
+        c = ctx.evaluate(cand)
+        if c < elites[-1][0]:
+            elites[-1] = (c, cand)
+            elites.sort(key=_by_cost)
+            stall = 0
+        else:
+            stall += 1
+            if stall >= z.stall_limit:
+                width *= z.region_shrink
                 stall = 0
-            else:
-                stall += 1
-                if stall >= z.stall_limit:
-                    width *= z.region_shrink
-                    stall = 0
-    except BudgetExhausted:
-        pass
-    return ctx.curve(elites[0][1])
 
 
-# The one list of solvers: config name -> (options type, training loop).
+# The one list of solvers: config name -> (options type, step generator).
 SOLVERS = {
-    "adam": (AdamConfig, run_adam),
-    "svhc": (SvhcConfig, run_svhc),
-    "zoo": (ZooConfig, run_zoo),
+    "adam": (AdamConfig, adam_steps),
+    "svhc": (SvhcConfig, svhc_steps),
+    "zoo": (ZooConfig, zoo_steps),
 }
 _KINDS = {options: name for name, (options, _) in SOLVERS.items()}
 
 
 def run(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
-    """Dispatch on the options' solver; consumes the context's entire budget."""
-    return SOLVERS[cfg.kind][1](ctx, cfg)
+    """Spend the context's whole budget: the n_ini pool, then solver steps."""
+    pool = init_search(ctx, check_sizes(cfg, ctx.param_count, ctx.budget))
+    steps = SOLVERS[cfg.kind][1](ctx, cfg.options, pool)
+    try:
+        while True:  # a solver that stops early raises StopIteration, not a short curve
+            incumbent = next(steps)
+    except BudgetExhausted:
+        return ctx.curve(incumbent)

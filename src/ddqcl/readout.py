@@ -123,15 +123,11 @@ def apply_channel_sampled(
 
 
 def calibrate(
-    model: PerQubitFlipModel,
-    shots_per_basis_state: int = DEFAULT_CALIBRATION_SHOTS,
-    rng: np.random.Generator | None = None,
+    model: PerQubitFlipModel, shots_per_basis_state: int, rng: np.random.Generator
 ) -> ConfusionMatrix:
     """Estimate the channel matrix from one preparation experiment per basis state."""
     if shots_per_basis_state < 1:
         raise ValueError(f"shots must be >= 1, got {shots_per_basis_state}")
-    if rng is None:
-        rng = np.random.default_rng()
     n = model.n_qubits
     dim = 2**n
     cols = np.empty((dim, dim))

@@ -296,6 +296,29 @@ def test_layers_beyond_the_budget_rejected_at_once(layers):
     assert peak < 2**20
 
 
+# configs a run cannot hold in memory, each accepted by the budget check
+_TOO_LARGE = {
+    "pool": {"layers": 10**4, "budget": 10**6},  # 180012 x 60004 float64: 86 GB
+    "1e12": {"layers": 10**12, "budget": 10**14},
+    "1e400": {"layers": 10**400, "budget": 10**402},
+    "record": {"budget": 4 * 10**7},  # 32 bytes per recorded cost: 1.28 GB
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TOO_LARGE))
+def test_runs_beyond_the_memory_cap_rejected(name):
+    with pytest.raises(ConfigError, match=r"holds \S+ bytes; the cap is 1073741824 bytes"):
+        ExperimentConfig.from_dict({**MINIMAL, **_TOO_LARGE[name]})
+
+
+def test_memory_cap_names_the_bytes():
+    pool = r"180012 initial draws of 60004 parameters .* holds 8.64e\+10 bytes"
+    with pytest.raises(ConfigError, match=pool):
+        ExperimentConfig.from_dict({**MINIMAL, **_TOO_LARGE["pool"]})
+    # 10^7 recorded costs (320 MB) fit under the 1 GiB cap
+    assert ExperimentConfig.from_dict({**MINIMAL, "budget": 10**7}).optimizer.budget == 10**7
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -315,12 +338,7 @@ def test_load_config_roundtrip(tmp_path):
 
 
 def _curve(costs):
-    costs = np.asarray(costs, dtype=float)
-    best = np.minimum.accumulate(costs)
-    return LearningCurve(
-        seed=0, costs=costs, best_costs=best, improvements=(),
-        best_params=np.zeros(1), best_cost=float(best[-1]), final_params=np.zeros(1),
-    )
+    return LearningCurve(np.asarray(costs, dtype=float), np.zeros(1), np.zeros(1))
 
 
 def test_aggregate_single_curve():
@@ -625,6 +643,7 @@ def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
         {"rows": 4, "cols": 4, "layers": 0, "readout": {"p10": 0.05}},
         {"optimizer_options": {"alpha": float("inf")}},  # written as Infinity
         {"readout": {"p10": 10**400}},  # too large for float64
+        *_TOO_LARGE.values(),
     ],
 )
 def test_cli_validate_rejects_in_one_line(tmp_path, capsys, overrides):

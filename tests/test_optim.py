@@ -3,6 +3,8 @@ convergence for each of the three training loops."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddqcl.ansatz import Ansatz, Topology, line_topology
 from ddqcl.bas import BasSpec, bas_target_distribution
@@ -12,6 +14,7 @@ from ddqcl.optim import (
     AdamConfig,
     BudgetExhausted,
     CostContext,
+    LearningCurve,
     OptimizerConfig,
     SvhcConfig,
     init_search,
@@ -38,7 +41,7 @@ def _angular_dist(x):
 
 
 def _ctx(fn, n, budget, seed):
-    return CostContext(fn, n, budget, np.random.default_rng(seed), seed)
+    return CostContext(fn, n, budget, np.random.default_rng(seed))
 
 
 def _cfg(kind, **kwargs):
@@ -84,6 +87,40 @@ def test_budget_too_small_for_init(kind):
     assert ctx.evaluations == 0  # checked before the first evaluation
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cost_raises_before_recording(bad):
+    ctx = _ctx(lambda x: bad, 2, 3, 0)
+    with pytest.raises(ValueError, match=f"cost function returned {bad}"):
+        ctx.evaluate(np.zeros(2))
+    assert ctx.evaluations == 0 and ctx.costs == [] and ctx.best_params is None
+
+
+@pytest.mark.parametrize("kind", ["adam", "svhc", "zoo"])
+def test_solver_yields_incumbent_before_each_step(kind):
+    # the first yield comes before the solver's first evaluation and is its
+    # start: the best pool entry (ZOO's best elite, as elites are sorted)
+    ctx = _ctx(_quad, 3, 100, 10)
+    pool = init_search(ctx, 9)
+    options_type, solver = SOLVERS[kind]
+    steps = solver(ctx, options_type(), pool)
+    first = next(steps)
+    assert ctx.evaluations == 9
+    assert first is min(pool, key=lambda t: t[0])[1]
+    for _ in range(5):  # every later yield follows at least one evaluation
+        before = ctx.evaluations
+        next(steps)
+        assert ctx.evaluations > before
+
+
+def test_adam_budget_ending_in_first_step_keeps_start():
+    # n_ini = 12 and one evaluation more: ADAM's first step (9 evaluations)
+    # is cut short after re-scoring its start, the best initial draw
+    ctx = _ctx(_bowl, 4, 13, 11)
+    curve = run(ctx, _cfg("adam", budget=13))
+    assert curve.costs[12] == min(curve.costs[:12])
+    np.testing.assert_array_equal(curve.final_params, curve.best_params)
+
+
 def test_envelope_is_running_minimum():
     ctx = _ctx(_bowl, 4, 100, 2)
     curve = run(ctx, _cfg("zoo", budget=100))
@@ -99,7 +136,7 @@ def test_same_seed_same_curve(kind):
 
     def one():
         ctx = CostContext.for_circuit(
-            ansatz, target, budget=50, shots=200, rng=np.random.default_rng(5), seed=5
+            ansatz, target, budget=50, shots=200, rng=np.random.default_rng(5)
         )
         return run(ctx, cfg)
 
@@ -112,21 +149,22 @@ def test_same_seed_same_curve(kind):
 # --- initialization ---
 
 
-def test_init_search_consumes_and_selects():
+def test_init_search_records_pool_in_draw_order():
     ctx = _ctx(_quad, 3, 50, 3)
-    res = init_search(ctx, 7)
-    assert ctx.evaluations == 7
-    assert res.evaluations == 7
-    assert len(res.pool) == 7
-    assert res.cost == min(c for c, _ in res.pool)
-    assert _quad(res.params) == res.cost
+    pool = init_search(ctx, 7)
+    assert ctx.evaluations == len(pool) == 7
+    assert [c for c, _ in pool] == ctx.costs
+    rng = np.random.default_rng(3)  # the same stream, drawn again
+    for c, p in pool:
+        np.testing.assert_array_equal(p, rng.uniform(0.0, TAU, 3))
+        assert _quad(p) == c
 
 
 def test_init_search_single_candidate():
     ctx = _ctx(_quad, 2, 5, 4)
-    res = init_search(ctx, 1)
+    ((cost, params),) = init_search(ctx, 1)
     assert ctx.evaluations == 1
-    assert res.cost == _quad(res.params)
+    assert cost == _quad(params)
 
 
 def test_init_search_rejects_zero():
@@ -178,22 +216,48 @@ def test_shot_cost_converges_to_exact():
     assert err_large < err_small
 
 
-def test_improvement_snapshots_replay():
+def test_improvements_descend_to_replayable_best():
     ansatz = Ansatz(line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
     ctx = CostContext.for_circuit(
         ansatz, target, budget=60, shots=1, rng=np.random.default_rng(7), exact_mode=True
     )
     curve = run(ctx, _cfg("svhc", budget=60))
-    assert curve.improvements  # at least the first evaluation improves on +inf
-    for idx, params in curve.improvements:
-        replay = js_divergence(probabilities(execute(ansatz, params)), target)
-        assert replay == pytest.approx(curve.costs[idx], abs=1e-12)
-    # snapshots are strictly decreasing and end at the best
-    snap_costs = [curve.costs[i] for i, _ in curve.improvements]
-    assert all(a > b for a, b in zip(snap_costs, snap_costs[1:]))
-    assert snap_costs[-1] == curve.best_cost
-    np.testing.assert_array_equal(curve.improvements[-1][1], curve.best_params)
+    assert curve.improvements[0] == 0  # the first evaluation improves on +inf
+    improved = curve.costs[curve.improvements]
+    assert np.all(np.diff(improved) < 0)
+    assert improved[-1] == curve.best_cost
+    replay = js_divergence(probabilities(execute(ansatz, curve.best_params)), target)
+    assert replay == curve.best_cost
+
+
+def _running_record(costs):
+    # the running minimum and improvement loop CostContext.evaluate used to
+    # keep, one update per recorded cost
+    best, best_costs, improvements = float("inf"), [], []
+    for i, cost in enumerate(costs):
+        if cost < best:
+            best = cost
+            improvements.append(i)
+        best_costs.append(best)
+    return best_costs, best, improvements
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-1e3, 1e3)),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_derived_record_matches_running_oracle(costs):
+    # few distinct values, so ties and repeated minima are common
+    curve = LearningCurve(np.array(costs), np.zeros(1), np.zeros(1))
+    best_costs, best, improvements = _running_record(costs)
+    np.testing.assert_array_equal(curve.best_costs, best_costs)
+    assert curve.best_cost == best
+    assert curve.improvements.tolist() == improvements
 
 
 @pytest.mark.parametrize("kind", ["adam", "svhc", "zoo"])

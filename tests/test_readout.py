@@ -252,7 +252,7 @@ def test_sampled_channel_memory_is_bounded():
 
 
 def test_calibrate_noiseless_gives_identity():
-    m = calibrate(PerQubitFlipModel.uniform(2, 0.0), rng=np.random.default_rng(0))
+    m = calibrate(PerQubitFlipModel.uniform(2, 0.0), 100, np.random.default_rng(0))
     np.testing.assert_array_equal(m.entries, np.eye(4))
 
 
@@ -275,7 +275,16 @@ def test_calibrate_columns_stochastic():
 
 def test_calibrate_rejects_bad_shots():
     with pytest.raises(ValueError):
-        calibrate(PerQubitFlipModel.uniform(2, 0.05), 0)
+        calibrate(PerQubitFlipModel.uniform(2, 0.05), 0, np.random.default_rng(0))
+
+
+def test_calibrate_requires_its_shots_and_rng():
+    # an unseeded default stream would make the confusion matrix unreproducible
+    model = PerQubitFlipModel.uniform(2, 0.05)
+    with pytest.raises(TypeError):
+        calibrate(model, 100)
+    with pytest.raises(TypeError):
+        calibrate(model, rng=np.random.default_rng(0))
 
 
 # --- correction ---
