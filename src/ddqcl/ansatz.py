@@ -13,7 +13,7 @@ from math import tau
 
 import numpy as np
 
-from .sim import StateVector, _check_n_qubits, apply_cz, apply_ry
+from .sim import StateVector, _check_n_qubits, apply_cz, apply_ry, product_state
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,18 @@ def execute(ansatz: Ansatz, params: np.ndarray) -> StateVector:
         raise ValueError(f"expected {ansatz.param_count} parameters, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameters must be finite")
-    angles = iter(np.mod(theta, tau))
+    theta = np.mod(theta, tau)
     n = ansatz.n_qubits
-    amp = np.zeros((2,) * n)
-    amp[(0,) * n] = 1.0
-    for q in range(n):
-        amp = apply_ry(amp, q, next(angles))
+    amp = product_state(theta[:n])
+    # the state moves between two buffers: each Ry writes into the spare one
+    # and leaves the old one as the next spare; CZ acts in place
+    spare = np.empty_like(amp)
+    angles = iter(theta[n:])
     for _ in range(ansatz.layers):
         for a, b in ansatz.topology.edges:
-            amp = apply_cz(amp, a, b)
-            amp = apply_ry(amp, a, next(angles))
-            amp = apply_ry(amp, b, next(angles))
+            apply_cz(amp, a, b, out=amp)
+            amp, spare = apply_ry(amp, a, next(angles), out=spare), amp
+            amp, spare = apply_ry(amp, b, next(angles), out=spare), amp
     return StateVector(n, amp.reshape(-1))
 
 

@@ -15,6 +15,7 @@ import os
 import sys
 import typing
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,14 @@ import numpy as np
 from .ansatz import Ansatz, Topology, execute, line_topology, star_topology
 from .bas import BasSpec, bas_patterns, bas_target_distribution
 from .metrics import QbasScore, histogram_to_distribution, kl_divergence, qbas_score
-from .optim import SOLVERS, CostContext, LearningCurve, OptimizerConfig, check_sizes
+from .optim import (
+    MAX_RUN_BYTES,
+    SOLVERS,
+    CostContext,
+    LearningCurve,
+    OptimizerConfig,
+    check_sizes,
+)
 from .optim import run as run_solver
 from .readout import (
     DEFAULT_CALIBRATION_SHOTS,
@@ -90,9 +98,20 @@ class ExperimentConfig:
             # topology and layers, flip probabilities, budget and solver sizes
             ansatz = self.build_ansatz()
             self.build_channel()
-            check_sizes(self.optimizer, ansatz.param_count, self.optimizer.budget)
+            check_sizes(self.optimizer, ansatz.param_count)
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        # A batch keeps every run's cost array (8 bytes per evaluation) until
+        # export, and `aggregate` adds three budget-long curves (median, min,
+        # max): 8 * budget * (runs + 3) bytes.  The envelopes `aggregate`
+        # stacks on the way are freed when it returns and are not counted.
+        budget = self.optimizer.budget
+        held = 8 * budget * (self.runs + 3)
+        if held > MAX_RUN_BYTES:
+            raise ConfigError(
+                f"a batch of {self.runs} runs of {budget} recorded costs, plus its aggregate "
+                f"curves, holds {Decimal(held):.3g} bytes; the cap is {MAX_RUN_BYTES} bytes"
+            )
         n = ansatz.n_qubits
         if self.readout is not None and self.readout.correction and n > MAX_CORRECTION_QUBITS:
             raise ConfigError(

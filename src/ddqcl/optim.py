@@ -267,9 +267,9 @@ class OptimizerConfig:
         return self.n_ini_multiplier * param_count
 
 
-def check_sizes(cfg: OptimizerConfig, param_count: int, budget: int) -> int:
+def check_sizes(cfg: OptimizerConfig, param_count: int) -> int:
     """Check the budget, memory and SVHC subset for L parameters; returns n_ini."""
-    n_ini = cfg.n_ini(param_count)
+    n_ini, budget = cfg.n_ini(param_count), cfg.budget
     if budget < n_ini + 1:
         raise ValueError(
             f"budget {budget} too small: initialization alone needs {n_ini} "
@@ -384,8 +384,14 @@ _KINDS = {options: name for name, (options, _) in SOLVERS.items()}
 
 
 def run(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
-    """Spend the context's whole budget: the n_ini pool, then solver steps."""
-    pool = init_search(ctx, check_sizes(cfg, ctx.param_count, ctx.budget))
+    """Spend the context's whole budget: the n_ini pool, then solver steps.
+
+    The context and the config must name the same budget; a mismatch is
+    refused before the first evaluation.
+    """
+    if cfg.budget != ctx.budget:
+        raise ValueError(f"config budget {cfg.budget} differs from the context's {ctx.budget}")
+    pool = init_search(ctx, check_sizes(cfg, ctx.param_count))
     steps = SOLVERS[cfg.kind][1](ctx, cfg.options, pool)
     try:
         while True:  # a solver that stops early raises StopIteration, not a short curve

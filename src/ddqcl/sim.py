@@ -4,7 +4,10 @@ Ry and CZ have real matrices, so a state started at |0...0> never leaves the
 reals: amplitudes are float64 throughout.  The gate kernels `apply_ry` and
 `apply_cz` act on a float64 array of shape (2,)*N and do no validation;
 the register width and qubit indices are checked once, in `Topology`, and
-the angles once, in `execute`.
+the angles once, in `execute`.  Given `out`, a kernel writes its result
+there and allocates nothing, so a circuit runs in two state buffers.  The
+first rotation layer on |0...0> is a product state, which `product_state`
+builds directly, with the same products as the n Ry gates it replaces.
 
 Bit ordering convention, used everywhere in this package: qubit 0 is the most
 significant bit of a basis-state index, so the 4-qubit index 0b1010 means
@@ -142,22 +145,62 @@ def zero_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amp)
 
 
-def apply_ry(amp: np.ndarray, qubit: int, theta: float) -> np.ndarray:
+def product_state(angles: np.ndarray) -> np.ndarray:
+    """Ry(angles[q]) on each qubit q of |0...0>, as a (2,)*n amplitude array.
+
+    Qubit by qubit, the state so far times (cos(t/2), sin(t/2)) along a new
+    last axis: the same products, in the same order, as the n `apply_ry`
+    calls it replaces.
+    """
+    amp = np.ones(1)
+    for t in angles:
+        # Fortran order runs the long axis innermost, not the length-2 one
+        pair = np.empty((amp.size, 2))
+        np.multiply(amp[:, None], (cos(t / 2.0), sin(t / 2.0)), out=pair, order="F")
+        amp = pair.reshape(-1)
+    return amp.reshape((2,) * len(angles))
+
+
+def apply_ry(
+    amp: np.ndarray, qubit: int, theta: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Rotate one qubit of a (2,)*N amplitude array around the y axis by theta.
 
     The 2x2 action on the (bit=0, bit=1) amplitude pair is
-    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Returns a new array.
+    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Without `out`, returns a
+    new array and leaves `amp` as it was.  With `out` (C-contiguous, of the
+    same shape and distinct from `amp`), writes the result there and returns
+    it, and uses `amp` as scratch: its contents are lost.
     """
+    if out is None:
+        return apply_ry(amp.copy(), qubit, theta, np.empty_like(amp))
     c, s = cos(theta / 2.0), sin(theta / 2.0)
-    a0 = amp.take(0, axis=qubit)
-    a1 = amp.take(1, axis=qubit)
-    return np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=qubit)
+    a = amp.reshape(2**qubit, 2, -1)
+    o = out.reshape(a.shape)
+    # out = c*amp + s*(amp with each pair swapped and its bit-0 entry negated):
+    # c*a0 + (-s)*a1 and c*a1 + s*a0 are exactly c*a0 - s*a1 and s*a0 + c*a1
+    signed_s = np.array([[-s], [s]])
+    if a.shape[2] >= min(8, a.shape[0]):
+        np.multiply(a[:, ::-1], signed_s, out=o)
+    else:
+        # rows this short make a slow innermost loop: run the long axis
+        # innermost instead, through the transposed views in C order
+        np.multiply(a.T[:, ::-1], signed_s, out=o.T, order="C")
+    np.multiply(a, c, out=a)
+    np.add(o, a, out=o)
+    return out
 
 
-def apply_cz(amp: np.ndarray, qa: int, qb: int) -> np.ndarray:
+def apply_cz(
+    amp: np.ndarray, qa: int, qb: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Controlled-Z on a (2,)*N amplitude array: negate the entries with both
-    bits set.  Returns a new array."""
-    out = amp.copy()
+    bits set.  Writes into `out` and returns it; `out=amp` negates in place.
+    Without `out`, returns a new array."""
+    if out is None:
+        out = amp.copy()
+    elif out is not amp:
+        np.copyto(out, amp)
     sel: list[object] = [slice(None)] * amp.ndim
     sel[qa] = 1
     sel[qb] = 1

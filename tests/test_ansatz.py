@@ -63,20 +63,27 @@ def test_topology_width_checked_where_built():
 
 
 def _spy_gates(monkeypatch):
-    # record (kind, qubits, angle) for every kernel call execute makes
+    # record (kind, qubits, angle) for every gate execute applies; the first
+    # rotation layer, built as a product state, counts as its n Ry gates
     import ddqcl.ansatz
 
     calls = []
     real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
+    real_product = ddqcl.ansatz.product_state
 
-    def ry(amp, qubit, theta):
+    def product(angles):
+        calls.extend(("ry", (q,), float(t)) for q, t in enumerate(angles))
+        return real_product(angles)
+
+    def ry(amp, qubit, theta, out=None):
         calls.append(("ry", (qubit,), float(theta)))
-        return real_ry(amp, qubit, theta)
+        return real_ry(amp, qubit, theta, out=out)
 
-    def cz(amp, qa, qb):
+    def cz(amp, qa, qb, out=None):
         calls.append(("cz", (qa, qb), None))
-        return real_cz(amp, qa, qb)
+        return real_cz(amp, qa, qb, out=out)
 
+    monkeypatch.setattr(ddqcl.ansatz, "product_state", product)
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
     return calls
@@ -139,6 +146,49 @@ def test_execute_follows_layout_rule(monkeypatch):
             calls.clear()
             execute(a, theta)
             assert calls == _expected_calls(topo, layers, theta), (topo, layers)
+
+
+def test_execute_runs_in_two_buffers(monkeypatch):
+    # every kernel call inside one execute writes into a buffer it is given
+    # and returns it, and the state only ever lives in two buffers
+    import ddqcl.ansatz
+
+    real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
+    real_product = ddqcl.ansatz.product_state
+    buffers, kernel_calls = set(), []
+
+    def address(arr):
+        return arr.__array_interface__["data"][0]
+
+    def product(angles):
+        amp = real_product(angles)
+        buffers.add(address(amp))
+        return amp
+
+    def ry(amp, qubit, theta, out=None):
+        assert out is not None and out is not amp
+        buffers.update((address(amp), address(out)))
+        kernel_calls.append("ry")
+        result = real_ry(amp, qubit, theta, out=out)
+        assert result is out
+        return result
+
+    def cz(amp, qa, qb, out=None):
+        assert out is amp
+        buffers.add(address(amp))
+        kernel_calls.append("cz")
+        result = real_cz(amp, qa, qb, out=out)
+        assert result is out
+        return result
+
+    monkeypatch.setattr(ddqcl.ansatz, "product_state", product)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
+    a = Ansatz(line_topology(6), 3)
+    state = execute(a, np.random.default_rng(8).uniform(0, 2 * np.pi, a.param_count))
+    assert kernel_calls.count("ry") == 2 * 3 * 5 and kernel_calls.count("cz") == 3 * 5
+    assert len(buffers) == 2
+    assert address(state.amplitudes) in buffers
 
 
 def test_param_count_formula():
@@ -220,6 +270,7 @@ def test_execute_rejects_non_finite_params(monkeypatch, bad):
     def no_gates(*args):
         raise AssertionError("a gate ran before the parameters were checked")
 
+    monkeypatch.setattr(ddqcl.ansatz, "product_state", no_gates)
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", no_gates)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", no_gates)
     a = Ansatz(line_topology(4), 1)

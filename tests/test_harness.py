@@ -302,6 +302,7 @@ _TOO_LARGE = {
     "1e12": {"layers": 10**12, "budget": 10**14},
     "1e400": {"layers": 10**400, "budget": 10**402},
     "record": {"budget": 4 * 10**7},  # 32 bytes per recorded cost: 1.28 GB
+    "batch": {"runs": 10**12, "budget": 10**7},  # each run fits; the kept curves do not
 }
 
 
@@ -317,6 +318,13 @@ def test_memory_cap_names_the_bytes():
         ExperimentConfig.from_dict({**MINIMAL, **_TOO_LARGE["pool"]})
     # 10^7 recorded costs (320 MB) fit under the 1 GiB cap
     assert ExperimentConfig.from_dict({**MINIMAL, "budget": 10**7}).optimizer.budget == 10**7
+    # a batch keeps runs x budget costs and 3 aggregate curves, 8 bytes each:
+    # 8 x 10^7 x (10^12 + 3) bytes, refused without running anything
+    batch = r"a batch of 1000000000000 runs of 10000000 recorded costs.* holds 8.00e\+19 bytes"
+    with pytest.raises(ConfigError, match=batch):
+        ExperimentConfig.from_dict({**MINIMAL, **_TOO_LARGE["batch"]})
+    # the default 5 runs of 10^7 costs keep 640 MB
+    assert ExperimentConfig.from_dict({**MINIMAL, "budget": 10**7}).runs == 5
 
 
 def test_load_config_errors(tmp_path):

@@ -87,6 +87,17 @@ def test_budget_too_small_for_init(kind):
     assert ctx.evaluations == 0  # checked before the first evaluation
 
 
+@pytest.mark.parametrize("cfg_budget", [72, 74])
+def test_budget_mismatch_refused_before_evaluating(cfg_budget):
+    # the context holds the budget that is spent; a config naming another one
+    # is an error, not a run of the context's length
+    ctx = _ctx(_bowl, 4, 73, 0)
+    message = f"config budget {cfg_budget} differs from the context's 73"
+    with pytest.raises(ValueError, match=message):
+        run(ctx, _cfg("adam", budget=cfg_budget))
+    assert ctx.evaluations == 0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_cost_raises_before_recording(bad):
     ctx = _ctx(lambda x: bad, 2, 3, 0)

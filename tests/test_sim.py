@@ -17,6 +17,7 @@ from ddqcl.sim import (
     apply_cz,
     apply_ry,
     probabilities,
+    product_state,
     sample,
     zero_state,
 )
@@ -179,6 +180,86 @@ def test_cz_symmetric_and_involutive():
     amp = rng.normal(size=(2, 2, 2))
     np.testing.assert_array_equal(apply_cz(amp, 0, 2), apply_cz(amp, 2, 0))
     np.testing.assert_array_equal(apply_cz(apply_cz(amp, 0, 2), 0, 2), amp)
+
+
+# --- the kernels writing into `out`, against the allocating ones they replaced ---
+
+
+def _parent_ry(amp, qubit, theta):
+    # the allocating kernel as it was before `out`: the reference, kept verbatim
+    from math import cos, sin
+
+    c, s = cos(theta / 2.0), sin(theta / 2.0)
+    a0 = amp.take(0, axis=qubit)
+    a1 = amp.take(1, axis=qubit)
+    return np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=qubit)
+
+
+def _parent_cz(amp, qa, qb):
+    out = amp.copy()
+    sel = [slice(None)] * amp.ndim
+    sel[qa] = 1
+    sel[qb] = 1
+    out[tuple(sel)] *= -1
+    return out
+
+
+def _check_ry_into_out(amp, qubit, theta):
+    ref = _parent_ry(amp, qubit, theta)
+    scratch, out = amp.copy(), np.full_like(amp, np.nan)
+    assert apply_ry(scratch, qubit, theta, out=out) is out
+    assert np.array_equal(out, ref), (amp.ndim, qubit, theta)
+    # same IEEE operations, so the signs of zeros agree too
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+
+
+_angles = st.floats(-20.0, 20.0) | st.sampled_from([0.0, np.pi, 2 * np.pi, -np.pi])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), _angles, st.integers(0, 2**32 - 1))
+def test_ry_into_out_matches_parent_kernel(n, theta, seed):
+    # every qubit of widths 1-10: rows of 1 to 512 and leading blocks of 1 to
+    # 512 entries, so both loop shapes of the kernel run
+    amp = np.random.default_rng(seed).normal(size=(2,) * n)
+    for q in range(n):
+        _check_ry_into_out(amp, q, theta)
+
+
+def test_ry_into_out_matches_parent_kernel_16_qubits():
+    amp = np.random.default_rng(12).normal(size=(2,) * 16)
+    for q, theta in enumerate(np.random.default_rng(13).uniform(-7, 14, 16)):
+        _check_ry_into_out(amp, q, theta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.data())
+def test_cz_into_out_matches_parent_kernel(n, data):
+    qa, qb = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    amp = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=(2,) * n)
+    orig = amp.copy()
+    ref = _parent_cz(amp, qa, qb)
+    in_place = amp.copy()
+    assert apply_cz(in_place, qa, qb, out=in_place) is in_place
+    other = np.empty_like(amp)
+    assert apply_cz(amp, qa, qb, out=other) is other
+    for got in (in_place, other, apply_cz(amp, qa, qb)):
+        assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+    np.testing.assert_array_equal(amp, orig)  # only `out` is written
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_angles, min_size=1, max_size=10))
+def test_product_state_matches_sequential_rotations(angles):
+    # n parent Ry gates on |0...0>, including angles 0 and pi, whose factors
+    # are exact zeros and ones, and angles outside [0, 2*pi)
+    n = len(angles)
+    ref = _basis0(n)
+    for q, t in enumerate(angles):
+        ref = _parent_ry(ref, q, t)
+    got = product_state(np.array(angles))
+    assert got.shape == (2,) * n and got.dtype == np.float64
+    assert np.array_equal(got, ref)
 
 
 # --- execute against a dense Kronecker-product matrix oracle ---
