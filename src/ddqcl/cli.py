@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"config OK: {cfg.rows}x{cfg.cols} target on {ansatz.n_qubits} qubits, "
                 f"{cfg.topology} topology, {cfg.layers} layer(s), {ansatz.param_count} parameters, "
-                f"{cfg.optimizer.kind} x {cfg.runs} run(s), budget {cfg.optimizer.budget}"
+                f"{cfg.optimizer} x {cfg.runs} run(s), budget {cfg.budget}"
             )
             return 0
 

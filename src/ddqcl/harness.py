@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -23,14 +24,7 @@ import numpy as np
 from .ansatz import Ansatz, Topology, execute, line_topology, star_topology
 from .bas import BasSpec, bas_patterns, bas_target_distribution
 from .metrics import QbasScore, histogram_to_distribution, kl_divergence, qbas_score
-from .optim import (
-    MAX_RUN_BYTES,
-    SOLVERS,
-    CostContext,
-    LearningCurve,
-    OptimizerConfig,
-    check_sizes,
-)
+from .optim import MAX_RUN_BYTES, SOLVERS, CostContext, LearningCurve, Options, check_sizes
 from .optim import run as run_solver
 from .readout import (
     DEFAULT_CALIBRATION_SHOTS,
@@ -75,8 +69,11 @@ class ExperimentConfig:
     cols: int
     topology: str
     layers: int
-    optimizer: OptimizerConfig
+    optimizer_options: Options
     runs: int = 5
+    budget: int = 2000
+    shots: int = 3000
+    n_ini_multiplier: int = 3
     exact_mode: bool = False
     base_seed: int = 0
     out_dir: str | None = None
@@ -87,29 +84,30 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown topology {self.topology!r}; choose from {sorted(_TOPOLOGIES)}"
             )
-        if self.runs < 1:
-            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        for key in ("runs", "budget", "shots", "n_ini_multiplier"):
+            if (value := getattr(self, key)) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.exact_mode and self.readout is not None:
             raise ConfigError("readout noise has no effect in exact mode; drop one of the two")
         try:
             # building each part validates it: image shape and qubit cap,
-            # topology and layers, flip probabilities, budget and solver sizes
+            # topology and layers, flip probabilities, solver, budget and sizes
             ansatz = self.build_ansatz()
             self.build_channel()
-            check_sizes(self.optimizer, ansatz.param_count)
+            n_ini = self.n_ini_multiplier * ansatz.param_count
+            check_sizes(self.optimizer_options, ansatz.param_count, n_ini, self.budget)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         # A batch keeps every run's cost array (8 bytes per evaluation) until
-        # export, and `aggregate` adds three budget-long curves (median, min,
-        # max): 8 * budget * (runs + 3) bytes.  The envelopes `aggregate`
-        # stacks on the way are freed when it returns and are not counted.
-        budget = self.optimizer.budget
-        held = 8 * budget * (self.runs + 3)
+        # export, and export adds three budget-long curves (median, min, max):
+        # 8 * budget * (runs + 3) bytes.  The envelopes `aggregate` stacks on
+        # the way are freed when it returns and are not counted.
+        held = 8 * self.budget * (self.runs + 3)
         if held > MAX_RUN_BYTES:
             raise ConfigError(
-                f"a batch of {self.runs} runs of {budget} recorded costs, plus its aggregate "
+                f"a batch of {self.runs} runs of {self.budget} recorded costs, plus its aggregate "
                 f"curves, holds {Decimal(held):.3g} bytes; the cap is {MAX_RUN_BYTES} bytes"
             )
         n = ansatz.n_qubits
@@ -120,6 +118,12 @@ class ExperimentConfig:
             )
 
     # --- derived objects ---
+
+    @property
+    def optimizer(self) -> str:
+        """The solver's name, as the config's `optimizer` key spells it."""
+        kind = type(self.optimizer_options)
+        return next(name for name, (options, _) in SOLVERS.items() if options is kind)
 
     @property
     def bas(self) -> BasSpec:
@@ -140,19 +144,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        # the budget settings sit at the top level, beside the solver's name
-        args, budget = _read(
-            doc, "config", (cls, OptimizerConfig), ("optimizer", "optimizer_options", "readout")
-        )
+        args = _read(doc, "config", cls, ("optimizer", "optimizer_options", "readout"))
         if "optimizer" not in doc:
             raise ConfigError("missing required config key 'optimizer'")
         kind = _value("optimizer", doc["optimizer"], (str,))
         if kind not in SOLVERS:
             raise ConfigError(f"unknown optimizer {kind!r}; choose from {sorted(SOLVERS)}")
         option_type = SOLVERS[kind][0]
-        (options,) = _read(doc.get("optimizer_options", {}), "optimizer_options", (option_type,))
+        options = _read(doc.get("optimizer_options", {}), "optimizer_options", option_type)
         try:
-            optimizer = OptimizerConfig(option_type(**options), **budget)
+            options = option_type(**options)
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
@@ -160,50 +161,40 @@ class ExperimentConfig:
         if readout is not None:
             if isinstance(readout, dict) and "p10" in readout:
                 readout = {"p01": readout["p10"], **readout}  # p01 defaults to p10
-            (fields,) = _read(readout, "readout", (ReadoutConfig,))
-            readout = ReadoutConfig(**fields)
-        return cls(optimizer=optimizer, readout=readout, **args)
+            readout = ReadoutConfig(**_read(readout, "readout", ReadoutConfig))
+        return cls(optimizer_options=options, readout=readout, **args)
 
     def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        optimizer = doc.pop("optimizer")
-        doc.update(
-            optimizer=self.optimizer.kind, optimizer_options=optimizer.pop("options"), **optimizer
-        )
-        return doc
+        return {**dataclasses.asdict(self), "optimizer": self.optimizer}
 
 
 # JSON scalar types a config field may declare, as the error messages name them
 _JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _read(doc: object, where: str, classes: tuple[type, ...], extra: tuple[str, ...] = ()):
-    """Check the JSON object `doc` against the scalar fields of `classes`.
+def _read(doc: object, where: str, cls: type, extra: tuple[str, ...] = ()) -> dict:
+    """Check the JSON object `doc` against the scalar fields of `cls`.
 
     Each field typed bool, int, float or str (or that or None) is one key,
-    required when the field has no default.  Returns one dict of keyword
-    arguments per class, holding only the keys `doc` sets, so each dataclass
-    supplies its own defaults.  Keys in `extra` are allowed and left to the
-    caller.
+    required when the field has no default.  Returns the keyword arguments
+    for `cls`, holding only the keys `doc` sets, so the dataclass supplies
+    its own defaults.  Keys in `extra` are allowed and left to the caller.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    groups = [list(_scalar_fields(c)) for c in classes]
-    allowed = {f.name for group in groups for f, _ in group} | set(extra)
+    fields = list(_scalar_fields(cls))
+    allowed = {f.name for f, _ in fields} | set(extra)
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
     prefix = "" if where == "config" else f"{where}."
-    out = []
-    for group in groups:
-        args = {}
-        for f, kinds in group:
-            if f.name in doc:
-                args[f.name] = _value(prefix + f.name, doc[f.name], kinds)
-            elif f.default is dataclasses.MISSING:
-                raise ConfigError(f"missing required config key {prefix + f.name!r}")
-        out.append(args)
-    return out
+    args = {}
+    for f, kinds in fields:
+        if f.name in doc:
+            args[f.name] = _value(prefix + f.name, doc[f.name], kinds)
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing required config key {prefix + f.name!r}")
+    return args
 
 
 def _scalar_fields(cls: type):
@@ -264,9 +255,6 @@ class RunResult:
 class BatchResult:
     config: ExperimentConfig
     runs: tuple[RunResult, ...]
-    aggregate_median: np.ndarray
-    aggregate_min: np.ndarray
-    aggregate_max: np.ndarray
     confusion: ConfusionMatrix | None
 
 
@@ -303,7 +291,7 @@ def _final_metrics(
     patterns = bas_patterns(cfg.bas)
     dist = probabilities(execute(ansatz, curve.best_params))
     rng = np.random.default_rng((seed, 2))
-    h = sample(dist, cfg.optimizer.shots, rng)
+    h = sample(dist, cfg.shots, rng)
     if cfg.exact_mode:
         return kl_divergence(target, dist), qbas_score(h, patterns)
     if channel is not None:
@@ -331,34 +319,34 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
     confusion = None
     if cfg.readout is not None and cfg.readout.correction:
         confusion = calibrate_readout(cfg)
+    n_ini = cfg.n_ini_multiplier * ansatz.param_count
     results = []
     for i in range(cfg.runs):
         seed = cfg.base_seed + i
         ctx = CostContext.for_circuit(
             ansatz,
             target,
-            budget=cfg.optimizer.budget,
-            shots=cfg.optimizer.shots,
+            budget=cfg.budget,
+            shots=cfg.shots,
             rng=np.random.default_rng(seed),
             exact_mode=cfg.exact_mode,
             channel=channel,
             confusion=confusion,
         )
-        curve = run_solver(ctx, cfg.optimizer)
+        curve = run_solver(ctx, cfg.optimizer_options, n_ini)
         kl, score = _final_metrics(cfg, ansatz, target, curve, seed, channel, confusion)
         results.append(
             RunResult(
                 seed=seed,
                 curve=curve,
                 evaluations=len(curve.costs),
-                shots_per_evaluation=0 if cfg.exact_mode else cfg.optimizer.shots,
+                shots_per_evaluation=0 if cfg.exact_mode else cfg.shots,
                 best_js=curve.best_cost,
                 kl=kl,
                 qbas=score,
             )
         )
-    med, lo, hi = aggregate([r.curve for r in results])
-    return BatchResult(cfg, tuple(results), med, lo, hi, confusion)
+    return BatchResult(cfg, tuple(results), confusion)
 
 
 # --- export ---
@@ -440,7 +428,9 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
 
     Layout: config.json echo, curve_run<i>.csv per run, aggregate.csv,
     summary.json, and confusion.json when a calibration was used.  UTF-8,
-    LF endings, floats at 17 significant digits.
+    LF endings, floats at 17 significant digits.  The curves of runs beyond
+    this batch's and a confusion.json it did not write are deleted; no other
+    file in out_dir is touched.
     """
     out = _make_dir(out_dir)
     written = []
@@ -459,7 +449,7 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
 
     path = out / "aggregate.csv"
     lines = ["evaluation,median,min,max"]
-    med, lo, hi = result.aggregate_median, result.aggregate_min, result.aggregate_max
+    med, lo, hi = aggregate([r.curve for r in result.runs])
     for j in range(len(med)):
         lines.append(f"{j + 1},{_fmt(med[j])},{_fmt(lo[j])},{_fmt(hi[j])}")
     _write_text(path, "\n".join(lines) + "\n")
@@ -471,7 +461,20 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
 
     if result.confusion is not None:
         written.append(export_confusion(result.confusion, out))
+
+    # what an earlier batch with more runs, or with a calibration, left here
+    stale = [p for p in out.glob("curve_run*.csv") if _stale_curve(p.name, len(result.runs))]
+    if result.confusion is None:
+        stale.append(out / "confusion.json")
+    for p in stale:
+        p.unlink(missing_ok=True)
     return written
+
+
+def _stale_curve(name: str, runs: int) -> bool:
+    """Whether `name` is curve_run<i>.csv, as export spells it, for an i >= runs."""
+    m = re.fullmatch(r"curve_run(0|[1-9][0-9]*)\.csv", name)
+    return m is not None and int(m.group(1)) >= runs
 
 
 def export_confusion(m: ConfusionMatrix, out_dir: str | Path) -> Path:

@@ -243,33 +243,14 @@ class ZooConfig:
         )
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """One solver's options plus the budget settings every solver shares."""
-
-    options: AdamConfig | SvhcConfig | ZooConfig
-    budget: int = 2000
-    shots: int = 3000
-    n_ini_multiplier: int = 3
-
-    def __post_init__(self) -> None:
-        if type(self.options) not in _KINDS:
-            names = [t.__name__ for t in _KINDS]
-            raise ValueError(f"options must be one of {names}, got {self.options!r}")
-        _check_ranges(self, budget=_COUNT, shots=_COUNT, n_ini_multiplier=_COUNT)
-
-    @property
-    def kind(self) -> str:
-        """The solver's name, as the config's `optimizer` key spells it."""
-        return _KINDS[type(self.options)]
-
-    def n_ini(self, param_count: int) -> int:
-        return self.n_ini_multiplier * param_count
+Options = AdamConfig | SvhcConfig | ZooConfig
 
 
-def check_sizes(cfg: OptimizerConfig, param_count: int) -> int:
-    """Check the budget, memory and SVHC subset for L parameters; returns n_ini."""
-    n_ini, budget = cfg.n_ini(param_count), cfg.budget
+def check_sizes(options: Options, param_count: int, n_ini: int, budget: int) -> None:
+    """Check the solver options, and the budget, memory and SVHC subset for L parameters."""
+    if type(options) not in _STEPS:
+        names = [t.__name__ for t in _STEPS]
+        raise ValueError(f"options must be one of {names}, got {options!r}")
     if budget < n_ini + 1:
         raise ValueError(
             f"budget {budget} too small: initialization alone needs {n_ini} "
@@ -281,11 +262,8 @@ def check_sizes(cfg: OptimizerConfig, param_count: int) -> int:
             f"a run of {n_ini} initial draws of {param_count} parameters and {budget} recorded "
             f"costs holds {Decimal(held):.3g} bytes; the cap is {MAX_RUN_BYTES} bytes"
         )
-    if isinstance(cfg.options, SvhcConfig) and cfg.options.subset(param_count) > param_count:
-        raise ValueError(
-            f"subset_size must be in [1, {param_count}], got {cfg.options.subset_size}"
-        )
-    return n_ini
+    if isinstance(options, SvhcConfig) and options.subset(param_count) > param_count:
+        raise ValueError(f"subset_size must be in [1, {param_count}], got {options.subset_size}")
 
 
 # --- solvers ---
@@ -380,19 +358,17 @@ SOLVERS = {
     "svhc": (SvhcConfig, svhc_steps),
     "zoo": (ZooConfig, zoo_steps),
 }
-_KINDS = {options: name for name, (options, _) in SOLVERS.items()}
+_STEPS = dict(SOLVERS.values())  # options type -> step generator
 
 
-def run(ctx: CostContext, cfg: OptimizerConfig) -> LearningCurve:
-    """Spend the context's whole budget: the n_ini pool, then solver steps.
+def run(ctx: CostContext, options: Options, n_ini: int) -> LearningCurve:
+    """Spend the context's whole budget: n_ini uniform starts, then solver steps.
 
-    The context and the config must name the same budget; a mismatch is
-    refused before the first evaluation.
+    `options` is one solver's config, and its type picks the solver.
     """
-    if cfg.budget != ctx.budget:
-        raise ValueError(f"config budget {cfg.budget} differs from the context's {ctx.budget}")
-    pool = init_search(ctx, check_sizes(cfg, ctx.param_count))
-    steps = SOLVERS[cfg.kind][1](ctx, cfg.options, pool)
+    check_sizes(options, ctx.param_count, n_ini, ctx.budget)
+    pool = init_search(ctx, n_ini)
+    steps = _STEPS[type(options)](ctx, options, pool)
     try:
         while True:  # a solver that stops early raises StopIteration, not a short curve
             incumbent = next(steps)

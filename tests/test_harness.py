@@ -48,10 +48,10 @@ def _small_doc(**overrides):
 def test_from_dict_minimal_defaults():
     cfg = ExperimentConfig.from_dict(dict(MINIMAL))
     assert (cfg.rows, cfg.cols, cfg.topology, cfg.layers) == (2, 2, "line", 2)
-    assert cfg.optimizer.kind == "adam"
-    assert cfg.optimizer.budget == 2000
-    assert cfg.optimizer.shots == 3000
-    assert cfg.optimizer.n_ini_multiplier == 3
+    assert cfg.optimizer == "adam"
+    assert cfg.budget == 2000
+    assert cfg.shots == 3000
+    assert cfg.n_ini_multiplier == 3
     assert cfg.runs == 5
     assert cfg.exact_mode is False
     assert cfg.base_seed == 0
@@ -109,10 +109,10 @@ def test_optimizer_options_reach_solver_config():
     cfg = ExperimentConfig.from_dict(
         {**MINIMAL, "optimizer_options": {"alpha": 0.5, "fd_step": 0.1}}
     )
-    assert isinstance(cfg.optimizer.options, AdamConfig)
-    assert cfg.optimizer.options.alpha == 0.5
-    assert cfg.optimizer.options.fd_step == 0.1
-    assert cfg.optimizer.options.beta1 == 0.9  # untouched default
+    assert isinstance(cfg.optimizer_options, AdamConfig)
+    assert cfg.optimizer_options.alpha == 0.5
+    assert cfg.optimizer_options.fd_step == 0.1
+    assert cfg.optimizer_options.beta1 == 0.9  # untouched default
 
 
 @pytest.mark.parametrize(
@@ -163,9 +163,9 @@ def test_out_of_range_optimizer_options_rejected(kind, key, value):
 )
 def test_default_and_edge_optimizer_options_accepted(kind, options):
     doc = {**MINIMAL, "optimizer": kind, "optimizer_options": options}
-    optimizer = ExperimentConfig.from_dict(doc).optimizer
-    assert optimizer.kind == kind
-    assert optimizer.options == SOLVERS[kind][0](**options)
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.optimizer == kind
+    assert cfg.optimizer_options == SOLVERS[kind][0](**options)
 
 
 def test_bad_names_rejected():
@@ -186,7 +186,16 @@ def test_budget_must_cover_initialization():
     # 2 layers on the 4-qubit line: L = 16, n_ini = 48
     with pytest.raises(ConfigError, match="budget 48 too small"):
         ExperimentConfig.from_dict({**MINIMAL, "budget": 48})
-    assert ExperimentConfig.from_dict({**MINIMAL, "budget": 49}).optimizer.budget == 49
+    assert ExperimentConfig.from_dict({**MINIMAL, "budget": 49}).budget == 49
+
+
+@pytest.mark.parametrize("key", ["runs", "budget", "shots", "n_ini_multiplier"])
+def test_counts_below_one_rejected(tmp_path, capsys, key):
+    with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0$"):
+        ExperimentConfig.from_dict({**MINIMAL, key: 0})
+    path = _write_config(tmp_path, {**MINIMAL, key: 0})
+    assert main(["validate", "--config", path]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be >= 1, got 0\n"
 
 
 def test_readout_validation():
@@ -317,7 +326,7 @@ def test_memory_cap_names_the_bytes():
     with pytest.raises(ConfigError, match=pool):
         ExperimentConfig.from_dict({**MINIMAL, **_TOO_LARGE["pool"]})
     # 10^7 recorded costs (320 MB) fit under the 1 GiB cap
-    assert ExperimentConfig.from_dict({**MINIMAL, "budget": 10**7}).optimizer.budget == 10**7
+    assert ExperimentConfig.from_dict({**MINIMAL, "budget": 10**7}).budget == 10**7
     # a batch keeps runs x budget costs and 3 aggregate curves, 8 bytes each:
     # 8 x 10^7 x (10^12 + 3) bytes, refused without running anything
     batch = r"a batch of 1000000000000 runs of 10000000 recorded costs.* holds 8.00e\+19 bytes"
@@ -412,7 +421,7 @@ def test_exact_metrics_recomputable():
     for r in result.runs:
         dist = probabilities(execute(ansatz, r.curve.best_params))
         assert r.kl == pytest.approx(kl_divergence(target, dist), abs=1e-9)
-        h = sample(dist, cfg.optimizer.shots, np.random.default_rng((r.seed, 2)))
+        h = sample(dist, cfg.shots, np.random.default_rng((r.seed, 2)))
         score = qbas_score(h, patterns)
         assert (r.qbas.precision, r.qbas.recall, r.qbas.f1) == (
             score.precision, score.recall, score.f1,
@@ -454,6 +463,24 @@ def test_export_file_set(tmp_path):
                      "summary.json"]
     for p in files:
         assert p.exists()
+
+
+def test_export_over_an_earlier_batch_leaves_only_its_own_files(tmp_path):
+    # a 3-run corrected batch, then a 1-run exact batch, into one directory
+    readout = {"p10": 0.02, "calibration_shots": 100}
+    corrected = _small_doc(exact_mode=False, runs=3, readout=readout)
+    first = run_batch(ExperimentConfig.from_dict(corrected))
+    assert {"curve_run2.csv", "confusion.json"} <= {p.name for p in export(first, tmp_path)}
+    files = export(run_batch(ExperimentConfig.from_dict(_small_doc(runs=1))), tmp_path)
+    assert sorted(tmp_path.iterdir()) == sorted(files)
+
+
+def test_export_deletes_no_other_name(tmp_path):
+    kept = ["curve_run01.csv", "curve_run2.csv.bak", "curve_run_old.csv", "notes.txt"]
+    for name in kept:
+        (tmp_path / name).write_text("mine\n", encoding="utf-8")
+    files = export(run_batch(ExperimentConfig.from_dict(_small_doc(runs=1))), tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([p.name for p in files] + kept)
 
 
 def test_failed_write_keeps_the_old_file(tmp_path):
@@ -566,9 +593,10 @@ def _write_config(tmp_path, doc):
 def test_cli_validate(tmp_path, capsys):
     path = _write_config(tmp_path, _small_doc())
     assert main(["validate", "--config", path]) == 0
-    out = capsys.readouterr().out
-    assert "config OK" in out
-    assert "4 parameters" in out
+    assert capsys.readouterr().out == (
+        "config OK: 2x2 target on 4 qubits, line topology, 0 layer(s), 4 parameters, "
+        "zoo x 2 run(s), budget 20\n"
+    )
 
 
 def test_cli_validate_bad_config(tmp_path, capsys):

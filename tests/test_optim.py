@@ -15,7 +15,6 @@ from ddqcl.optim import (
     BudgetExhausted,
     CostContext,
     LearningCurve,
-    OptimizerConfig,
     SvhcConfig,
     init_search,
     run,
@@ -44,9 +43,9 @@ def _ctx(fn, n, budget, seed):
     return CostContext(fn, n, budget, np.random.default_rng(seed))
 
 
-def _cfg(kind, **kwargs):
-    # the named solver with its default options
-    return OptimizerConfig(SOLVERS[kind][0](), **kwargs)
+def _run(ctx, kind, **options):
+    # the named solver, spending n_ini = 3L as the config's default multiplier does
+    return run(ctx, SOLVERS[kind][0](**options), 3 * ctx.param_count)
 
 
 # --- budget contract ---
@@ -72,7 +71,7 @@ def test_evaluate_rejects_wrong_shape():
 def test_solvers_spend_exact_budget(kind):
     budget = 73
     ctx = _ctx(_bowl, 4, budget, 1)
-    curve = run(ctx, _cfg(kind, budget=budget))
+    curve = _run(ctx, kind)
     assert ctx.evaluations == budget
     assert len(curve.costs) == budget
     assert len(curve.best_costs) == budget
@@ -83,18 +82,14 @@ def test_budget_too_small_for_init(kind):
     # n_ini = 3 * 4 = 12, so 12 evaluations leave nothing for the solver
     ctx = _ctx(_bowl, 4, 12, 0)
     with pytest.raises(ValueError, match="too small"):
-        run(ctx, _cfg(kind, budget=12))
+        _run(ctx, kind)
     assert ctx.evaluations == 0  # checked before the first evaluation
 
 
-@pytest.mark.parametrize("cfg_budget", [72, 74])
-def test_budget_mismatch_refused_before_evaluating(cfg_budget):
-    # the context holds the budget that is spent; a config naming another one
-    # is an error, not a run of the context's length
+def test_unknown_options_refused_before_evaluating():
     ctx = _ctx(_bowl, 4, 73, 0)
-    message = f"config budget {cfg_budget} differs from the context's 73"
-    with pytest.raises(ValueError, match=message):
-        run(ctx, _cfg("adam", budget=cfg_budget))
+    with pytest.raises(ValueError, match="options must be one of"):
+        run(ctx, "spsa", 12)
     assert ctx.evaluations == 0
 
 
@@ -127,14 +122,14 @@ def test_adam_budget_ending_in_first_step_keeps_start():
     # n_ini = 12 and one evaluation more: ADAM's first step (9 evaluations)
     # is cut short after re-scoring its start, the best initial draw
     ctx = _ctx(_bowl, 4, 13, 11)
-    curve = run(ctx, _cfg("adam", budget=13))
+    curve = _run(ctx, "adam")
     assert curve.costs[12] == min(curve.costs[:12])
     np.testing.assert_array_equal(curve.final_params, curve.best_params)
 
 
 def test_envelope_is_running_minimum():
     ctx = _ctx(_bowl, 4, 100, 2)
-    curve = run(ctx, _cfg("zoo", budget=100))
+    curve = _run(ctx, "zoo")
     np.testing.assert_array_equal(curve.best_costs, np.minimum.accumulate(curve.costs))
     assert curve.best_cost == curve.best_costs[-1] == min(curve.costs)
 
@@ -143,13 +138,12 @@ def test_envelope_is_running_minimum():
 def test_same_seed_same_curve(kind):
     ansatz = Ansatz(line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
-    cfg = _cfg(kind, budget=50, shots=200)
 
     def one():
         ctx = CostContext.for_circuit(
             ansatz, target, budget=50, shots=200, rng=np.random.default_rng(5)
         )
-        return run(ctx, cfg)
+        return _run(ctx, kind)
 
     a, b = one(), one()
     np.testing.assert_array_equal(a.costs, b.costs)
@@ -233,7 +227,7 @@ def test_improvements_descend_to_replayable_best():
     ctx = CostContext.for_circuit(
         ansatz, target, budget=60, shots=1, rng=np.random.default_rng(7), exact_mode=True
     )
-    curve = run(ctx, _cfg("svhc", budget=60))
+    curve = _run(ctx, "svhc")
     assert curve.improvements[0] == 0  # the first evaluation improves on +inf
     improved = curve.costs[curve.improvements]
     assert np.all(np.diff(improved) < 0)
@@ -278,23 +272,11 @@ def test_shot_noise_shows_in_raw_costs(kind):
     ctx = CostContext.for_circuit(
         ansatz, target, budget=40, shots=100, rng=np.random.default_rng(8)
     )
-    curve = run(ctx, _cfg(kind, budget=40, shots=100))
+    curve = _run(ctx, kind)
     assert np.max(curve.costs) - np.min(curve.costs) > 0
 
 
 # --- configs ---
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError, match="options must be one of"):
-        OptimizerConfig("spsa")
-    with pytest.raises(ValueError):
-        _cfg("adam", budget=0)
-    with pytest.raises(ValueError):
-        _cfg("adam", shots=0)
-    with pytest.raises(ValueError):
-        _cfg("adam", n_ini_multiplier=0)
-    assert _cfg("adam").n_ini(16) == 48
 
 
 def test_svhc_subset_size_default():
@@ -307,38 +289,34 @@ def test_svhc_subset_size_default():
 
 
 def test_adam_finds_bowl_minimum():
-    cfg = _cfg("adam", budget=400)
     for seed in range(5):
         ctx = _ctx(_bowl, 2, 400, seed)
-        curve = run(ctx, cfg)
+        curve = _run(ctx, "adam")
         assert np.all(_angular_dist(curve.best_params) < 1e-2)
         assert curve.best_cost < 1e-4
 
 
 def test_svhc_descends_quadratic():
-    cfg = OptimizerConfig(SvhcConfig(sigma=0.05), budget=500)
     for seed in range(5):
         ctx = _ctx(_quad, 2, 500, seed)
-        curve = run(ctx, cfg)
+        curve = _run(ctx, "svhc", sigma=0.05)
         assert curve.best_cost < 1e-3
         assert np.all(np.diff(curve.best_costs) <= 0)
 
 
 def test_svhc_zero_sigma_never_moves():
-    cfg = OptimizerConfig(SvhcConfig(sigma=0.0), budget=60)
     ctx = _ctx(_quad, 2, 60, 9)
-    curve = run(ctx, cfg)
+    curve = _run(ctx, "svhc", sigma=0.0)
     # after the 6 init draws every proposal equals the incumbent: no improvement
     assert curve.best_cost == min(curve.costs[:6])
     assert np.all(curve.costs[6:] == pytest.approx(curve.best_cost))
 
 
 def test_zoo_descends_separable_bowl():
-    cfg = _cfg("zoo", budget=2000)
     hits = 0
     for seed in range(5):
         ctx = _ctx(_bowl, 10, 2000, seed)
-        curve = run(ctx, cfg)
+        curve = _run(ctx, "zoo")
         hits += curve.best_cost < 0.05
     assert hits >= 4
 
