@@ -1,9 +1,10 @@
 """Hardware-style layered Ry/CZ circuit over a fixed entangling topology.
 
 An `Ansatz` is just its topology and depth; `execute` lays the gates out from
-them as it runs, by the rule in the `Ansatz` docstring.  For 4 qubits and 3
-edges this gives 10 rotations / 3 CZs at one layer and 16 rotations / 6 CZs
-at two.
+them as it runs, by the rule in the `Ansatz` docstring, and returns the
+state as the float64 (2,)*N array it computed in.  For 4 qubits and 3 edges
+this gives 10 rotations / 3 CZs at one layer and 16 rotations / 6 CZs at
+two.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from math import tau
 
 import numpy as np
 
-from .sim import StateVector, _check_n_qubits, apply_cz, apply_ry, product_state
+from .sim import _check_n_qubits, apply_cz, apply_ry, product_state
 
 
 @dataclass(frozen=True)
@@ -77,9 +78,9 @@ class Ansatz:
         return self.n_qubits + 2 * self.layers * len(self.topology.edges)
 
 
-def execute(ansatz: Ansatz, params: np.ndarray) -> StateVector:
-    """Run the circuit on |0...0> in the layout of `Ansatz`.  Angles are
-    reduced modulo 2*pi."""
+def execute(ansatz: Ansatz, params: np.ndarray) -> np.ndarray:
+    """Run the circuit on |0...0> in the layout of `Ansatz`; returns the
+    float64 (2,)*N amplitude array.  Angles are reduced modulo 2*pi."""
     theta = np.asarray(params, dtype=float)
     if theta.shape != (ansatz.param_count,):
         raise ValueError(f"expected {ansatz.param_count} parameters, got shape {theta.shape}")
@@ -97,20 +98,20 @@ def execute(ansatz: Ansatz, params: np.ndarray) -> StateVector:
             apply_cz(amp, a, b, out=amp)
             amp, spare = apply_ry(amp, a, next(angles), out=spare), amp
             amp, spare = apply_ry(amp, b, next(angles), out=spare), amp
-    return StateVector(n, amp.reshape(-1))
+    return amp
 
 
-def u2_block(theta: float, gamma: float, beta: float) -> StateVector:
-    """Two-qubit primitive: Ry(q1, beta), Ry(q0, gamma), CZ, Ry(q0, theta) on |00>.
+def u2_block(theta: float, gamma: float, beta: float) -> np.ndarray:
+    """Two-qubit primitive: Ry(q1, beta), Ry(q0, gamma), CZ, Ry(q0, theta) on |00>,
+    as a (2, 2) amplitude array.
 
     The CZ sits between rotations on both qubits, so the block entangles, and
-    the three angles reach every 2-qubit state with real amplitudes: the output
-    is (cos(b)cos(u), sin(b)cos(v), cos(b)sin(u), sin(b)sin(v)) with
+    the three angles reach every 2-qubit state with real amplitudes: the output,
+    flattened, is (cos(b)cos(u), sin(b)cos(v), cos(b)sin(u), sin(b)sin(v)) with
     u = (theta+gamma)/2, v = (theta-gamma)/2, b = beta/2, a polar chart of S^3.
     """
     amp = np.array([[1.0, 0.0], [0.0, 0.0]])
     amp = apply_ry(amp, 1, beta)
     amp = apply_ry(amp, 0, gamma)
     amp = apply_cz(amp, 0, 1)
-    amp = apply_ry(amp, 0, theta)
-    return StateVector(2, amp.reshape(-1))
+    return apply_ry(amp, 0, theta)

@@ -2,7 +2,8 @@
 
 An n x m binary image is a bar pattern when every row is constant and a
 stripe pattern when every column is constant.  Dark pixels encode as 1,
-light as 0, flattened row-major; the top-left pixel is qubit 0.
+light as 0, flattened row-major; the top-left pixel is qubit 0.  A pattern
+is its basis-state index, a plain int in [0, 2^N).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MAX_QUBITS, BitString, Distribution
+from .sim import MAX_QUBITS, Distribution
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class BasSpec:
         return 2**self.rows + 2**self.cols - 2
 
 
-def encode_image(spec: BasSpec, image: np.ndarray) -> BitString:
-    """Flatten a rows x cols binary grid (dark=1) into a bitstring."""
+def encode_image(spec: BasSpec, image: np.ndarray) -> int:
+    """Flatten a rows x cols binary grid (dark=1) into its basis-state index."""
     grid = np.asarray(image)
     if grid.shape != (spec.rows, spec.cols):
         raise ValueError(f"expected {spec.rows}x{spec.cols} image, got shape {grid.shape}")
@@ -48,20 +49,21 @@ def encode_image(spec: BasSpec, image: np.ndarray) -> BitString:
     value = 0
     for bit in grid.reshape(-1):
         value = (value << 1) | int(bit)
-    return BitString(spec.n_qubits, value)
+    return value
 
 
-def decode_image(spec: BasSpec, bits: BitString) -> np.ndarray:
-    """Inverse of encode_image: bitstring back to a rows x cols grid."""
-    if bits.width != spec.n_qubits:
-        raise ValueError(f"expected width {spec.n_qubits}, got {bits.width}")
-    flat = np.array([bits.bit(q) for q in range(bits.width)], dtype=np.int64)
+def decode_image(spec: BasSpec, value: int) -> np.ndarray:
+    """Inverse of encode_image: basis-state index back to a rows x cols grid."""
+    n = spec.n_qubits
+    if not 0 <= value < 2**n:
+        raise ValueError(f"pattern {value} out of range for {n} qubits")
+    flat = (value >> np.arange(n - 1, -1, -1)) & 1
     return flat.reshape(spec.rows, spec.cols)
 
 
-def bas_patterns(spec: BasSpec) -> set[BitString]:
-    """All bar (constant-row) and stripe (constant-column) images."""
-    patterns: set[BitString] = set()
+def bas_patterns(spec: BasSpec) -> set[int]:
+    """All bar (constant-row) and stripe (constant-column) images, as indices."""
+    patterns: set[int] = set()
     for mask in range(2**spec.rows):
         rows = [[(mask >> (spec.rows - 1 - r)) & 1] * spec.cols for r in range(spec.rows)]
         patterns.add(encode_image(spec, np.array(rows)))
@@ -76,5 +78,5 @@ def bas_target_distribution(spec: BasSpec) -> Distribution:
     patterns = bas_patterns(spec)
     probs = np.zeros(2**spec.n_qubits)
     for p in patterns:
-        probs[p.value] = 1.0 / len(patterns)
+        probs[p] = 1.0 / len(patterns)
     return Distribution(spec.n_qubits, probs)

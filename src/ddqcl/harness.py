@@ -28,11 +28,11 @@ from .optim import MAX_RUN_BYTES, SOLVERS, CostContext, LearningCurve, Options, 
 from .optim import run as run_solver
 from .readout import (
     DEFAULT_CALIBRATION_SHOTS,
-    MAX_CORRECTION_QUBITS,
     ConfusionMatrix,
     PerQubitFlipModel,
     apply_channel_sampled,
     calibrate,
+    check_dense_width,
     correct,
 )
 from .sim import Distribution, probabilities, sample
@@ -98,6 +98,8 @@ class ExperimentConfig:
             self.build_channel()
             n_ini = self.n_ini_multiplier * ansatz.param_count
             check_sizes(self.optimizer_options, ansatz.param_count, n_ini, self.budget)
+            if self.readout is not None and self.readout.correction:
+                check_dense_width(ansatz.n_qubits)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         # A batch keeps every run's cost array (8 bytes per evaluation) until
@@ -109,12 +111,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"a batch of {self.runs} runs of {self.budget} recorded costs, plus its aggregate "
                 f"curves, holds {Decimal(held):.3g} bytes; the cap is {MAX_RUN_BYTES} bytes"
-            )
-        n = ansatz.n_qubits
-        if self.readout is not None and self.readout.correction and n > MAX_CORRECTION_QUBITS:
-            raise ConfigError(
-                f"readout correction on {n} qubits needs a dense {2**n}x{2**n} float64 matrix "
-                f"({8 * 4**n / 2**30:g} GiB); the cap is {MAX_CORRECTION_QUBITS} qubits"
             )
 
     # --- derived objects ---
@@ -244,11 +240,16 @@ class RunResult:
 
     seed: int
     curve: LearningCurve
-    evaluations: int
-    shots_per_evaluation: int
-    best_js: float
     kl: float
     qbas: QbasScore
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.curve.costs)
+
+    @property
+    def best_js(self) -> float:
+        return self.curve.best_cost
 
 
 @dataclass(frozen=True)
@@ -335,17 +336,7 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
         )
         curve = run_solver(ctx, cfg.optimizer_options, n_ini)
         kl, score = _final_metrics(cfg, ansatz, target, curve, seed, channel, confusion)
-        results.append(
-            RunResult(
-                seed=seed,
-                curve=curve,
-                evaluations=len(curve.costs),
-                shots_per_evaluation=0 if cfg.exact_mode else cfg.shots,
-                best_js=curve.best_cost,
-                kl=kl,
-                qbas=score,
-            )
-        )
+        results.append(RunResult(seed=seed, curve=curve, kl=kl, qbas=score))
     return BatchResult(cfg, tuple(results), confusion)
 
 
@@ -392,7 +383,7 @@ def summary_dict(result: BatchResult) -> dict:
             {
                 "seed": r.seed,
                 "evaluations": r.evaluations,
-                "shots_per_evaluation": r.shots_per_evaluation,
+                "shots_per_evaluation": 0 if cfg.exact_mode else cfg.shots,
                 "best_js": r.best_js,
                 "kl": r.kl,
                 "qbas_precision": r.qbas.precision,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import BitString, Distribution, Histogram
+from .sim import Distribution, Histogram
 
 DEFAULT_EPSILON = 1e-8
 
@@ -63,8 +63,9 @@ class QbasScore:
     f1: float
 
 
-def qbas_score(h: Histogram, patterns: set[BitString]) -> QbasScore:
-    """Score a histogram of generated samples against the wanted patterns.
+def qbas_score(h: Histogram, patterns: set[int]) -> QbasScore:
+    """Score a histogram of generated samples against the wanted patterns,
+    each a basis-state index of the histogram's register.
 
     Precision: fraction of shots landing on any wanted pattern.  Recall:
     fraction of wanted patterns seen at least once.  F1: their harmonic mean.
@@ -73,7 +74,10 @@ def qbas_score(h: Histogram, patterns: set[BitString]) -> QbasScore:
         raise ValueError("pattern set must be non-empty")
     if h.shots < 1:
         raise ValueError(f"shots must be >= 1, got {h.shots}")
-    values = [p.value for p in patterns]
+    values = list(patterns)
+    outside = [v for v in values if not 0 <= v < len(h.counts)]
+    if outside:
+        raise ValueError(f"patterns {sorted(outside)} lie outside the {h.n_qubits}-qubit register")
     hits = int(h.counts[values].sum())
     seen = int(np.count_nonzero(h.counts[values]))
     precision = hits / h.shots

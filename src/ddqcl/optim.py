@@ -108,9 +108,11 @@ class CostContext:
 
         Shot mode samples `shots` measurements, optionally corrupts them with
         the flip channel, and corrects through the confusion matrix when one
-        is supplied.  Exact mode scores the statevector probabilities directly
-        and bypasses sampling and readout entirely.
+        is supplied.  Exact mode scores the statevector probabilities directly,
+        with no sampling, so it refuses a channel or a confusion matrix.
         """
+        if exact_mode and (channel is not None or confusion is not None):
+            raise ValueError("readout noise has no effect in exact mode; drop one of the two")
         if not exact_mode and shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
 

@@ -122,6 +122,16 @@ def apply_channel_sampled(
     return Histogram(n, out, h.shots)
 
 
+def check_dense_width(n_qubits: int) -> None:
+    """Refuse a register too wide for a dense 2^n x 2^n confusion matrix."""
+    if n_qubits > MAX_CORRECTION_QUBITS:
+        dim = 2**n_qubits
+        raise ValueError(
+            f"readout correction on {n_qubits} qubits needs a dense {dim}x{dim} float64 matrix "
+            f"({8 * dim**2 / 2**30:g} GiB); the cap is {MAX_CORRECTION_QUBITS} qubits"
+        )
+
+
 def calibrate(
     model: PerQubitFlipModel, shots_per_basis_state: int, rng: np.random.Generator
 ) -> ConfusionMatrix:
@@ -129,6 +139,7 @@ def calibrate(
     if shots_per_basis_state < 1:
         raise ValueError(f"shots must be >= 1, got {shots_per_basis_state}")
     n = model.n_qubits
+    check_dense_width(n)  # before the 2^n experiments and the matrix they fill
     dim = 2**n
     cols = np.empty((dim, dim))
     for x in range(dim):

@@ -1,17 +1,20 @@
 """Exact statevector simulation of Ry/CZ circuits with seeded finite-shot sampling.
 
 Ry and CZ have real matrices, so a state started at |0...0> never leaves the
-reals: amplitudes are float64 throughout.  The gate kernels `apply_ry` and
-`apply_cz` act on a float64 array of shape (2,)*N and do no validation;
-the register width and qubit indices are checked once, in `Topology`, and
-the angles once, in `execute`.  Given `out`, a kernel writes its result
-there and allocates nothing, so a circuit runs in two state buffers.  The
-first rotation layer on |0...0> is a product state, which `product_state`
-builds directly, with the same products as the n Ry gates it replaces.
+reals.  A state is held in one form only: a float64 array of shape (2,)*N,
+one axis per qubit.  The gate kernels `apply_ry` and `apply_cz` act on it
+and do no validation; the register width and qubit indices are checked
+once, in `Topology`, the angles once, in `execute`, and the array itself
+where it leaves the circuit, in `probabilities`.  Given `out`, a kernel
+writes its result there and allocates nothing, so a circuit runs in two
+state buffers.  The first rotation layer on |0...0> is a product state,
+which `product_state` builds directly, with the same products as the n Ry
+gates it replaces.
 
-Bit ordering convention, used everywhere in this package: qubit 0 is the most
-significant bit of a basis-state index, so the 4-qubit index 0b1010 means
-qubit 0 = 1, qubit 1 = 0, qubit 2 = 1, qubit 3 = 0 and prints as "1010".
+Bit ordering convention, used everywhere in this package: a measurement
+outcome is its basis-state index, a plain int, and qubit 0 is its most
+significant bit.  So the 4-qubit index 0b1010 means qubit 0 = 1, qubit 1 = 0,
+qubit 2 = 1, qubit 3 = 0, and it is the entry [1, 0, 1, 0] of a state array.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import numpy as np
 # Register width ceiling; amplitudes are dense, so memory is 2^N float64.
 MAX_QUBITS = 20
 
-_NORM_TOL = 1e-10
 _DIST_TOL = 1e-9
 # uniform doubles per block drawn by `sample` and the sampled readout channel
 # (64 KiB): memory stays bounded at any shot count, and a single (shots, n)
@@ -35,61 +37,6 @@ _BLOCK_DRAWS = 2**13
 def _check_n_qubits(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-
-
-@dataclass(frozen=True, order=True)
-class BitString:
-    """An N-bit measurement outcome; qubit 0 is the leftmost character."""
-
-    width: int
-    value: int
-
-    def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"width must be >= 1, got {self.width}")
-        if not 0 <= self.value < 2**self.width:
-            raise ValueError(f"value {self.value} out of range for width {self.width}")
-
-    @classmethod
-    def parse(cls, text: str) -> "BitString":
-        """Parse a string like "1010" (leftmost bit = qubit 0)."""
-        if not text or set(text) - {"0", "1"}:
-            raise ValueError(f"not a bitstring: {text!r}")
-        return cls(len(text), int(text, 2))
-
-    def format(self) -> str:
-        return format(self.value, f"0{self.width}b")
-
-    def bit(self, qubit: int) -> int:
-        """Bit of the given qubit (qubit 0 = most significant)."""
-        if not 0 <= qubit < self.width:
-            raise ValueError(f"qubit {qubit} out of range for width {self.width}")
-        return (self.value >> (self.width - 1 - qubit)) & 1
-
-    def __str__(self) -> str:
-        return self.format()
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized register state: 2^N real float64 amplitudes."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_n_qubits(self.n_qubits)
-        if np.iscomplexobj(self.amplitudes):
-            raise ValueError("amplitudes must be real; Ry/CZ circuits never leave the reals")
-        amp = np.asarray(self.amplitudes, dtype=np.float64)
-        if amp.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes, got shape {amp.shape}"
-            )
-        norm = float(np.sum(amp**2))
-        if not abs(norm - 1.0) <= _NORM_TOL:  # also rejects NaN
-            raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
-        object.__setattr__(self, "amplitudes", amp)
 
 
 @dataclass(frozen=True)
@@ -136,13 +83,6 @@ class Histogram:
         if int(c.sum()) != self.shots:
             raise ValueError(f"counts sum to {int(c.sum())}, declared shots {self.shots}")
         object.__setattr__(self, "counts", c)
-
-
-def zero_state(n_qubits: int) -> StateVector:
-    """The all-zeros computational basis state |0...0>."""
-    amp = np.zeros(2**n_qubits)
-    amp[0] = 1.0
-    return StateVector(n_qubits, amp)
 
 
 def product_state(angles: np.ndarray) -> np.ndarray:
@@ -208,9 +148,18 @@ def apply_cz(
     return out
 
 
-def probabilities(state: StateVector) -> Distribution:
-    """Born-rule outcome probabilities |amp|^2."""
-    return Distribution(state.n_qubits, state.amplitudes**2)
+def probabilities(amp: np.ndarray) -> Distribution:
+    """Born-rule outcome probabilities amp^2 of a float64 (2,)*N amplitude array.
+
+    `Distribution` then rejects an unnormalized state, NaN and a width
+    outside [1, MAX_QUBITS].
+    """
+    if amp.dtype != np.float64 or amp.shape != (2,) * amp.ndim:
+        raise ValueError(
+            f"amplitudes must be a float64 array of shape (2,)*N (Ry/CZ circuits never "
+            f"leave the reals), got {amp.dtype} of shape {amp.shape}"
+        )
+    return Distribution(amp.ndim, amp.reshape(-1) ** 2)
 
 
 def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> Histogram:

@@ -109,7 +109,7 @@ def uncorrected_kl_floor(spec: BasSpec, p10: float) -> float:
     uniform on the patterns.  On 2x2 BAS a symmetric channel attains it at P = target.
     """
     m = synth_confusion(PerQubitFlipModel.uniform(spec.n_qubits, p10))
-    rows = [pattern.value for pattern in bas_patterns(spec)]
+    rows = list(bas_patterns(spec))
     return -math.log(float(m.entries[rows].sum(axis=0).max()))
 
 
@@ -149,7 +149,7 @@ def test_criterion_5_oracle_equivalences():
         v = np.zeros(4)
         v[0] = 1.0
         v = np.kron(ry(t), i2) @ cz @ np.kron(ry(g), i2) @ np.kron(i2, ry(b)) @ v
-        worst_a = max(worst_a, float(np.max(np.abs(u2_block(t, g, b).amplitudes - v))))
+        worst_a = max(worst_a, float(np.max(np.abs(u2_block(t, g, b).reshape(-1) - v))))
 
     # (b) exact channel then correction is the identity
     worst_b = 0.0
@@ -216,7 +216,7 @@ def test_criterion_6_metric_properties():
         kl_ok &= kl_divergence(Distribution(4, p), Distribution(4, q)) >= 0.0
 
     patterns = bas_patterns(BasSpec(2, 2))
-    values = sorted(p.value for p in patterns)
+    values = sorted(patterns)
     perfect = np.zeros(16, dtype=np.int64)
     perfect[values] = 500
     s1 = qbas_score(Histogram(4, perfect, 3000), patterns)

@@ -13,7 +13,7 @@ from ddqcl.ansatz import (
 )
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
-from ddqcl.sim import MAX_QUBITS, probabilities, zero_state
+from ddqcl.sim import MAX_QUBITS, probabilities
 
 # 4x4 matrix oracle for the two-qubit primitive, built from scratch
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -188,7 +188,7 @@ def test_execute_runs_in_two_buffers(monkeypatch):
     state = execute(a, np.random.default_rng(8).uniform(0, 2 * np.pi, a.param_count))
     assert kernel_calls.count("ry") == 2 * 3 * 5 and kernel_calls.count("cz") == 3 * 5
     assert len(buffers) == 2
-    assert address(state.amplitudes) in buffers
+    assert address(state) in buffers
 
 
 def test_param_count_formula():
@@ -228,10 +228,11 @@ def test_layers_must_be_non_negative():
 # --- execution ---
 
 
-def test_zero_params_is_zero_state():
+def test_zero_params_leave_all_zeros_state():
     a = Ansatz(line_topology(4), 2)
     out = execute(a, np.zeros(16))
-    np.testing.assert_array_equal(out.amplitudes, zero_state(4).amplitudes)
+    assert out.shape == (2, 2, 2, 2)
+    np.testing.assert_array_equal(out.reshape(-1), np.eye(16)[0])
 
 
 def test_param_length_checked():
@@ -247,20 +248,20 @@ def test_angles_reduced_mod_2pi():
     s1 = execute(a, p)
     s2 = execute(a, p + 2 * np.pi)
     s3 = execute(a, p - 4 * np.pi)
-    np.testing.assert_allclose(s1.amplitudes, s2.amplitudes, atol=1e-12)
-    np.testing.assert_allclose(s1.amplitudes, s3.amplitudes, atol=1e-12)
+    np.testing.assert_allclose(s1, s2, atol=1e-12)
+    np.testing.assert_allclose(s1, s3, atol=1e-12)
 
 
 def test_execute_pure_function():
     a = Ansatz(line_topology(4), 2)
     p = np.linspace(0, 5, 16)
-    np.testing.assert_array_equal(execute(a, p).amplitudes, execute(a, p).amplitudes)
+    np.testing.assert_array_equal(execute(a, p), execute(a, p))
 
 
 def test_real_amplitudes():
     a = Ansatz(star_topology(4), 2)
     out = execute(a, np.random.default_rng(2).uniform(0, 2 * np.pi, 16))
-    assert out.amplitudes.dtype == np.float64
+    assert out.dtype == np.float64 and out.shape == (2, 2, 2, 2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -287,21 +288,19 @@ def test_single_edge_ansatz_subsumes_u2():
     for _ in range(20):
         theta, gamma, beta = rng.uniform(0, 2 * np.pi, 3)
         got = execute(a, np.array([gamma, beta, theta, 0.0]))
-        np.testing.assert_allclose(got.amplitudes, u2_block(theta, gamma, beta).amplitudes,
-                                   atol=1e-12)
+        np.testing.assert_allclose(got, u2_block(theta, gamma, beta), atol=1e-12)
 
 
 # --- the two-qubit primitive ---
 
 
 def test_u2_identity():
-    np.testing.assert_array_equal(u2_block(0, 0, 0).amplitudes, zero_state(2).amplitudes)
+    np.testing.assert_array_equal(u2_block(0, 0, 0), [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_u2_half_pi_on_control():
     out = u2_block(np.pi / 2, 0, 0)
-    np.testing.assert_allclose(out.amplitudes, [1 / np.sqrt(2), 0, 1 / np.sqrt(2), 0],
-                               atol=1e-12)
+    np.testing.assert_allclose(out, [[1 / np.sqrt(2), 0], [1 / np.sqrt(2), 0]], atol=1e-12)
 
 
 def test_u2_quarter_probs():
@@ -312,14 +311,14 @@ def test_u2_quarter_probs():
 def test_u2_entangles():
     # rotations on both qubits before the CZ: this is CZ|++> up to locals
     out = u2_block(0, np.pi / 2, np.pi / 2)
-    np.testing.assert_allclose(out.amplitudes, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
+    np.testing.assert_allclose(out, [[0.5, 0.5], [0.5, -0.5]], atol=1e-12)
 
 
 def test_u2_matches_matrix_oracle():
     rng = np.random.default_rng(4)
     for _ in range(200):
         t, g, b = rng.uniform(-2 * np.pi, 2 * np.pi, 3)
-        np.testing.assert_allclose(u2_block(t, g, b).amplitudes, _u2_oracle(t, g, b),
+        np.testing.assert_allclose(u2_block(t, g, b).reshape(-1), _u2_oracle(t, g, b),
                                    atol=1e-10)
 
 
@@ -333,7 +332,7 @@ def test_u2_reaches_random_real_states():
         target /= np.linalg.norm(target)
 
         def infidelity(angles):
-            amp = u2_block(*angles).amplitudes.real
+            amp = u2_block(*angles).reshape(-1)
             return 1.0 - np.dot(amp, target) ** 2
 
         best = min(

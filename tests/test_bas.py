@@ -8,18 +8,18 @@ from ddqcl.bas import (
     decode_image,
     encode_image,
 )
-from ddqcl.sim import BitString
 
 # --- pattern sets ---
 
 
 def test_2x2_pattern_set_exact():
-    got = {p.format() for p in bas_patterns(BasSpec(2, 2))}
-    assert got == {"0000", "1010", "0101", "0011", "1100", "1111"}
+    got = bas_patterns(BasSpec(2, 2))
+    assert got == {0b0000, 0b1010, 0b0101, 0b0011, 0b1100, 0b1111}
+    assert all(type(p) is int for p in got)
 
 
 def test_1x1_patterns():
-    assert {p.value for p in bas_patterns(BasSpec(1, 1))} == {0, 1}
+    assert bas_patterns(BasSpec(1, 1)) == {0, 1}
 
 
 def test_2x3_pattern_count():
@@ -38,7 +38,7 @@ def test_patterns_match_bruteforce_enumeration():
         cols_const = all(len(set(col)) == 1 for col in grid.T.tolist())
         if rows_const or cols_const:
             want.add(v)
-    assert {p.value for p in bas_patterns(spec)} == want
+    assert bas_patterns(spec) == want
 
 
 def test_count_formula_holds():
@@ -61,9 +61,9 @@ def test_every_pattern_decodes_to_bar_or_stripe():
 
 def test_encode_worked_examples():
     spec = BasSpec(2, 2)
-    assert encode_image(spec, np.array([[1, 0], [1, 0]])).format() == "1010"
-    assert encode_image(spec, np.array([[1, 1], [0, 0]])).format() == "1100"
-    assert encode_image(spec, np.zeros((2, 2), dtype=int)).format() == "0000"
+    assert encode_image(spec, np.array([[1, 0], [1, 0]])) == 0b1010
+    assert encode_image(spec, np.array([[1, 1], [0, 0]])) == 0b1100
+    assert encode_image(spec, np.zeros((2, 2), dtype=int)) == 0b0000
 
 
 def test_encode_decode_roundtrip_random():
@@ -76,7 +76,7 @@ def test_encode_decode_roundtrip_random():
 
 def test_encode_injective_on_all_grids():
     spec = BasSpec(2, 2)
-    seen = {encode_image(spec, np.array([(v >> (3 - k)) & 1 for k in range(4)]).reshape(2, 2)).value
+    seen = {encode_image(spec, np.array([(v >> (3 - k)) & 1 for k in range(4)]).reshape(2, 2))
             for v in range(16)}
     assert len(seen) == 16
 
@@ -87,8 +87,18 @@ def test_encode_rejects_bad_input():
         encode_image(spec, np.zeros((2, 3), dtype=int))
     with pytest.raises(ValueError):
         encode_image(spec, np.full((2, 2), 2))
-    with pytest.raises(ValueError):
-        decode_image(spec, BitString(3, 0))
+
+
+@pytest.mark.parametrize("value", [-1, 16, 2**40])
+def test_decode_rejects_value_outside_register(value):
+    with pytest.raises(ValueError, match="out of range for 4 qubits"):
+        decode_image(BasSpec(2, 2), value)
+
+
+def test_decode_msb_is_top_left():
+    # qubit 0, the most significant bit, is the top-left pixel
+    np.testing.assert_array_equal(decode_image(BasSpec(2, 3), 0b100000), [[1, 0, 0], [0, 0, 0]])
+    np.testing.assert_array_equal(decode_image(BasSpec(2, 3), 0b000001), [[0, 0, 0], [0, 0, 1]])
 
 
 def test_spec_validation():

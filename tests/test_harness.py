@@ -24,6 +24,7 @@ from ddqcl.harness import (
     export,
     load_config,
     run_batch,
+    summary_dict,
 )
 from ddqcl.metrics import js_divergence, kl_divergence, qbas_score
 from ddqcl.optim import SOLVERS, AdamConfig, LearningCurve
@@ -399,7 +400,7 @@ def test_minimal_single_qubit_batch():
     result = run_batch(cfg)
     assert len(result.runs) == 1
     assert result.runs[0].evaluations == 10
-    assert result.runs[0].shots_per_evaluation == 0
+    assert summary_dict(result)["runs"][0]["shots_per_evaluation"] == 0
     assert result.confusion is None
     # one qubit, both patterns wanted: the uniform target is exactly reachable
     assert result.runs[0].best_js < 0.1
@@ -688,6 +689,19 @@ def test_cli_validate_rejects_in_one_line(tmp_path, capsys, overrides):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_cli_calibrate_refuses_register_too_wide_to_correct(tmp_path, capsys):
+    # validate accepts an uncorrected 16-qubit channel, but calibrating it
+    # would run 65,536 experiments into a 32 GiB matrix
+    doc = {**MINIMAL, "rows": 4, "cols": 4, "layers": 0,
+           "readout": {"p10": 0.05, "correction": False}}
+    path = _write_config(tmp_path, doc)
+    assert main(["validate", "--config", path]) == 0
+    out_dir = tmp_path / "cal"
+    assert main(["calibrate", "--config", path, "--out", str(out_dir)]) == 1
+    assert "16 qubits" in capsys.readouterr().err
+    assert not (out_dir / "confusion.json").exists()
 
 
 def test_cli_calibrate_needs_readout(tmp_path, capsys):

@@ -171,7 +171,7 @@ def test_qbas_perfect_generator():
     pats = bas_patterns(BasSpec(2, 2))
     counts = np.zeros(16, dtype=int)
     for p in pats:
-        counts[p.value] = 500
+        counts[p] = 500
     s = qbas_score(Histogram(4, counts, 3000), pats)
     assert s == QbasScore(1.0, 1.0, 1.0)
 
@@ -208,3 +208,13 @@ def test_qbas_f1_range_property():
 def test_qbas_rejects_empty_patterns():
     with pytest.raises(ValueError):
         qbas_score(Histogram(1, np.array([1, 0]), 1), set())
+
+
+@pytest.mark.parametrize("outside", [16, -1, -13])
+def test_qbas_rejects_patterns_outside_register(outside):
+    # unchecked, -13 would index the counts from the end and count the shots
+    # on state 3 twice, and 16 would raise an IndexError that names no pattern
+    counts = np.zeros(16, dtype=np.int64)
+    counts[3] = 10
+    with pytest.raises(ValueError, match=rf"patterns \[{outside}\] lie outside the 4-qubit"):
+        qbas_score(Histogram(4, counts, 10), {3, outside})

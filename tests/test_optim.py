@@ -19,6 +19,7 @@ from ddqcl.optim import (
     init_search,
     run,
 )
+from ddqcl.readout import PerQubitFlipModel, synth_confusion
 from ddqcl.sim import probabilities
 from ddqcl.ansatz import execute
 
@@ -188,6 +189,21 @@ def test_exact_cost_of_zero_params():
         ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True
     )
     assert ctx.evaluate(np.zeros(16)) == pytest.approx(0.45391266155837334, abs=1e-12)
+
+
+@pytest.mark.parametrize("readout", ["channel", "confusion"])
+def test_exact_cost_refuses_readout(readout):
+    # exact mode never samples, so a readout channel or correction would be
+    # dropped without a word: a 40% channel would give the noiseless cost
+    ansatz = Ansatz(line_topology(4), 1)
+    target = bas_target_distribution(BasSpec(2, 2))
+    channel = PerQubitFlipModel.uniform(4, 0.4)
+    noise = {"channel": channel} if readout == "channel" else {"confusion": synth_confusion(channel)}
+    with pytest.raises(ValueError, match="no effect in exact mode"):
+        CostContext.for_circuit(
+            ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True,
+            **noise,
+        )
 
 
 def test_exact_cost_reaches_zero():

@@ -278,6 +278,23 @@ def test_calibrate_rejects_bad_shots():
         calibrate(PerQubitFlipModel.uniform(2, 0.05), 0, np.random.default_rng(0))
 
 
+def test_calibrate_refuses_register_too_wide_to_correct(monkeypatch):
+    # 13 qubits would mean 8192 experiments filling a 512 MiB matrix, and the
+    # 16 of a 4x4 image 65,536 experiments and 32 GiB: refused before either
+    def no_experiment(*args):
+        raise AssertionError("an experiment ran before the width was checked")
+
+    monkeypatch.setattr(readout, "apply_channel_sampled", no_experiment)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"13 qubits .* 8192x8192 .* cap is 12 qubits"):
+            calibrate(PerQubitFlipModel.uniform(13, 0.05), 10, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_calibrate_requires_its_shots_and_rng():
     # an unseeded default stream would make the confusion matrix unreproducible
     model = PerQubitFlipModel.uniform(2, 0.05)
@@ -388,7 +405,7 @@ def test_uncorrected_kl_floor(p, floor_value):
     spec = BasSpec(2, 2)
     target = bas_target_distribution(spec)
     m = synth_confusion(PerQubitFlipModel.uniform(spec.n_qubits, p))
-    rows = [pattern.value for pattern in bas_patterns(spec)]
+    rows = list(bas_patterns(spec))
     floor = -np.log(m.entries[rows].sum(axis=0).max())
     assert floor == pytest.approx(floor_value, abs=1e-6)
     rng = np.random.default_rng(9)

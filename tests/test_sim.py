@@ -10,81 +10,49 @@ from ddqcl import sim
 from ddqcl.ansatz import Ansatz, Topology, execute, line_topology, star_topology
 from ddqcl.sim import (
     MAX_QUBITS,
-    BitString,
     Distribution,
     Histogram,
-    StateVector,
     apply_cz,
     apply_ry,
     probabilities,
     product_state,
     sample,
-    zero_state,
 )
-
-# --- bitstrings ---
-
-
-def test_bitstring_parse_format_roundtrip():
-    b = BitString.parse("1010")
-    assert b.width == 4 and b.value == 10
-    assert b.format() == "1010"
-    assert str(b) == "1010"
-
-
-def test_bitstring_bit_msb_first():
-    b = BitString.parse("1000")
-    assert b.bit(0) == 1
-    assert all(b.bit(q) == 0 for q in (1, 2, 3))
-
-
-def test_bitstring_validation():
-    with pytest.raises(ValueError):
-        BitString(4, 16)
-    with pytest.raises(ValueError):
-        BitString(0, 0)
-    with pytest.raises(ValueError):
-        BitString.parse("10x0")
-    with pytest.raises(ValueError):
-        BitString.parse("")
-    with pytest.raises(ValueError):
-        BitString.parse("10").bit(2)
-
-
-def test_bitstring_ordering():
-    assert sorted([BitString(2, 3), BitString(2, 0)])[0].value == 0
-
 
 # --- states and distributions ---
 
 
-def test_zero_state():
-    s = zero_state(3)
-    assert s.amplitudes[0] == 1.0
-    assert np.all(s.amplitudes[1:] == 0)
-
-
 def test_state_requires_normalization():
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        StateVector(2, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="sum to"):
+        probabilities(np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="sum to"):
+        probabilities(np.array([[1.0, 0.0], [0.0, 0.5]]))
 
 
 def test_state_is_real_float64():
-    assert zero_state(2).amplitudes.dtype == np.float64
-    assert StateVector(1, [0, 1]).amplitudes.dtype == np.float64
-    with pytest.raises(ValueError, match="real"):
-        StateVector(1, np.array([1.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="float64"):
+        probabilities(np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="float64"):
+        probabilities(np.array([1, 0]))
+    with pytest.raises(ValueError, match="float64"):
+        probabilities(np.array([1.0, 0.0], dtype=np.float32))
+    with pytest.raises(ValueError, match="sum to"):
+        probabilities(np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 1), (3, 2)])
+def test_probabilities_rejects_shape_not_one_axis_per_qubit(shape):
+    amp = np.zeros(shape)
+    amp.flat[0] = 1.0
+    with pytest.raises(ValueError, match=r"shape \(2,\)\*N"):
+        probabilities(amp)
 
 
 def test_qubit_count_bounds():
-    with pytest.raises(ValueError):
-        zero_state(0)
-    with pytest.raises(ValueError):
-        zero_state(MAX_QUBITS + 1)
+    with pytest.raises(ValueError, match="n_qubits"):
+        probabilities(np.array(1.0))  # zero axes: no qubits
+    with pytest.raises(ValueError, match="n_qubits"):
+        Distribution(MAX_QUBITS + 1, np.zeros(1))
 
 
 def test_distribution_validation():
@@ -118,7 +86,9 @@ _RY = lambda t: np.array([[np.cos(t / 2), -np.sin(t / 2)], [np.sin(t / 2), np.co
 
 
 def _basis0(n):
-    return zero_state(n).amplitudes.reshape((2,) * n)
+    amp = np.zeros((2,) * n)
+    amp[(0,) * n] = 1.0
+    return amp
 
 
 def test_ry_single_qubit_matches_matrix():
@@ -287,7 +257,7 @@ def _dense_circuit(topo, layers, theta):
         for a, b in topo.edges:
             mats += [_dense_cz(n, a, b), _dense_ry(n, a, next(angles)), _dense_ry(n, b, next(angles))]
     assert next(angles, None) is None
-    return reduce(lambda v, m: m @ v, mats, zero_state(n).amplitudes)
+    return reduce(lambda v, m: m @ v, mats, _basis0(n).reshape(-1))
 
 
 @st.composite
@@ -316,8 +286,8 @@ def _circuits(draw):
 def test_execute_matches_dense_oracle(circuit):
     topo, layers, theta = circuit
     out = execute(Ansatz(topo, layers), theta)
-    assert out.amplitudes.dtype == np.float64
-    np.testing.assert_allclose(out.amplitudes, _dense_circuit(topo, layers, theta),
+    assert out.dtype == np.float64 and out.shape == (2,) * topo.n_qubits
+    np.testing.assert_allclose(out.reshape(-1), _dense_circuit(topo, layers, theta),
                                rtol=0, atol=1e-12)
 
 
@@ -325,8 +295,9 @@ def test_execute_matches_dense_oracle(circuit):
 
 
 def test_probabilities_born_rule():
-    amp = np.array([0.6, 0.0, 0.0, 0.8])
-    p = probabilities(StateVector(2, amp))
+    amp = np.array([[0.6, 0.0], [0.0, 0.8]])
+    p = probabilities(amp)
+    assert p.n_qubits == 2
     np.testing.assert_allclose(p.probs, [0.36, 0.0, 0.0, 0.64])
 
 
