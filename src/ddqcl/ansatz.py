@@ -95,7 +95,7 @@ def execute(ansatz: Ansatz, params: np.ndarray) -> np.ndarray:
     angles = iter(theta[n:])
     for _ in range(ansatz.layers):
         for a, b in ansatz.topology.edges:
-            apply_cz(amp, a, b, out=amp)
+            apply_cz(amp, a, b)
             amp, spare = apply_ry(amp, a, next(angles), out=spare), amp
             amp, spare = apply_ry(amp, b, next(angles), out=spare), amp
     return amp
@@ -110,8 +110,7 @@ def u2_block(theta: float, gamma: float, beta: float) -> np.ndarray:
     flattened, is (cos(b)cos(u), sin(b)cos(v), cos(b)sin(u), sin(b)sin(v)) with
     u = (theta+gamma)/2, v = (theta-gamma)/2, b = beta/2, a polar chart of S^3.
     """
-    amp = np.array([[1.0, 0.0], [0.0, 0.0]])
-    amp = apply_ry(amp, 1, beta)
-    amp = apply_ry(amp, 0, gamma)
-    amp = apply_cz(amp, 0, 1)
-    return apply_ry(amp, 0, theta)
+    # not through `execute`: it reduces angles mod 2*pi, and Ry has period
+    # 4*pi, so a reduced angle can flip the sign of the amplitudes
+    amp = apply_cz(product_state((gamma, beta)), 0, 1)
+    return apply_ry(amp, 0, theta, np.empty_like(amp))

@@ -217,6 +217,16 @@ def _value(key: str, value: object, kinds: tuple[type, ...]):
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict, refusing a key it sets twice."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"config key {key!r} appears twice in one JSON object")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a JSON experiment config file."""
     p = Path(path)
@@ -225,7 +235,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     except OSError as e:
         raise ConfigError(f"cannot read config {p}: {e}") from e
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {p} is not valid JSON: {e}") from e
     return ExperimentConfig.from_dict(doc)
@@ -292,13 +302,13 @@ def _final_metrics(
     patterns = bas_patterns(cfg.bas)
     dist = probabilities(execute(ansatz, curve.best_params))
     rng = np.random.default_rng((seed, 2))
-    h = sample(dist, cfg.shots, rng)
+    counts = sample(dist, cfg.shots, rng)
     if cfg.exact_mode:
-        return kl_divergence(target, dist), qbas_score(h, patterns)
+        return kl_divergence(target, dist), qbas_score(counts, patterns)
     if channel is not None:
-        h = apply_channel_sampled(h, channel, rng)
-    score = qbas_score(h, patterns)
-    model = histogram_to_distribution(h)
+        counts = apply_channel_sampled(counts, channel, rng)
+    score = qbas_score(counts, patterns)
+    model = histogram_to_distribution(counts)
     if confusion is not None:
         model = correct(model, confusion)
     return kl_divergence(target, model), score

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Distribution, Histogram
+from .sim import Distribution
 
 DEFAULT_EPSILON = 1e-8
 
@@ -47,11 +47,12 @@ def js_divergence(p: Distribution, q: Distribution) -> float:
     return out
 
 
-def histogram_to_distribution(h: Histogram) -> Distribution:
-    """Empirical frequencies counts/shots."""
-    if h.shots < 1:
-        raise ValueError(f"shots must be >= 1, got {h.shots}")
-    return Distribution(h.n_qubits, h.counts / h.shots)
+def histogram_to_distribution(counts: np.ndarray) -> Distribution:
+    """Empirical frequencies of int64 counts over 2^N basis states: counts/shots."""
+    shots = int(counts.sum())
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    return Distribution(len(counts).bit_length() - 1, counts / shots)
 
 
 @dataclass(frozen=True)
@@ -63,24 +64,28 @@ class QbasScore:
     f1: float
 
 
-def qbas_score(h: Histogram, patterns: set[int]) -> QbasScore:
-    """Score a histogram of generated samples against the wanted patterns,
-    each a basis-state index of the histogram's register.
+def qbas_score(counts: np.ndarray, patterns: set[int]) -> QbasScore:
+    """Score the int64 counts of generated samples, one per basis state of an
+    N-qubit register, against the wanted patterns, each a basis-state index.
 
     Precision: fraction of shots landing on any wanted pattern.  Recall:
     fraction of wanted patterns seen at least once.  F1: their harmonic mean.
     """
     if not patterns:
         raise ValueError("pattern set must be non-empty")
-    if h.shots < 1:
-        raise ValueError(f"shots must be >= 1, got {h.shots}")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    shots = int(counts.sum())
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     values = list(patterns)
-    outside = [v for v in values if not 0 <= v < len(h.counts)]
+    outside = [v for v in values if not 0 <= v < len(counts)]
     if outside:
-        raise ValueError(f"patterns {sorted(outside)} lie outside the {h.n_qubits}-qubit register")
-    hits = int(h.counts[values].sum())
-    seen = int(np.count_nonzero(h.counts[values]))
-    precision = hits / h.shots
+        n = len(counts).bit_length() - 1
+        raise ValueError(f"patterns {sorted(outside)} lie outside the {n}-qubit register")
+    hits = int(counts[values].sum())
+    seen = int(np.count_nonzero(counts[values]))
+    precision = hits / shots
     recall = seen / len(patterns)
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
     return QbasScore(precision, recall, f1)

@@ -126,10 +126,10 @@ class CostContext:
 
             def cost_fn(params: np.ndarray) -> float:
                 dist = probabilities(execute(ansatz, params))
-                h = sample(dist, shots, rng)
+                counts = sample(dist, shots, rng)
                 if channel is not None:
-                    h = apply_channel_sampled(h, channel, rng)
-                model = histogram_to_distribution(h)
+                    counts = apply_channel_sampled(counts, channel, rng)
+                model = histogram_to_distribution(counts)
                 if confusion is not None:
                     model = correct(model, confusion)
                 return js_divergence(model, target)

@@ -4,6 +4,8 @@ The channel flips each read bit independently: p10 = p(read 1 | true 0),
 p01 = p(read 0 | true 1) per qubit.  Calibration prepares every basis state,
 pushes shots through the channel and tallies columns of the transition
 matrix M with p(y|x) in column x; correction solves M P_x = P_y back.
+Sampled counts go in and come out as int64 arrays of length 2^N, as `sample`
+returns them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .sim import _BLOCK_DRAWS, Distribution, Histogram, _check_n_qubits
+from .sim import _BLOCK_DRAWS, Distribution, _check_n_qubits
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
@@ -94,32 +96,37 @@ def apply_channel_exact(p: Distribution, m: ConfusionMatrix) -> Distribution:
 
 
 def apply_channel_sampled(
-    h: Histogram, model: PerQubitFlipModel, rng: np.random.Generator
-) -> Histogram:
-    """Corrupt a histogram shot by shot, flipping each bit independently.
+    counts: np.ndarray, model: PerQubitFlipModel, rng: np.random.Generator
+) -> np.ndarray:
+    """Corrupt int64 shot counts over the 2^N basis states of `model`'s
+    register shot by shot, flipping each bit independently; returns the
+    read-out counts.
 
     Shots are taken in basis-state order and their flips drawn as
     ``rng.random((k, n))`` over consecutive blocks of at most ``_BLOCK_DRAWS``
     doubles: the same stream as one draw per outcome, in bounded memory.
     """
-    n = h.n_qubits
-    if n != model.n_qubits:
-        raise ValueError(f"width mismatch: {n} vs {model.n_qubits} qubits")
+    n = model.n_qubits
+    if counts.shape != (2**n,):
+        raise ValueError(f"expected {2**n} counts for {n} qubits, got shape {counts.shape}")
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
     weights = 1 << np.arange(n - 1, -1, -1)
     bit_values = weights.astype(float)  # sums of distinct powers of two: exact in float64
-    xs = np.flatnonzero(h.counts)
+    xs = np.flatnonzero(counts)
     thresholds = np.where(xs[:, None] & weights, model.p01, model.p10)  # (states, n)
-    ends = np.cumsum(h.counts[xs])
-    starts = ends - h.counts[xs]
+    ends = np.cumsum(counts[xs])
+    starts = ends - counts[xs]
     out = np.zeros(2**n, dtype=np.int64)
     block = max(1, _BLOCK_DRAWS // n)
-    for lo in range(0, h.shots, block):
-        hi = min(lo + block, h.shots)
+    shots = int(counts.sum())
+    for lo in range(0, shots, block):
+        hi = min(lo + block, shots)
         in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
         flips = rng.random((hi - lo, n)) < np.repeat(thresholds, in_block, axis=0)
         read = np.repeat(xs, in_block) ^ (flips @ bit_values).astype(np.int64)
         out += np.bincount(read, minlength=2**n)
-    return Histogram(n, out, h.shots)
+    return out
 
 
 def check_dense_width(n_qubits: int) -> None:
@@ -145,8 +152,7 @@ def calibrate(
     for x in range(dim):
         prepared = np.zeros(dim, dtype=np.int64)
         prepared[x] = shots_per_basis_state
-        read = apply_channel_sampled(Histogram(n, prepared, shots_per_basis_state), model, rng)
-        cols[:, x] = read.counts / shots_per_basis_state
+        cols[:, x] = apply_channel_sampled(prepared, model, rng) / shots_per_basis_state
     return ConfusionMatrix(n, cols)
 
 

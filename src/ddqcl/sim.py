@@ -5,11 +5,15 @@ reals.  A state is held in one form only: a float64 array of shape (2,)*N,
 one axis per qubit.  The gate kernels `apply_ry` and `apply_cz` act on it
 and do no validation; the register width and qubit indices are checked
 once, in `Topology`, the angles once, in `execute`, and the array itself
-where it leaves the circuit, in `probabilities`.  Given `out`, a kernel
-writes its result there and allocates nothing, so a circuit runs in two
-state buffers.  The first rotation layer on |0...0> is a product state,
-which `product_state` builds directly, with the same products as the n Ry
-gates it replaces.
+where it leaves the circuit, in `probabilities`.  A kernel writes into a
+buffer its caller owns and allocates nothing: `apply_ry` into `out`, and
+`apply_cz` into `amp` itself, so a circuit runs in two state buffers.  The
+first rotation layer on |0...0> is a product state, which `product_state`
+builds directly, with the same products as the n Ry gates it replaces.
+
+Shot counts are held in one form too: an int64 array of length 2^N, one
+count per basis state, whose sum is the shot count.  Each function that
+takes counts checks the entries it relies on.
 
 Bit ordering convention, used everywhere in this package: a measurement
 outcome is its basis-state index, a plain int, and qubit 0 is its most
@@ -65,26 +69,6 @@ class Distribution:
         return cls(n_qubits, p)
 
 
-@dataclass(frozen=True)
-class Histogram:
-    """Integer shot counts over all 2^N basis states."""
-
-    n_qubits: int
-    counts: np.ndarray
-    shots: int
-
-    def __post_init__(self) -> None:
-        _check_n_qubits(self.n_qubits)
-        c = np.asarray(self.counts, dtype=np.int64)
-        if c.shape != (2**self.n_qubits,):
-            raise ValueError(f"expected {2**self.n_qubits} counts, got shape {c.shape}")
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
-        if int(c.sum()) != self.shots:
-            raise ValueError(f"counts sum to {int(c.sum())}, declared shots {self.shots}")
-        object.__setattr__(self, "counts", c)
-
-
 def product_state(angles: np.ndarray) -> np.ndarray:
     """Ry(angles[q]) on each qubit q of |0...0>, as a (2,)*n amplitude array.
 
@@ -101,19 +85,14 @@ def product_state(angles: np.ndarray) -> np.ndarray:
     return amp.reshape((2,) * len(angles))
 
 
-def apply_ry(
-    amp: np.ndarray, qubit: int, theta: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def apply_ry(amp: np.ndarray, qubit: int, theta: float, out: np.ndarray) -> np.ndarray:
     """Rotate one qubit of a (2,)*N amplitude array around the y axis by theta.
 
     The 2x2 action on the (bit=0, bit=1) amplitude pair is
-    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Without `out`, returns a
-    new array and leaves `amp` as it was.  With `out` (C-contiguous, of the
-    same shape and distinct from `amp`), writes the result there and returns
-    it, and uses `amp` as scratch: its contents are lost.
+    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Writes the result into
+    `out` (C-contiguous, of the same shape and distinct from `amp`) and
+    returns it, and uses `amp` as scratch: its contents are lost.
     """
-    if out is None:
-        return apply_ry(amp.copy(), qubit, theta, np.empty_like(amp))
     c, s = cos(theta / 2.0), sin(theta / 2.0)
     a = amp.reshape(2**qubit, 2, -1)
     o = out.reshape(a.shape)
@@ -131,21 +110,14 @@ def apply_ry(
     return out
 
 
-def apply_cz(
-    amp: np.ndarray, qa: int, qb: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Controlled-Z on a (2,)*N amplitude array: negate the entries with both
-    bits set.  Writes into `out` and returns it; `out=amp` negates in place.
-    Without `out`, returns a new array."""
-    if out is None:
-        out = amp.copy()
-    elif out is not amp:
-        np.copyto(out, amp)
+def apply_cz(amp: np.ndarray, qa: int, qb: int) -> np.ndarray:
+    """Controlled-Z on a (2,)*N amplitude array: negate, in place, the entries
+    with both bits set.  Returns `amp`."""
     sel: list[object] = [slice(None)] * amp.ndim
     sel[qa] = 1
     sel[qb] = 1
-    out[tuple(sel)] *= -1
-    return out
+    amp[tuple(sel)] *= -1
+    return amp
 
 
 def probabilities(amp: np.ndarray) -> Distribution:
@@ -162,8 +134,9 @@ def probabilities(amp: np.ndarray) -> Distribution:
     return Distribution(amp.ndim, amp.reshape(-1) ** 2)
 
 
-def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> Histogram:
-    """Draw `shots` i.i.d. basis-state outcomes via inverse-CDF search.
+def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `shots` i.i.d. basis-state outcomes via inverse-CDF search; returns
+    their int64 counts, one per basis state.
 
     Draws the uniforms in consecutive blocks of at most `_BLOCK_DRAWS`, which
     is the same stream of doubles as one `rng.random(shots)`.  Deterministic
@@ -172,9 +145,11 @@ def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> Histogra
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0  # guard against rounding in the last bin
+    # rounding can leave the cdf short of 1 where it reaches its last positive
+    # bin; a draw above it would land on a zero-probability outcome after it
+    cdf[np.flatnonzero(dist.probs)[-1] :] = 1.0
     counts = np.zeros(len(cdf), dtype=np.int64)
     for start in range(0, shots, _BLOCK_DRAWS):
         u = rng.random(min(_BLOCK_DRAWS, shots - start))
         counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(cdf))
-    return Histogram(dist.n_qubits, counts, shots)
+    return counts

@@ -15,7 +15,7 @@ from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
 from ddqcl.harness import ExperimentConfig, run_batch, summary_dict
 from ddqcl.metrics import js_divergence, kl_divergence, qbas_score
 from ddqcl.readout import PerQubitFlipModel, apply_channel_exact, correct, synth_confusion
-from ddqcl.sim import Distribution, Histogram, probabilities, sample
+from ddqcl.sim import Distribution, probabilities, sample
 
 TAU = 2 * np.pi
 
@@ -219,13 +219,13 @@ def test_criterion_6_metric_properties():
     values = sorted(patterns)
     perfect = np.zeros(16, dtype=np.int64)
     perfect[values] = 500
-    s1 = qbas_score(Histogram(4, perfect, 3000), patterns)
+    s1 = qbas_score(perfect, patterns)
     miss = np.zeros(16, dtype=np.int64)
     miss[1] = 3000  # 0001 is neither a bar nor a stripe
-    s0 = qbas_score(Histogram(4, miss, 3000), patterns)
+    s0 = qbas_score(miss, patterns)
     single = np.zeros(16, dtype=np.int64)
     single[values[0]] = 3000
-    s27 = qbas_score(Histogram(4, single, 3000), patterns)
+    s27 = qbas_score(single, patterns)
     qbas_ok = (
         (s1.precision, s1.recall, s1.f1) == (1.0, 1.0, 1.0)
         and (s0.precision, s0.f1) == (0.0, 0.0)

@@ -75,13 +75,13 @@ def _spy_gates(monkeypatch):
         calls.extend(("ry", (q,), float(t)) for q, t in enumerate(angles))
         return real_product(angles)
 
-    def ry(amp, qubit, theta, out=None):
+    def ry(amp, qubit, theta, out):
         calls.append(("ry", (qubit,), float(theta)))
-        return real_ry(amp, qubit, theta, out=out)
+        return real_ry(amp, qubit, theta, out)
 
-    def cz(amp, qa, qb, out=None):
+    def cz(amp, qa, qb):
         calls.append(("cz", (qa, qb), None))
-        return real_cz(amp, qa, qb, out=out)
+        return real_cz(amp, qa, qb)
 
     monkeypatch.setattr(ddqcl.ansatz, "product_state", product)
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
@@ -150,7 +150,8 @@ def test_execute_follows_layout_rule(monkeypatch):
 
 def test_execute_runs_in_two_buffers(monkeypatch):
     # every kernel call inside one execute writes into a buffer it is given
-    # and returns it, and the state only ever lives in two buffers
+    # (Ry into `out`, CZ into `amp`) and returns it, and the state only ever
+    # lives in two buffers
     import ddqcl.ansatz
 
     real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
@@ -165,20 +166,19 @@ def test_execute_runs_in_two_buffers(monkeypatch):
         buffers.add(address(amp))
         return amp
 
-    def ry(amp, qubit, theta, out=None):
-        assert out is not None and out is not amp
+    def ry(amp, qubit, theta, out):
+        assert out is not amp
         buffers.update((address(amp), address(out)))
         kernel_calls.append("ry")
-        result = real_ry(amp, qubit, theta, out=out)
+        result = real_ry(amp, qubit, theta, out)
         assert result is out
         return result
 
-    def cz(amp, qa, qb, out=None):
-        assert out is amp
+    def cz(amp, qa, qb):
         buffers.add(address(amp))
         kernel_calls.append("cz")
-        result = real_cz(amp, qa, qb, out=out)
-        assert result is out
+        result = real_cz(amp, qa, qb)
+        assert result is amp
         return result
 
     monkeypatch.setattr(ddqcl.ansatz, "product_state", product)

@@ -24,6 +24,13 @@ BATCHES = {
         "base_seed": 5,
         "readout": {"p10": 0.05, "p01": 0.08, "correction": True, "calibration_shots": 2000},
     },
+    "readout-uncorrected-adam": {
+        **_BASE,
+        "optimizer": "adam",
+        "shots": 500,
+        "base_seed": 7,
+        "readout": {"p10": 0.05, "p01": 0.08, "correction": False},
+    },
 }
 
 DIGESTS = {
@@ -48,6 +55,13 @@ DIGESTS = {
         "aggregate.csv": "fc8bbf83e3939bd095da601d42768c70acf5b220ae08e09480c88c1c42d774d0",
         "summary.json": "3ea17009558867b7676057516a13265187960954e2f3f48a6928a4a61be484db",
         "confusion.json": "98ba01db268aeeff2885ffdf565bf406f799b7a7a149811e4148c7452c91e5bc",
+    },
+    "readout-uncorrected-adam": {
+        "config.json": "2c1647c393d13d40a125a99d02d9c7570b824b55560afaf5bc36087708d72fe9",
+        "curve_run0.csv": "c997596467498df8e93c9b3f7fba7f58218b27cf417b8b5b3cf3445472af533c",
+        "curve_run1.csv": "d1dc63ff4a38cc09426da559d44b5ec29a9b4bddcd510fcf0f900ddd7df35aca",
+        "aggregate.csv": "f755ae468d72f907d0ac8ae3a0cfa98aea25d0dd3a91398c9175d2784a28d20e",
+        "summary.json": "514938813f0905e883367cd18a05a58bec81c6bb739eaffbed74d5e8c3ada9dd",
     },
 }
 

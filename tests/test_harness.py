@@ -352,6 +352,28 @@ def test_load_config_roundtrip(tmp_path):
     assert load_config(p) == ExperimentConfig.from_dict(_small_doc())
 
 
+_HEAD = '"rows": 2, "cols": 2, "topology": "line", "layers": 1, "optimizer": "adam"'
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("{" + _HEAD + ', "budget": 100, "budget": 3000}', "budget"),
+        ("{" + _HEAD + ', "readout": {"p10": 0.05, "p10": 0.2}}', "p10"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_load_config_rejects_duplicate_keys(tmp_path, capsys, text, key):
+    # plain json.loads keeps the last value: budget 3000 and p10 0.2
+    p = tmp_path / "config.json"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"config key '{key}' appears twice"):
+        load_config(p)
+    assert main(["validate", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # --- aggregation ---
 
 

@@ -11,7 +11,7 @@ from ddqcl.metrics import (
     kl_divergence,
     qbas_score,
 )
-from ddqcl.sim import Distribution, Histogram
+from ddqcl.sim import Distribution
 
 UNIFORM16 = Distribution(4, np.full(16, 1 / 16))
 BAS22 = bas_target_distribution(BasSpec(2, 2))
@@ -151,17 +151,33 @@ def test_js_width_mismatch():
 
 
 def test_histogram_to_distribution_examples():
-    h = Histogram(4, np.eye(16, dtype=int)[0] * 3000, 3000)
-    np.testing.assert_array_equal(histogram_to_distribution(h).probs, DELTA0.probs)
-    h2 = Histogram(2, np.array([1, 0, 0, 1]), 2)
-    np.testing.assert_allclose(histogram_to_distribution(h2).probs, [0.5, 0, 0, 0.5])
+    counts = np.eye(16, dtype=np.int64)[0] * 3000
+    np.testing.assert_array_equal(histogram_to_distribution(counts).probs, DELTA0.probs)
+    d2 = histogram_to_distribution(np.array([1, 0, 0, 1]))
+    assert d2.n_qubits == 2
+    np.testing.assert_allclose(d2.probs, [0.5, 0, 0, 0.5])
 
 
 def test_histogram_normalization_identity():
     rng = np.random.default_rng(6)
     counts = rng.integers(0, 100, 16)
-    h = Histogram(4, counts, int(counts.sum()))
-    assert histogram_to_distribution(h).probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert histogram_to_distribution(counts).probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        (np.zeros(16, dtype=np.int64), "shots must be >= 1, got 0"),
+        (np.ones(1, dtype=np.int64), "n_qubits"),
+        (np.ones(3, dtype=np.int64), "expected 2 probabilities"),
+        (np.ones(12, dtype=np.int64), "expected 8 probabilities"),
+        (np.array([3, -1, 0, 0]), "non-negative"),
+    ],
+    ids=["zero-shots", "length-1", "length-3", "length-12", "negative"],
+)
+def test_histogram_to_distribution_rejects_bad_counts(counts, match):
+    with pytest.raises(ValueError, match=match):
+        histogram_to_distribution(counts)
 
 
 # --- qBAS ---
@@ -172,7 +188,7 @@ def test_qbas_perfect_generator():
     counts = np.zeros(16, dtype=int)
     for p in pats:
         counts[p] = 500
-    s = qbas_score(Histogram(4, counts, 3000), pats)
+    s = qbas_score(counts, pats)
     assert s == QbasScore(1.0, 1.0, 1.0)
 
 
@@ -180,7 +196,7 @@ def test_qbas_all_misses():
     pats = bas_patterns(BasSpec(2, 2))
     counts = np.zeros(16, dtype=int)
     counts[0b0001] = 3000
-    s = qbas_score(Histogram(4, counts, 3000), pats)
+    s = qbas_score(counts, pats)
     assert s.precision == 0.0 and s.f1 == 0.0
 
 
@@ -188,7 +204,7 @@ def test_qbas_single_mode():
     pats = bas_patterns(BasSpec(2, 2))
     counts = np.zeros(16, dtype=int)
     counts[0] = 3000
-    s = qbas_score(Histogram(4, counts, 3000), pats)
+    s = qbas_score(counts, pats)
     assert s.precision == 1.0
     assert s.recall == pytest.approx(1 / 6)
     assert s.f1 == pytest.approx(2 / 7)
@@ -199,7 +215,7 @@ def test_qbas_f1_range_property():
     rng = np.random.default_rng(7)
     for _ in range(200):
         counts = rng.multinomial(300, np.full(16, 1 / 16))
-        s = qbas_score(Histogram(4, counts, 300), pats)
+        s = qbas_score(counts, pats)
         assert 0.0 <= s.f1 <= 1.0
         if s.f1 == 1.0:
             assert s.precision == 1.0 and s.recall == 1.0
@@ -207,7 +223,28 @@ def test_qbas_f1_range_property():
 
 def test_qbas_rejects_empty_patterns():
     with pytest.raises(ValueError):
-        qbas_score(Histogram(1, np.array([1, 0]), 1), set())
+        qbas_score(np.array([1, 0]), set())
+
+
+def _negative_off_patterns():
+    # unchecked, a count of -5 off the patterns would make precision 10/5 = 2
+    counts = np.zeros(16, dtype=np.int64)
+    counts[[0, 15]] = 5
+    counts[1] = -5
+    return counts
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        (_negative_off_patterns(), "non-negative"),
+        (np.zeros(16, dtype=np.int64), "shots must be >= 1, got 0"),
+    ],
+    ids=["negative", "zero-shots"],
+)
+def test_qbas_rejects_bad_counts(counts, match):
+    with pytest.raises(ValueError, match=match):
+        qbas_score(counts, {0, 15})
 
 
 @pytest.mark.parametrize("outside", [16, -1, -13])
@@ -217,4 +254,4 @@ def test_qbas_rejects_patterns_outside_register(outside):
     counts = np.zeros(16, dtype=np.int64)
     counts[3] = 10
     with pytest.raises(ValueError, match=rf"patterns \[{outside}\] lie outside the 4-qubit"):
-        qbas_score(Histogram(4, counts, 10), {3, outside})
+        qbas_score(counts, {3, outside})

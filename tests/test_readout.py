@@ -20,7 +20,7 @@ from ddqcl.readout import (
     correct,
     synth_confusion,
 )
-from ddqcl.sim import Distribution, Histogram
+from ddqcl.sim import Distribution
 
 # --- flip model ---
 
@@ -120,65 +120,76 @@ def test_exact_channel_width_mismatch():
 
 
 def test_sampled_channel_noiseless_is_identity():
-    h = Histogram(2, np.array([100, 0, 250, 650]), 1000)
-    out = apply_channel_sampled(h, PerQubitFlipModel.uniform(2, 0.0),
+    counts = np.array([100, 0, 250, 650])
+    out = apply_channel_sampled(counts, PerQubitFlipModel.uniform(2, 0.0),
                                 np.random.default_rng(0))
-    np.testing.assert_array_equal(out.counts, h.counts)
+    np.testing.assert_array_equal(out, counts)
 
 
 def test_sampled_channel_deterministic_per_seed():
-    h = Histogram(2, np.array([500, 300, 150, 50]), 1000)
+    counts = np.array([500, 300, 150, 50])
     model = PerQubitFlipModel.uniform(2, 0.05, 0.02)
-    a = apply_channel_sampled(h, model, np.random.default_rng(7))
-    b = apply_channel_sampled(h, model, np.random.default_rng(7))
-    np.testing.assert_array_equal(a.counts, b.counts)
+    a = apply_channel_sampled(counts, model, np.random.default_rng(7))
+    b = apply_channel_sampled(counts, model, np.random.default_rng(7))
+    np.testing.assert_array_equal(a, b)
 
 
 def test_sampled_channel_preserves_shots():
-    h = Histogram(2, np.array([123, 456, 401, 20]), 1000)
-    out = apply_channel_sampled(h, PerQubitFlipModel.uniform(2, 0.3, 0.3),
-                                np.random.default_rng(1))
-    assert out.shots == 1000
-    assert int(out.counts.sum()) == 1000
+    out = apply_channel_sampled(np.array([123, 456, 401, 20]),
+                                PerQubitFlipModel.uniform(2, 0.3, 0.3), np.random.default_rng(1))
+    assert out.dtype == np.int64 and out.shape == (4,)
+    assert int(out.sum()) == 1000
 
 
 def test_sampled_channel_single_qubit_binomial():
     # all shots prepared in |0>, p10 = 0.05: reads of 1 ~ Binomial(1e6, 0.05)
     shots = 1_000_000
-    h = Histogram(1, np.array([shots, 0]), shots)
-    out = apply_channel_sampled(h, PerQubitFlipModel((0.05,), (0.0,)),
+    out = apply_channel_sampled(np.array([shots, 0]), PerQubitFlipModel((0.05,), (0.0,)),
                                 np.random.default_rng(2))
     sigma = np.sqrt(shots * 0.05 * 0.95)  # ~218
-    assert abs(out.counts[1] - 0.05 * shots) < 3 * sigma
+    assert abs(out[1] - 0.05 * shots) < 3 * sigma
 
 
 def test_sampled_channel_matches_exact_in_expectation():
     shots = 200_000
-    h = Histogram(2, np.array([0, 0, shots, 0]), shots)
     model = PerQubitFlipModel.uniform(2, 0.05, 0.02)
-    out = apply_channel_sampled(h, model, np.random.default_rng(3))
+    out = apply_channel_sampled(np.array([0, 0, shots, 0]), model, np.random.default_rng(3))
     expected = apply_channel_exact(Distribution.delta(2, 2), synth_confusion(model))
-    np.testing.assert_allclose(out.counts / shots, expected.probs, atol=5e-3)
+    np.testing.assert_allclose(out / shots, expected.probs, atol=5e-3)
 
 
 def test_sampled_channel_width_mismatch():
-    h = Histogram(2, np.array([1000, 0, 0, 0]), 1000)
-    with pytest.raises(ValueError):
-        apply_channel_sampled(h, PerQubitFlipModel.uniform(3, 0.05),
+    with pytest.raises(ValueError, match=r"expected 8 counts for 3 qubits, got shape \(4,\)"):
+        apply_channel_sampled(np.array([1000, 0, 0, 0]), PerQubitFlipModel.uniform(3, 0.05),
                               np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "counts, match",
+    [
+        (np.ones((2, 2), dtype=np.int64), r"expected 4 counts for 2 qubits, got shape \(2, 2\)"),
+        (np.array([10, -5, 0, 0]), "non-negative"),  # would drop 5 shots of state 0
+    ],
+    ids=["shape", "negative"],
+)
+def test_sampled_channel_rejects_bad_counts(counts, match):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=match):
+        apply_channel_sampled(counts, PerQubitFlipModel.uniform(2, 0.05), rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 # --- sampled channel against a per-outcome oracle ---
 
 
-def _oracle_channel(h, model, rng):
+def _oracle_channel(counts, model, rng):
     # one rng.random((c, n)) draw per basis state with c > 0 counts, in order
-    n = h.n_qubits
+    n = model.n_qubits
     p10 = np.array(model.p10)
     p01 = np.array(model.p01)
-    out = np.zeros_like(h.counts)
+    out = np.zeros_like(counts)
     for x in range(2**n):
-        c = int(h.counts[x])
+        c = int(counts[x])
         if c == 0:
             continue
         bits = np.array([(x >> (n - 1 - q)) & 1 for q in range(n)])
@@ -204,17 +215,17 @@ def _channel_cases(draw):
     mix = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counts = np.zeros(2**n, dtype=np.int64)
     counts[support] = mix.multinomial(shots, np.array(weights) / sum(weights))
-    return Histogram(n, counts, shots), PerQubitFlipModel(tuple(p10), tuple(p01))
+    return counts, PerQubitFlipModel(tuple(p10), tuple(p01))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_channel_cases(), st.integers(0, 2**32 - 1))
 def test_sampled_channel_matches_per_outcome_oracle(case, seed):
     # the blocked draw consumes the oracle's exact stream: same counts, same state
-    h, model = case
+    counts, model = case
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    out = apply_channel_sampled(h, model, rng)
-    np.testing.assert_array_equal(out.counts, _oracle_channel(h, model, oracle_rng))
+    out = apply_channel_sampled(counts, model, rng)
+    np.testing.assert_array_equal(out, _oracle_channel(counts, model, oracle_rng))
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
@@ -226,7 +237,7 @@ def test_calibrate_matches_per_outcome_oracle():
     for x in range(8):
         prepared = np.zeros(8, dtype=np.int64)
         prepared[x] = shots
-        expected[:, x] = _oracle_channel(Histogram(3, prepared, shots), model, oracle_rng) / shots
+        expected[:, x] = _oracle_channel(prepared, model, oracle_rng) / shots
     m = calibrate(model, shots, np.random.default_rng(11))
     np.testing.assert_array_equal(m.entries, expected)
 
@@ -236,15 +247,14 @@ def test_sampled_channel_memory_is_bounded():
     # ~80 MB that one (shots, n) draw and its threshold array would take
     counts = np.zeros(512, dtype=np.int64)
     counts[[5, 300]] = 500_000
-    h = Histogram(9, counts, 1_000_000)
     model = PerQubitFlipModel.uniform(9, 0.05, 0.02)
     tracemalloc.start()
     try:
-        out = apply_channel_sampled(h, model, np.random.default_rng(0))
+        out = apply_channel_sampled(counts, model, np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.shots == 1_000_000
+    assert out.sum() == 1_000_000
     assert peak < 16 * 2**20
 
 
@@ -386,8 +396,8 @@ def test_correct_improves_sampled_estimates():
     wins = 0
     for _ in range(100):
         counts = rng.multinomial(3000, truth)
-        observed = apply_channel_sampled(Histogram(4, counts, 3000), model, rng)
-        freq = Distribution(4, observed.counts / observed.shots)
+        observed = apply_channel_sampled(counts, model, rng)
+        freq = Distribution(4, observed / observed.sum())
         corrected = correct(freq, m)
         tv_raw = 0.5 * np.abs(freq.probs - truth).sum()
         tv_cor = 0.5 * np.abs(corrected.probs - truth).sum()

@@ -25,6 +25,12 @@ BATCHES = {
         "shots": 100,
         "readout": {"p10": 0.05, "correction": True, "calibration_shots": 200},
     },
+    "uncorrected-adam": {
+        **_TINY,
+        "optimizer": "adam",
+        "shots": 100,
+        "readout": {"p10": 0.05, "correction": False},
+    },
 }
 
 
