@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MAX_QUBITS, Distribution
+from .sim import MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,10 @@ def bas_patterns(spec: BasSpec) -> set[int]:
     return patterns
 
 
-def bas_target_distribution(spec: BasSpec) -> Distribution:
-    """Uniform distribution over the pattern set, zero elsewhere."""
+def bas_target_distribution(spec: BasSpec) -> np.ndarray:
+    """Uniform probabilities over the pattern set, zero elsewhere: a length-2^N vector."""
     patterns = bas_patterns(spec)
     probs = np.zeros(2**spec.n_qubits)
     for p in patterns:
         probs[p] = 1.0 / len(patterns)
-    return Distribution(spec.n_qubits, probs)
+    return probs

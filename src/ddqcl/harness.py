@@ -35,7 +35,7 @@ from .readout import (
     check_dense_width,
     correct,
 )
-from .sim import Distribution, probabilities, sample
+from .sim import probabilities, sample
 
 
 class ConfigError(ValueError):
@@ -287,7 +287,7 @@ def aggregate(curves: list[LearningCurve]) -> tuple[np.ndarray, np.ndarray, np.n
 def _final_metrics(
     cfg: ExperimentConfig,
     ansatz: Ansatz,
-    target: Distribution,
+    target: np.ndarray,
     curve: LearningCurve,
     seed: int,
     channel: PerQubitFlipModel | None,

@@ -2,7 +2,8 @@
 
 All logarithms are natural.  Kullback-Leibler is the reporting metric and
 needs a clamp because trained models can put exactly zero mass on target
-patterns; Jensen-Shannon is the training cost and is finite as-is.
+patterns; Jensen-Shannon is the training cost and is finite as-is.  Both take
+float64 probability vectors and check only that their two shapes agree.
 """
 
 from __future__ import annotations
@@ -11,48 +12,44 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import Distribution
+from .sim import check_counts
 
 DEFAULT_EPSILON = 1e-8
 
 
-def _check_widths(a: Distribution, b: Distribution) -> None:
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(f"width mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
+def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def kl_divergence(x: Distribution, m: Distribution, epsilon: float = DEFAULT_EPSILON) -> float:
+def kl_divergence(x: np.ndarray, m: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> float:
     """KL(x || m) = sum x ln(x/m), with 0 ln 0 = 0 and m clamped below at epsilon."""
-    _check_widths(x, m)
-    if epsilon <= 0:
+    _check_shapes(x, m)
+    if not epsilon > 0:  # also rejects NaN
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    p = x.probs
-    q = np.maximum(m.probs, epsilon)
-    mask = p > 0
-    return float(np.sum(p[mask] * (np.log(p[mask]) - np.log(q[mask]))))
+    q = np.maximum(m, epsilon)
+    mask = x > 0
+    return float(np.sum(x[mask] * (np.log(x[mask]) - np.log(q[mask]))))
 
 
-def js_divergence(p: Distribution, q: Distribution) -> float:
+def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """Jensen-Shannon divergence: mean KL of each input to their average.
 
     Symmetric, bounded by ln 2, finite without any clamping.
     """
-    _check_widths(p, q)
-    a, b = p.probs, q.probs
-    m = 0.5 * (a + b)
+    _check_shapes(p, q)
+    m = 0.5 * (p + q)
     out = 0.0
-    for x in (a, b):
+    for x in (p, q):
         mask = x > 0
         out += 0.5 * float(np.sum(x[mask] * (np.log(x[mask]) - np.log(m[mask]))))
     return out
 
 
-def histogram_to_distribution(counts: np.ndarray) -> Distribution:
+def histogram_to_distribution(counts: np.ndarray) -> np.ndarray:
     """Empirical frequencies of int64 counts over 2^N basis states: counts/shots."""
-    shots = int(counts.sum())
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    return Distribution(len(counts).bit_length() - 1, counts / shots)
+    check_counts(counts)
+    return counts / int(counts.sum())
 
 
 @dataclass(frozen=True)
@@ -73,15 +70,11 @@ def qbas_score(counts: np.ndarray, patterns: set[int]) -> QbasScore:
     """
     if not patterns:
         raise ValueError("pattern set must be non-empty")
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
+    n = check_counts(counts)
     shots = int(counts.sum())
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     values = list(patterns)
     outside = [v for v in values if not 0 <= v < len(counts)]
     if outside:
-        n = len(counts).bit_length() - 1
         raise ValueError(f"patterns {sorted(outside)} lie outside the {n}-qubit register")
     hits = int(counts[values].sum())
     seen = int(np.count_nonzero(counts[values]))

@@ -27,7 +27,7 @@ import numpy as np
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import Distribution, probabilities, sample
+from .sim import probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -96,7 +96,7 @@ class CostContext:
     def for_circuit(
         cls,
         ansatz: Ansatz,
-        target: Distribution,
+        target: np.ndarray,
         budget: int,
         shots: int,
         rng: np.random.Generator,

@@ -4,8 +4,9 @@ The channel flips each read bit independently: p10 = p(read 1 | true 0),
 p01 = p(read 0 | true 1) per qubit.  Calibration prepares every basis state,
 pushes shots through the channel and tallies columns of the transition
 matrix M with p(y|x) in column x; correction solves M P_x = P_y back.
-Sampled counts go in and come out as int64 arrays of length 2^N, as `sample`
-returns them.
+Probabilities go in and come out as float64 arrays of length 2^N, and
+sampled counts as int64 arrays of length 2^N, as `sample` returns them; the
+register width is read from the array or from the matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .sim import _BLOCK_DRAWS, Distribution, _check_n_qubits
+from .sim import _BLOCK_DRAWS, _check_n_qubits, check_counts
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
@@ -56,27 +57,30 @@ class PerQubitFlipModel:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Column-stochastic transition matrix: entry (y, x) = p(read y | true x)."""
+    """Column-stochastic 2^N x 2^N transition matrix: entry (y, x) = p(read y | true x)."""
 
-    n_qubits: int
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_n_qubits(self.n_qubits)
         m = np.array(self.entries, dtype=float)  # a private, read-only copy: checked once
         m.setflags(write=False)
-        dim = 2**self.n_qubits
-        if m.shape != (dim, dim):
-            raise ValueError(f"expected {dim}x{dim} matrix, got shape {m.shape}")
+        n = len(m).bit_length() - 1 if m.ndim == 2 else 0
+        if n < 1 or m.shape != (2**n, 2**n):
+            raise ValueError(f"expected a 2^N x 2^N matrix for some N >= 1, got shape {m.shape}")
+        _check_n_qubits(n)
         if np.any(m < 0):
             raise ValueError("entries must be non-negative")
         worst = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
-        if worst > 1e-9:
+        if not worst <= 1e-9:  # also rejects NaN
             raise ValueError(f"columns must sum to 1 (worst deviation {worst:.3e})")
         cond = float(np.linalg.cond(m))  # once per matrix, so `correct` only solves
         if not np.isfinite(cond) or cond > DEFAULT_MAX_CONDITION:
             raise ValueError(f"confusion matrix too ill-conditioned to invert (cond ~ {cond:.3e})")
         object.__setattr__(self, "entries", m)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.entries).bit_length() - 1
 
 
 def synth_confusion(model: PerQubitFlipModel) -> ConfusionMatrix:
@@ -85,14 +89,18 @@ def synth_confusion(model: PerQubitFlipModel) -> ConfusionMatrix:
         np.array([[1.0 - p10, p01], [p10, 1.0 - p01]])
         for p10, p01 in zip(model.p10, model.p01)
     ]
-    return ConfusionMatrix(model.n_qubits, reduce(np.kron, blocks))
+    return ConfusionMatrix(reduce(np.kron, blocks))
 
 
-def apply_channel_exact(p: Distribution, m: ConfusionMatrix) -> Distribution:
+def _check_width(p: np.ndarray, m: ConfusionMatrix) -> None:
+    if p.shape != (len(m.entries),):
+        raise ValueError(f"expected {len(m.entries)} probabilities, got shape {p.shape}")
+
+
+def apply_channel_exact(p: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     """Push exact probabilities through the channel: P_y = M P_x."""
-    if p.n_qubits != m.n_qubits:
-        raise ValueError(f"width mismatch: {p.n_qubits} vs {m.n_qubits} qubits")
-    return Distribution(p.n_qubits, m.entries @ p.probs)
+    _check_width(p, m)
+    return m.entries @ p
 
 
 def apply_channel_sampled(
@@ -107,10 +115,8 @@ def apply_channel_sampled(
     doubles: the same stream as one draw per outcome, in bounded memory.
     """
     n = model.n_qubits
-    if counts.shape != (2**n,):
+    if check_counts(counts) != n:
         raise ValueError(f"expected {2**n} counts for {n} qubits, got shape {counts.shape}")
-    if np.any(counts < 0):
-        raise ValueError("counts must be non-negative")
     weights = 1 << np.arange(n - 1, -1, -1)
     bit_values = weights.astype(float)  # sums of distinct powers of two: exact in float64
     xs = np.flatnonzero(counts)
@@ -153,15 +159,14 @@ def calibrate(
         prepared = np.zeros(dim, dtype=np.int64)
         prepared[x] = shots_per_basis_state
         cols[:, x] = apply_channel_sampled(prepared, model, rng) / shots_per_basis_state
-    return ConfusionMatrix(n, cols)
+    return ConfusionMatrix(cols)
 
 
-def correct(observed: Distribution, m: ConfusionMatrix) -> Distribution:
+def correct(observed: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     """Solve M P_x = P_y, clamp negative probabilities to 0, renormalize."""
-    if observed.n_qubits != m.n_qubits:
-        raise ValueError(f"width mismatch: {observed.n_qubits} vs {m.n_qubits} qubits")
-    clamped = np.maximum(np.linalg.solve(m.entries, observed.probs), 0.0)
+    _check_width(observed, m)
+    clamped = np.maximum(np.linalg.solve(m.entries, observed), 0.0)
     total = clamped.sum()
-    if total <= 0:
-        raise ValueError("corrected distribution has no positive mass")
-    return Distribution(observed.n_qubits, clamped / total)
+    if not total > 0:  # also rejects NaN
+        raise ValueError(f"corrected distribution has no positive mass (total {float(total)})")
+    return clamped / total

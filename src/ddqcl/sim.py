@@ -11,9 +11,11 @@ buffer its caller owns and allocates nothing: `apply_ry` into `out`, and
 first rotation layer on |0...0> is a product state, which `product_state`
 builds directly, with the same products as the n Ry gates it replaces.
 
-Shot counts are held in one form too: an int64 array of length 2^N, one
-count per basis state, whose sum is the shot count.  Each function that
-takes counts checks the entries it relies on.
+A probability vector is a float64 array of length 2^N, and shot counts an
+int64 array of length 2^N whose sum is the shot count; N is always read from
+the length.  `probabilities` checks the state it squares, `sample` that its
+cdf ends at 1, and `check_counts` is the one check on counts where they
+enter the program's functions.
 
 Bit ordering convention, used everywhere in this package: a measurement
 outcome is its basis-state index, a plain int, and qubit 0 is its most
@@ -23,7 +25,6 @@ qubit 2 = 1, qubit 3 = 0, and it is the entry [1, 0, 1, 0] of a state array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, sin
 
 import numpy as np
@@ -43,30 +44,20 @@ def _check_n_qubits(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
-@dataclass(frozen=True)
-class Distribution:
-    """Probabilities over all 2^N basis states; sums to 1."""
-
-    n_qubits: int
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_n_qubits(self.n_qubits)
-        p = np.asarray(self.probs, dtype=float)
-        if p.shape != (2**self.n_qubits,):
-            raise ValueError(f"expected {2**self.n_qubits} probabilities, got shape {p.shape}")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be non-negative")
-        total = float(p.sum())
-        if not abs(total - 1.0) <= _DIST_TOL:  # also rejects NaN
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "probs", p)
-
-    @classmethod
-    def delta(cls, n_qubits: int, index: int) -> "Distribution":
-        p = np.zeros(2**n_qubits)
-        p[index] = 1.0
-        return cls(n_qubits, p)
+def check_counts(counts: np.ndarray) -> int:
+    """N of integer counts over 2^N basis states (N >= 1); refuses any other
+    dtype or length, a negative count and zero shots."""
+    if counts.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got {counts.dtype}")
+    n = len(counts).bit_length() - 1 if counts.ndim == 1 else 0
+    if n < 1 or counts.shape != (2**n,):
+        raise ValueError(f"expected 2^N counts for some N >= 1, got shape {counts.shape}")
+    _check_n_qubits(n)
+    if np.any(counts < 0):
+        raise ValueError("counts must be non-negative")
+    if not counts.any():
+        raise ValueError("shots must be >= 1, got 0")
+    return n
 
 
 def product_state(angles: np.ndarray) -> np.ndarray:
@@ -120,23 +111,26 @@ def apply_cz(amp: np.ndarray, qa: int, qb: int) -> np.ndarray:
     return amp
 
 
-def probabilities(amp: np.ndarray) -> Distribution:
-    """Born-rule outcome probabilities amp^2 of a float64 (2,)*N amplitude array.
-
-    `Distribution` then rejects an unnormalized state, NaN and a width
-    outside [1, MAX_QUBITS].
-    """
+def probabilities(amp: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities amp^2 of a float64 (2,)*N amplitude array, as a
+    length-2^N vector; refuses any other array, N outside [1, MAX_QUBITS] and
+    an unnormalized or non-finite state."""
     if amp.dtype != np.float64 or amp.shape != (2,) * amp.ndim:
         raise ValueError(
             f"amplitudes must be a float64 array of shape (2,)*N (Ry/CZ circuits never "
             f"leave the reals), got {amp.dtype} of shape {amp.shape}"
         )
-    return Distribution(amp.ndim, amp.reshape(-1) ** 2)
+    _check_n_qubits(amp.ndim)
+    probs = amp.reshape(-1) ** 2
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= _DIST_TOL:  # also rejects NaN
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    return probs
 
 
-def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `shots` i.i.d. basis-state outcomes via inverse-CDF search; returns
-    their int64 counts, one per basis state.
+def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw `shots` i.i.d. basis-state outcomes of a probability vector via
+    inverse-CDF search; returns their int64 counts, one per basis state.
 
     Draws the uniforms in consecutive blocks of at most `_BLOCK_DRAWS`, which
     is the same stream of doubles as one `rng.random(shots)`.  Deterministic
@@ -144,10 +138,13 @@ def sample(dist: Distribution, shots: int, rng: np.random.Generator) -> np.ndarr
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cdf = np.cumsum(dist.probs)
+    cdf = np.cumsum(probs)
+    # NaN fails this too; it would put every shot in bin 0
+    if not abs(cdf[-1] - 1.0) <= _DIST_TOL:
+        raise ValueError(f"probabilities sum to {float(cdf[-1])!r}, not 1")
     # rounding can leave the cdf short of 1 where it reaches its last positive
     # bin; a draw above it would land on a zero-probability outcome after it
-    cdf[np.flatnonzero(dist.probs)[-1] :] = 1.0
+    cdf[np.flatnonzero(probs)[-1] :] = 1.0
     counts = np.zeros(len(cdf), dtype=np.int64)
     for start in range(0, shots, _BLOCK_DRAWS):
         u = rng.random(min(_BLOCK_DRAWS, shots - start))

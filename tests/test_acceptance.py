@@ -15,7 +15,7 @@ from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
 from ddqcl.harness import ExperimentConfig, run_batch, summary_dict
 from ddqcl.metrics import js_divergence, kl_divergence, qbas_score
 from ddqcl.readout import PerQubitFlipModel, apply_channel_exact, correct, synth_confusion
-from ddqcl.sim import Distribution, probabilities, sample
+from ddqcl.sim import probabilities, sample
 
 TAU = 2 * np.pi
 
@@ -158,8 +158,8 @@ def test_criterion_5_oracle_equivalences():
         m = synth_confusion(model)
         p = rng.random(16)
         p /= p.sum()
-        back = correct(apply_channel_exact(Distribution(4, p), m), m)
-        worst_b = max(worst_b, float(np.max(np.abs(back.probs - p))))
+        back = correct(apply_channel_exact(p, m), m)
+        worst_b = max(worst_b, float(np.max(np.abs(back - p))))
 
     # (c) divergence worked examples against a direct-summation oracle
     def kl_oracle(p, q, eps=1e-8):
@@ -170,17 +170,17 @@ def test_criterion_5_oracle_equivalences():
         return 0.5 * kl_oracle(p, m, eps=0) + 0.5 * kl_oracle(q, m, eps=0)
 
     target = bas_target_distribution(BasSpec(2, 2))
-    uniform = Distribution(4, np.full(16, 1 / 16))
-    delta = Distribution.delta(4, 0)
+    uniform = np.full(16, 1 / 16)
+    delta = np.eye(16)[0]
     cases = [
         ("KL(target||uniform)", kl_divergence(target, uniform),
-         kl_oracle(target.probs, uniform.probs), math.log(16 / 6)),
+         kl_oracle(target, uniform), math.log(16 / 6)),
         ("KL(delta||target)", kl_divergence(delta, target),
-         kl_oracle(delta.probs, target.probs), math.log(6.0)),
+         kl_oracle(delta, target), math.log(6.0)),
         ("JS(target,uniform)", js_divergence(target, uniform),
-         js_oracle(target.probs, uniform.probs), 0.29030475547625423),
+         js_oracle(target, uniform), 0.29030475547625423),
         ("JS(delta,target)", js_divergence(delta, target),
-         js_oracle(delta.probs, target.probs), 0.45391266155837334),
+         js_oracle(delta, target), 0.45391266155837334),
     ]
     worst_c = max(max(abs(got - oracle), abs(got - frozen)) for _, got, oracle, frozen in cases)
 
@@ -203,8 +203,8 @@ def test_criterion_6_metric_properties():
         p /= p.sum()
         q = rng.random(16)
         q /= q.sum()
-        a = js_divergence(Distribution(4, p), Distribution(4, q))
-        b = js_divergence(Distribution(4, q), Distribution(4, p))
+        a = js_divergence(p, q)
+        b = js_divergence(q, p)
         sym_ok &= abs(a - b) < 1e-12
         bounds_ok &= -1e-15 <= a <= ln2 + 1e-12
     kl_ok = True
@@ -213,7 +213,7 @@ def test_criterion_6_metric_properties():
         p /= p.sum()
         q = rng.random(16)
         q /= q.sum()
-        kl_ok &= kl_divergence(Distribution(4, p), Distribution(4, q)) >= 0.0
+        kl_ok &= kl_divergence(p, q) >= 0.0
 
     patterns = bas_patterns(BasSpec(2, 2))
     values = sorted(patterns)

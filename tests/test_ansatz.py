@@ -305,7 +305,7 @@ def test_u2_half_pi_on_control():
 
 def test_u2_quarter_probs():
     out = u2_block(np.pi / 2, 0, np.pi / 2)
-    np.testing.assert_allclose(probabilities(out).probs, np.full(4, 0.25), atol=1e-12)
+    np.testing.assert_allclose(probabilities(out), np.full(4, 0.25), atol=1e-12)
 
 
 def test_u2_entangles():

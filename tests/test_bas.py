@@ -113,19 +113,19 @@ def test_spec_validation():
 
 def test_2x2_target_uniform_sixth():
     t = bas_target_distribution(BasSpec(2, 2))
-    support = {i for i in range(16) if t.probs[i] > 0}
+    support = {i for i in range(16) if t[i] > 0}
     assert support == {0b0000, 0b1010, 0b0101, 0b0011, 0b1100, 0b1111}
-    np.testing.assert_allclose(t.probs[sorted(support)], 1 / 6)
-    assert t.probs.sum() == pytest.approx(1.0)
+    np.testing.assert_allclose(t[sorted(support)], 1 / 6)
+    assert t.sum() == pytest.approx(1.0)
 
 
 def test_1x1_target():
     t = bas_target_distribution(BasSpec(1, 1))
-    np.testing.assert_allclose(t.probs, [0.5, 0.5])
+    np.testing.assert_allclose(t, [0.5, 0.5])
 
 
 def test_2x3_target_tenth():
     t = bas_target_distribution(BasSpec(2, 3))
-    nz = t.probs[t.probs > 0]
+    nz = t[t > 0]
     assert len(nz) == 10
     np.testing.assert_allclose(nz, 0.1)

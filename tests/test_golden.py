@@ -4,9 +4,18 @@ A change to any digest here means the program now computes, samples or
 formats something differently.  That change must be deliberate: say so in
 CHANGES.md and re-record the digests.  At 4 qubits the BLAS thread count does
 not change any exported byte.
+
+The workloads that BENCHMARK.json gates are pinned too, by the digests the
+benchmark recorded in perfbench/reference_digests.json: each runs in a fresh
+interpreter through perfbench/child.py, with one BLAS thread as recorded.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,3 +83,36 @@ def _digests(tmp_path, doc):
 @pytest.mark.parametrize("name", sorted(BATCHES))
 def test_golden_export_digests(tmp_path, name):
     assert _digests(tmp_path, BATCHES[name]) == DIGESTS[name]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import core
+        import provenance
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return core, provenance
+
+
+@pytest.mark.parametrize("workload", ["exact-16q-adam", "readout-9q-zoo"])
+def test_gated_workload_matches_reference_digests(tmp_path, bench, workload):
+    core, provenance = bench
+    recorded = json.loads((PERFBENCH / "reference_digests.json").read_text())
+    here = {k: v for k, v in provenance.platform_key().items() if k != "blas_threads"}
+    there = {k: v for k, v in recorded["platform"].items() if k != "blas_threads"}
+    if here != there:
+        pytest.skip(f"reference digests were recorded on {there}, this platform is {here}")
+    # the dense solve in `correct` gives other last digits at more BLAS threads
+    env = {**os.environ, **{key: core.PINNED_THREADS for key in core.BLAS_ENV}}
+    cmd = [sys.executable, str(PERFBENCH / "child.py"), "batch", workload, "0", str(tmp_path)]
+    done = subprocess.run(
+        cmd, capture_output=True, text=True, env=env, cwd=core.ROOT, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    digests = json.loads(done.stdout.strip().splitlines()[-1])["digests"]
+    assert digests == recorded["digests"][workload]["0"]

@@ -11,11 +11,10 @@ from ddqcl.metrics import (
     kl_divergence,
     qbas_score,
 )
-from ddqcl.sim import Distribution
 
-UNIFORM16 = Distribution(4, np.full(16, 1 / 16))
+UNIFORM16 = np.full(16, 1 / 16)
 BAS22 = bas_target_distribution(BasSpec(2, 2))
-DELTA0 = Distribution.delta(4, 0)
+DELTA0 = np.eye(16)[0]
 
 
 def _kl_oracle(p, q):
@@ -34,7 +33,7 @@ def _js_oracle(p, q):
 
 def _rand_dist(rng, n=4):
     p = rng.random(2**n)
-    return Distribution(n, p / p.sum())
+    return p / p.sum()
 
 
 # --- KL ---
@@ -58,14 +57,14 @@ def test_kl_delta_vs_bas():
 
 def test_kl_zero_target_terms_drop():
     # 0 * ln 0 = 0: target mass zero contributes nothing even where model is 0
-    x = Distribution(1, np.array([1.0, 0.0]))
-    m = Distribution(1, np.array([1.0, 0.0]))
+    x = np.array([1.0, 0.0])
+    m = np.array([1.0, 0.0])
     assert kl_divergence(x, m) == 0.0
 
 
 def test_kl_clamps_model_zeros():
-    x = Distribution(1, np.array([0.5, 0.5]))
-    m = Distribution(1, np.array([1.0, 0.0]))
+    x = np.array([0.5, 0.5])
+    m = np.array([1.0, 0.0])
     got = kl_divergence(x, m, epsilon=1e-8)
     assert got == pytest.approx(0.5 * math.log(0.5 / 1.0) + 0.5 * math.log(0.5 / 1e-8))
     # larger epsilon, smaller penalty
@@ -83,14 +82,15 @@ def test_kl_matches_oracle_random():
     rng = np.random.default_rng(2)
     for _ in range(50):
         p, q = _rand_dist(rng), _rand_dist(rng)
-        assert kl_divergence(p, q) == pytest.approx(_kl_oracle(p.probs, q.probs), abs=1e-12)
+        assert kl_divergence(p, q) == pytest.approx(_kl_oracle(p, q), abs=1e-12)
 
 
 def test_kl_errors():
-    with pytest.raises(ValueError):
-        kl_divergence(BAS22, Distribution(2, np.full(4, 0.25)))
-    with pytest.raises(ValueError):
-        kl_divergence(BAS22, UNIFORM16, epsilon=0.0)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        kl_divergence(BAS22, np.full(4, 0.25))
+    for epsilon in (0.0, np.nan):
+        with pytest.raises(ValueError, match="epsilon must be > 0"):
+            kl_divergence(BAS22, UNIFORM16, epsilon=epsilon)
 
 
 # --- JS ---
@@ -101,19 +101,19 @@ def test_js_identical_is_zero():
 
 
 def test_js_disjoint_deltas_saturate():
-    a, b = Distribution.delta(4, 0), Distribution.delta(4, 15)
+    a, b = np.eye(16)[0], np.eye(16)[15]
     assert js_divergence(a, b) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_js_bas_vs_uniform():
     got = js_divergence(BAS22, UNIFORM16)
-    assert got == pytest.approx(_js_oracle(BAS22.probs, UNIFORM16.probs), abs=1e-12)
+    assert got == pytest.approx(_js_oracle(BAS22, UNIFORM16), abs=1e-12)
     assert got == pytest.approx(0.29030475547625423, abs=1e-12)
 
 
 def test_js_delta_vs_bas():
     got = js_divergence(DELTA0, BAS22)
-    assert got == pytest.approx(_js_oracle(DELTA0.probs, BAS22.probs), abs=1e-12)
+    assert got == pytest.approx(_js_oracle(DELTA0, BAS22), abs=1e-12)
     assert got == pytest.approx(0.45391266155837334, abs=1e-12)
 
 
@@ -136,15 +136,15 @@ def test_js_zero_iff_equal():
     rng = np.random.default_rng(5)
     for _ in range(100):
         p = _rand_dist(rng)
-        assert js_divergence(p, Distribution(4, p.probs.copy())) <= 1e-12
+        assert js_divergence(p, p.copy()) <= 1e-12
         q = _rand_dist(rng)
-        if np.max(np.abs(p.probs - q.probs)) > 1e-6:
+        if np.max(np.abs(p - q)) > 1e-6:
             assert js_divergence(p, q) > 1e-12
 
 
 def test_js_width_mismatch():
-    with pytest.raises(ValueError):
-        js_divergence(BAS22, Distribution(2, np.full(4, 0.25)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        js_divergence(BAS22, np.full(4, 0.25))
 
 
 # --- histogram conversion ---
@@ -152,28 +152,30 @@ def test_js_width_mismatch():
 
 def test_histogram_to_distribution_examples():
     counts = np.eye(16, dtype=np.int64)[0] * 3000
-    np.testing.assert_array_equal(histogram_to_distribution(counts).probs, DELTA0.probs)
+    np.testing.assert_array_equal(histogram_to_distribution(counts), DELTA0)
     d2 = histogram_to_distribution(np.array([1, 0, 0, 1]))
-    assert d2.n_qubits == 2
-    np.testing.assert_allclose(d2.probs, [0.5, 0, 0, 0.5])
+    assert d2.dtype == np.float64
+    np.testing.assert_allclose(d2, [0.5, 0, 0, 0.5])
 
 
 def test_histogram_normalization_identity():
     rng = np.random.default_rng(6)
     counts = rng.integers(0, 100, 16)
-    assert histogram_to_distribution(counts).probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert histogram_to_distribution(counts).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     "counts, match",
     [
         (np.zeros(16, dtype=np.int64), "shots must be >= 1, got 0"),
-        (np.ones(1, dtype=np.int64), "n_qubits"),
-        (np.ones(3, dtype=np.int64), "expected 2 probabilities"),
-        (np.ones(12, dtype=np.int64), "expected 8 probabilities"),
+        (np.ones(1, dtype=np.int64), r"2\^N counts for some N >= 1, got shape \(1,\)"),
+        (np.ones(3, dtype=np.int64), r"2\^N counts for some N >= 1, got shape \(3,\)"),
+        (np.ones(12, dtype=np.int64), r"2\^N counts for some N >= 1, got shape \(12,\)"),
         (np.array([3, -1, 0, 0]), "non-negative"),
+        (np.array([0.3, 0.3]), "counts must be integers, got float64"),
+        (np.ones((2, 2), dtype=np.int64), r"got shape \(2, 2\)"),
     ],
-    ids=["zero-shots", "length-1", "length-3", "length-12", "negative"],
+    ids=["zero-shots", "length-1", "length-3", "length-12", "negative", "float", "2-d"],
 )
 def test_histogram_to_distribution_rejects_bad_counts(counts, match):
     with pytest.raises(ValueError, match=match):
@@ -239,8 +241,11 @@ def _negative_off_patterns():
     [
         (_negative_off_patterns(), "non-negative"),
         (np.zeros(16, dtype=np.int64), "shots must be >= 1, got 0"),
+        # unchecked, these would score precision 0.0 with recall 1.0
+        (np.array([0.4, 0.9]), "counts must be integers, got float64"),
+        (np.ones(3, dtype=np.int64), r"2\^N counts for some N >= 1, got shape \(3,\)"),
     ],
-    ids=["negative", "zero-shots"],
+    ids=["negative", "zero-shots", "float", "length-3"],
 )
 def test_qbas_rejects_bad_counts(counts, match):
     with pytest.raises(ValueError, match=match):

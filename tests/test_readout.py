@@ -20,7 +20,6 @@ from ddqcl.readout import (
     correct,
     synth_confusion,
 )
-from ddqcl.sim import Distribution
 
 # --- flip model ---
 
@@ -54,6 +53,7 @@ def test_model_validation():
 def test_synth_identity_when_noiseless():
     m = synth_confusion(PerQubitFlipModel.uniform(3, 0.0))
     np.testing.assert_array_equal(m.entries, np.eye(8))
+    assert m.n_qubits == 3
 
 
 def test_synth_single_qubit_block():
@@ -88,15 +88,15 @@ def test_synth_diagonal_value():
 
 
 def test_exact_channel_identity():
-    p = Distribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
+    p = np.array([0.1, 0.2, 0.3, 0.4])
     m = synth_confusion(PerQubitFlipModel.uniform(2, 0.0))
-    np.testing.assert_allclose(apply_channel_exact(p, m).probs, p.probs, atol=1e-15)
+    np.testing.assert_allclose(apply_channel_exact(p, m), p, atol=1e-15)
 
 
 def test_exact_channel_delta_gives_column():
     m = synth_confusion(PerQubitFlipModel.uniform(2, 0.05, 0.02))
-    out = apply_channel_exact(Distribution.delta(2, 3), m)
-    np.testing.assert_allclose(out.probs, m.entries[:, 3], atol=1e-15)
+    out = apply_channel_exact(np.eye(4)[3], m)
+    np.testing.assert_allclose(out, m.entries[:, 3], atol=1e-15)
 
 
 def test_exact_channel_preserves_mass():
@@ -105,14 +105,14 @@ def test_exact_channel_preserves_mass():
     for _ in range(20):
         p = rng.random(8)
         p /= p.sum()
-        out = apply_channel_exact(Distribution(3, p), m)
-        assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        out = apply_channel_exact(p, m)
+        assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_channel_width_mismatch():
-    p = Distribution(2, np.full(4, 0.25))
+    p = np.full(4, 0.25)
     m = synth_confusion(PerQubitFlipModel.uniform(3, 0.05))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"expected 8 probabilities, got shape \(4,\)"):
         apply_channel_exact(p, m)
 
 
@@ -154,8 +154,8 @@ def test_sampled_channel_matches_exact_in_expectation():
     shots = 200_000
     model = PerQubitFlipModel.uniform(2, 0.05, 0.02)
     out = apply_channel_sampled(np.array([0, 0, shots, 0]), model, np.random.default_rng(3))
-    expected = apply_channel_exact(Distribution.delta(2, 2), synth_confusion(model))
-    np.testing.assert_allclose(out / shots, expected.probs, atol=5e-3)
+    expected = apply_channel_exact(np.eye(4)[2], synth_confusion(model))
+    np.testing.assert_allclose(out / shots, expected, atol=5e-3)
 
 
 def test_sampled_channel_width_mismatch():
@@ -167,10 +167,12 @@ def test_sampled_channel_width_mismatch():
 @pytest.mark.parametrize(
     "counts, match",
     [
-        (np.ones((2, 2), dtype=np.int64), r"expected 4 counts for 2 qubits, got shape \(2, 2\)"),
+        (np.ones((2, 2), dtype=np.int64), r"2\^N counts for some N >= 1, got shape \(2, 2\)"),
         (np.array([10, -5, 0, 0]), "non-negative"),  # would drop 5 shots of state 0
+        (np.array([0.5, 0.0, 0.0, 0.5]), "counts must be integers, got float64"),
+        (np.zeros(4, dtype=np.int64), "shots must be >= 1, got 0"),
     ],
-    ids=["shape", "negative"],
+    ids=["shape", "negative", "float", "zero-shots"],
 )
 def test_sampled_channel_rejects_bad_counts(counts, match):
     rng = np.random.default_rng(0)
@@ -318,9 +320,9 @@ def test_calibrate_requires_its_shots_and_rng():
 
 
 def test_correct_identity_matrix_is_noop():
-    d = Distribution(2, np.array([0.25, 0.5, 0.125, 0.125]))
-    m = ConfusionMatrix(2, np.eye(4))
-    np.testing.assert_allclose(correct(d, m).probs, d.probs, atol=1e-15)
+    d = np.array([0.25, 0.5, 0.125, 0.125])
+    m = ConfusionMatrix(np.eye(4))
+    np.testing.assert_allclose(correct(d, m), d, atol=1e-15)
 
 
 def test_correct_inverts_exact_channel():
@@ -329,20 +331,34 @@ def test_correct_inverts_exact_channel():
     for _ in range(100):
         p = rng.random(8)
         p /= p.sum()
-        observed = apply_channel_exact(Distribution(3, p), m)
+        observed = apply_channel_exact(p, m)
         recovered = correct(observed, m)
-        np.testing.assert_allclose(recovered.probs, p, atol=1e-10)
+        np.testing.assert_allclose(recovered, p, atol=1e-10)
 
 
 def test_correct_clamps_negative_mass():
     # raw inversion of (0.96, 0.04) under a 5%/5% channel is (0.91, -0.01)/0.9,
     # so correction must clamp the negative entry and renormalize
     m = synth_confusion(PerQubitFlipModel.uniform(1, 0.05, 0.05))
-    observed = Distribution(1, np.array([0.96, 0.04]))
-    raw = np.linalg.solve(m.entries, observed.probs)
+    observed = np.array([0.96, 0.04])
+    raw = np.linalg.solve(m.entries, observed)
     assert raw.min() < 0
     out = correct(observed, m)
-    np.testing.assert_allclose(out.probs, [1.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("observed", [np.zeros(4), np.array([np.nan, 0.5, 0.25, 0.25])],
+                         ids=["zero", "nan"])
+def test_correct_rejects_no_positive_mass(observed):
+    m = synth_confusion(PerQubitFlipModel.uniform(2, 0.05))
+    with pytest.raises(ValueError, match="no positive mass"):
+        correct(observed, m)
+
+
+def test_correct_width_mismatch():
+    m = synth_confusion(PerQubitFlipModel.uniform(2, 0.05))
+    with pytest.raises(ValueError, match=r"expected 4 probabilities, got shape \(8,\)"):
+        correct(np.full(8, 1 / 8), m)
 
 
 def test_correct_rejects_ill_conditioned():
@@ -361,7 +377,7 @@ def test_calibrate_rejects_singular_estimate():
 def test_confusion_entries_are_a_read_only_copy():
     # the conditioning check runs once, so the checked entries must not change
     source = np.eye(2)
-    m = ConfusionMatrix(1, source)
+    m = ConfusionMatrix(source)
     source[:, 1] = source[:, 0]  # the caller's array stays the caller's
     np.testing.assert_array_equal(m.entries, np.eye(2))
     with pytest.raises(ValueError, match="read-only"):
@@ -379,7 +395,7 @@ def test_condition_number_computed_once_per_matrix(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", counting_cond)
     m = synth_confusion(PerQubitFlipModel.uniform(3, 0.05, 0.02))
     assert len(calls) == 1
-    observed = apply_channel_exact(Distribution(3, np.full(8, 1 / 8)), m)
+    observed = apply_channel_exact(np.full(8, 1 / 8), m)
     for _ in range(100):
         correct(observed, m)
     assert len(calls) == 1
@@ -397,10 +413,10 @@ def test_correct_improves_sampled_estimates():
     for _ in range(100):
         counts = rng.multinomial(3000, truth)
         observed = apply_channel_sampled(counts, model, rng)
-        freq = Distribution(4, observed / observed.sum())
+        freq = observed / observed.sum()
         corrected = correct(freq, m)
-        tv_raw = 0.5 * np.abs(freq.probs - truth).sum()
-        tv_cor = 0.5 * np.abs(corrected.probs - truth).sum()
+        tv_raw = 0.5 * np.abs(freq - truth).sum()
+        tv_cor = 0.5 * np.abs(corrected - truth).sum()
         wins += tv_cor < tv_raw
     assert wins >= 95
 
@@ -420,7 +436,7 @@ def test_uncorrected_kl_floor(p, floor_value):
     assert floor == pytest.approx(floor_value, abs=1e-6)
     rng = np.random.default_rng(9)
     for _ in range(500):
-        model = Distribution(4, rng.dirichlet(np.full(16, 0.3)))
+        model = rng.dirichlet(np.full(16, 0.3))
         assert kl_divergence(target, apply_channel_exact(model, m)) >= floor - 1e-12
     assert kl_divergence(target, apply_channel_exact(target, m)) == pytest.approx(
         floor, abs=1e-12
@@ -431,9 +447,21 @@ def test_uncorrected_kl_floor(p, floor_value):
 
 
 def test_confusion_validation():
-    with pytest.raises(ValueError):
-        ConfusionMatrix(1, np.array([[0.9, 0.0], [0.0, 1.0]]))  # columns must sum to 1
-    with pytest.raises(ValueError):
-        ConfusionMatrix(2, np.eye(8))  # shape must match the qubit count
-    with pytest.raises(ValueError):
-        ConfusionMatrix(1, np.array([[1.1, 0.0], [-0.1, 1.0]]))
+    with pytest.raises(ValueError, match="columns must sum to 1"):
+        ConfusionMatrix(np.array([[0.9, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="non-negative"):
+        ConfusionMatrix(np.array([[1.1, 0.0], [-0.1, 1.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (4,), (1, 1), (0, 0)],
+                         ids=["3x3", "4x2", "1-d", "1x1", "0x0"])
+def test_confusion_shape_is_square_power_of_two(shape):
+    with pytest.raises(ValueError, match="2\\^N x 2\\^N matrix for some N >= 1"):
+        ConfusionMatrix(np.full(shape, 1.0 / max(shape[0], 1)))
+
+
+def test_confusion_rejects_nan_entry():
+    # NaN passes `< 0` and a `> tolerance` test; unchecked, np.linalg.cond then
+    # raises LinAlgError: SVD did not converge, which names no fault
+    with pytest.raises(ValueError, match="columns must sum to 1"):
+        ConfusionMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -10,7 +10,6 @@ from ddqcl import sim
 from ddqcl.ansatz import Ansatz, Topology, execute, line_topology, star_topology
 from ddqcl.sim import (
     MAX_QUBITS,
-    Distribution,
     apply_cz,
     apply_ry,
     probabilities,
@@ -18,7 +17,7 @@ from ddqcl.sim import (
     sample,
 )
 
-# --- states and distributions ---
+# --- states and probability vectors ---
 
 
 def test_state_requires_normalization():
@@ -50,24 +49,28 @@ def test_probabilities_rejects_shape_not_one_axis_per_qubit(shape):
 def test_qubit_count_bounds():
     with pytest.raises(ValueError, match="n_qubits"):
         probabilities(np.array(1.0))  # zero axes: no qubits
+    # a broadcast view: 21 axes of length 2 without 16 MiB behind them
     with pytest.raises(ValueError, match="n_qubits"):
-        Distribution(MAX_QUBITS + 1, np.zeros(1))
+        probabilities(np.broadcast_to(np.float64(0.0), (2,) * (MAX_QUBITS + 1)))
 
 
-def test_distribution_validation():
-    with pytest.raises(ValueError):
-        Distribution(1, np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        Distribution(1, np.array([-0.1, 1.1]))
-    d = Distribution.delta(2, 3)
-    assert d.probs[3] == 1.0 and d.probs.sum() == 1.0
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_distribution_rejects_non_finite(bad):
-    # NaN passes `p < 0` and would make `sample` put every shot in bin 0
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_probabilities_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="sum to"):
-        Distribution(2, np.array([bad, 0.5, 0.25, 0.25]))
+        probabilities(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+
+@pytest.mark.parametrize(
+    "probs",
+    [np.array([0.5, 0.6]), np.array([0.25, 0.25, 0.25, 0.2]), np.array([np.nan, 0.5, 0.25, 0.25])],
+    ids=["over-1", "under-1", "nan"],
+)
+def test_sample_rejects_vector_not_summing_to_one(probs):
+    # NaN would otherwise put every shot in bin 0
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="sum to"):
+        sample(probs, 10, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 # --- gate kernels: float64 (2,)*N arrays, written into buffers the caller owns ---
@@ -269,12 +272,12 @@ def test_execute_matches_dense_oracle(circuit):
 def test_probabilities_born_rule():
     amp = np.array([[0.6, 0.0], [0.0, 0.8]])
     p = probabilities(amp)
-    assert p.n_qubits == 2
-    np.testing.assert_allclose(p.probs, [0.36, 0.0, 0.0, 0.64])
+    assert p.dtype == np.float64 and p.shape == (4,)
+    np.testing.assert_allclose(p, [0.36, 0.0, 0.0, 0.64])
 
 
 def test_sample_deterministic_and_counts():
-    d = Distribution(2, np.array([0.1, 0.2, 0.3, 0.4]))
+    d = np.array([0.1, 0.2, 0.3, 0.4])
     c1 = sample(d, 1000, np.random.default_rng(7))
     c2 = sample(d, 1000, np.random.default_rng(7))
     np.testing.assert_array_equal(c1, c2)
@@ -282,7 +285,7 @@ def test_sample_deterministic_and_counts():
 
 
 def test_sample_never_draws_zero_probability():
-    d = Distribution(2, np.array([0.0, 1.0, 0.0, 0.0]))
+    d = np.array([0.0, 1.0, 0.0, 0.0])
     assert sample(d, 5000, np.random.default_rng(3))[1] == 5000
 
 
@@ -295,30 +298,30 @@ class _TopDraws:
 def test_sample_never_draws_past_last_positive_outcome():
     # the cumsum of ten 0.1s is 0.9999999999999999, so a draw of 1 - 2**-53
     # lands past it; it must fall on outcome 9, not on a zero after it
-    d = Distribution(4, np.array([0.1] * 10 + [0.0] * 6))
-    assert np.cumsum(d.probs)[9] < 1.0
+    d = np.array([0.1] * 10 + [0.0] * 6)
+    assert np.cumsum(d)[9] < 1.0
     counts = sample(d, 3, _TopDraws())
     np.testing.assert_array_equal(np.flatnonzero(counts), [9])
 
 
 def test_sample_converges_to_distribution():
     probs = np.array([0.05, 0.25, 0.3, 0.4])
-    counts = sample(Distribution(2, probs), 10**6, np.random.default_rng(11))
+    counts = sample(probs, 10**6, np.random.default_rng(11))
     np.testing.assert_allclose(counts / 10**6, probs, atol=3e-3)
 
 
 def test_sample_rejects_bad_shots():
-    d = Distribution.delta(1, 0)
+    d = np.array([1.0, 0.0])
     with pytest.raises(ValueError):
         sample(d, 0, np.random.default_rng(0))
 
 
-def _oracle_sample(dist, shots, rng):
+def _oracle_sample(probs, shots, rng):
     # one rng.random(shots) draw for all shots
-    cdf = np.cumsum(dist.probs)
-    cdf[np.flatnonzero(dist.probs)[-1] :] = 1.0
+    cdf = np.cumsum(probs)
+    cdf[np.flatnonzero(probs)[-1] :] = 1.0
     outcomes = np.searchsorted(cdf, rng.random(shots), side="right")
-    return np.bincount(outcomes, minlength=len(dist.probs))
+    return np.bincount(outcomes, minlength=len(probs))
 
 
 @st.composite
@@ -328,7 +331,7 @@ def _sample_cases(draw):
     weights[draw(st.integers(0, 2**n - 1))] += 1
     block = sim._BLOCK_DRAWS
     shots = draw(st.one_of(st.integers(1, block), st.integers(block + 1, 3 * block + 7)))
-    return Distribution(n, np.array(weights) / sum(weights)), shots
+    return np.array(weights) / sum(weights), shots
 
 
 @settings(max_examples=60, deadline=None)
@@ -344,7 +347,7 @@ def test_sample_matches_single_draw_oracle(case, seed):
 
 def test_sample_memory_is_bounded():
     # one draw for a million shots would hold 16 MB of uniforms and outcomes
-    d = Distribution(9, np.full(512, 1 / 512))
+    d = np.full(512, 1 / 512)
     tracemalloc.start()
     try:
         counts = sample(d, 1_000_000, np.random.default_rng(0))
