@@ -2,9 +2,10 @@
 
 An `Ansatz` is just its topology and depth; `execute` lays the gates out from
 them as it runs, by the rule in the `Ansatz` docstring, and returns the
-state as the float64 (2,)*N array it computed in.  For 4 qubits and 3 edges
-this gives 10 rotations / 3 CZs at one layer and 16 rotations / 6 CZs at
-two.
+state as the float64 (2,)*N array it computed in: a view of one row of the
+(2, 2^N) `work` buffer, which the caller may own and reuse across calls.
+For 4 qubits and 3 edges this gives 10 rotations / 3 CZs at one layer and
+16 rotations / 6 CZs at two.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import tau
 
 import numpy as np
 
-from .sim import _check_n_qubits, apply_cz, apply_ry, product_state
+from .sim import _buffer, _check_n_qubits, _real_array, apply_cz, apply_ry, product_state
 
 
 @dataclass(frozen=True)
@@ -78,20 +79,28 @@ class Ansatz:
         return self.n_qubits + 2 * self.layers * len(self.topology.edges)
 
 
-def execute(ansatz: Ansatz, params: np.ndarray) -> np.ndarray:
+def execute(ansatz: Ansatz, params: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Run the circuit on |0...0> in the layout of `Ansatz`; returns the
-    float64 (2,)*N amplitude array.  Angles are reduced modulo 2*pi."""
-    theta = np.asarray(params, dtype=float)
+    float64 (2,)*N amplitude array.  Angles are reduced modulo 2*pi, and
+    complex or non-finite ones are refused.
+
+    The state is computed in the two rows of `work`, a C-contiguous float64
+    (2, 2^N) array the caller owns (allocated when None).  The result is a
+    view of one of its rows, so the next call with the same `work`
+    overwrites it.
+    """
+    theta = _real_array(params, "parameters")
     if theta.shape != (ansatz.param_count,):
         raise ValueError(f"expected {ansatz.param_count} parameters, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameters must be finite")
     theta = np.mod(theta, tau)
     n = ansatz.n_qubits
-    amp = product_state(theta[:n])
-    # the state moves between two buffers: each Ry writes into the spare one
+    work = _buffer(work, (2, 2**n), "work")
+    amp = product_state(theta[:n], work)
+    # the state moves between the two rows: each Ry writes into the spare one
     # and leaves the old one as the next spare; CZ acts in place
-    spare = np.empty_like(amp)
+    spare = work[1].reshape(amp.shape)
     angles = iter(theta[n:])
     for _ in range(ansatz.layers):
         for a, b in ansatz.topology.edges:

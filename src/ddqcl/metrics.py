@@ -4,6 +4,9 @@ All logarithms are natural.  Kullback-Leibler is the reporting metric and
 needs a clamp because trained models can put exactly zero mass on target
 patterns; Jensen-Shannon is the training cost and is finite as-is.  Both take
 float64 probability vectors and check only that their two shapes agree.
+`js_divergence` runs in a (3, 2^N) scratch buffer that a caller evaluating
+many models owns and passes in (see `sim`), so it allocates nothing of the
+vectors' size unless an input has exact zeros to leave out.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import check_counts
+from .sim import _buffer, check_counts
 
 DEFAULT_EPSILON = 1e-8
 
@@ -32,17 +35,26 @@ def kl_divergence(x: np.ndarray, m: np.ndarray, epsilon: float = DEFAULT_EPSILON
     return float(np.sum(x[mask] * (np.log(x[mask]) - np.log(q[mask]))))
 
 
-def js_divergence(p: np.ndarray, q: np.ndarray) -> float:
+def js_divergence(p: np.ndarray, q: np.ndarray, work: np.ndarray | None = None) -> float:
     """Jensen-Shannon divergence: mean KL of each input to their average.
 
-    Symmetric, bounded by ln 2, finite without any clamping.
+    Symmetric, bounded by ln 2, finite without any clamping.  `work` is
+    scratch, a C-contiguous float64 (3, len(p)) array the caller owns
+    (allocated when None): row 0 holds the average, and rows 1 and 2 the logs.
     """
     _check_shapes(p, q)
-    m = 0.5 * (p + q)
+    work = _buffer(work, (3, len(p)), "work")
+    m = np.add(p, q, out=work[0])
+    np.multiply(0.5, m, out=m)
     out = 0.0
     for x in (p, q):
         mask = x > 0
-        out += 0.5 * float(np.sum(x[mask] * (np.log(x[mask]) - np.log(m[mask]))))
+        # leave out the terms of x's zeros, copying only when there are some
+        xs, ms = (x, m) if mask.all() else (x[mask], m[mask])
+        terms = np.log(xs, out=work[1, : len(xs)])
+        np.subtract(terms, np.log(ms, out=work[2, : len(ms)]), out=terms)
+        np.multiply(xs, terms, out=terms)
+        out += 0.5 * float(np.sum(terms))
     return out
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import probabilities, sample
+from .sim import _real_array, probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -110,29 +110,35 @@ class CostContext:
         the flip channel, and corrects through the confusion matrix when one
         is supplied.  Exact mode scores the statevector probabilities directly,
         with no sampling, so it refuses a channel or a confusion matrix.
+
+        The context owns the float64 buffers every evaluation computes in,
+        about 6 x 2^N floats allocated here once: the two state rows of
+        `execute`, the Born probabilities and the scratch of `js_divergence`.
         """
         if exact_mode and (channel is not None or confusion is not None):
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
         if not exact_mode and shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
+        dim = 2**ansatz.n_qubits
+        state, born, scratch = np.empty((2, dim)), np.empty(dim), np.empty((3, dim))
 
         if exact_mode:
 
             def cost_fn(params: np.ndarray) -> float:
-                model = probabilities(execute(ansatz, params))
-                return js_divergence(model, target)
+                model = probabilities(execute(ansatz, params, state), born)
+                return js_divergence(model, target, scratch)
 
         else:
 
             def cost_fn(params: np.ndarray) -> float:
-                dist = probabilities(execute(ansatz, params))
+                dist = probabilities(execute(ansatz, params, state), born)
                 counts = sample(dist, shots, rng)
                 if channel is not None:
                     counts = apply_channel_sampled(counts, channel, rng)
                 model = histogram_to_distribution(counts)
                 if confusion is not None:
                     model = correct(model, confusion)
-                return js_divergence(model, target)
+                return js_divergence(model, target, scratch)
 
         return cls(cost_fn, ansatz.param_count, budget, rng)
 
@@ -144,7 +150,7 @@ class CostContext:
         """Score one parameter vector, recording it against the budget."""
         if self.evaluations >= self.budget:
             raise BudgetExhausted(f"budget of {self.budget} evaluations spent")
-        theta = np.asarray(params, dtype=float)
+        theta = _real_array(params, "parameters")
         if theta.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got shape {theta.shape}")
         cost = float(self._cost_fn(theta))

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .sim import _BLOCK_DRAWS, _check_n_qubits, check_counts
+from .sim import _BLOCK_DRAWS, _check_n_qubits, _real_array, check_counts
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
@@ -62,7 +62,7 @@ class ConfusionMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.entries, dtype=float)  # a private, read-only copy: checked once
+        m = np.array(_real_array(self.entries, "entries"))  # a private, read-only copy: checked once
         m.setflags(write=False)
         n = len(m).bit_length() - 1 if m.ndim == 2 else 0
         if n < 1 or m.shape != (2**n, 2**n):

@@ -11,6 +11,15 @@ buffer its caller owns and allocates nothing: `apply_ry` into `out`, and
 first rotation layer on |0...0> is a product state, which `product_state`
 builds directly, with the same products as the n Ry gates it replaces.
 
+Buffers: `product_state`, `probabilities`, `ansatz.execute` and
+`metrics.js_divergence` each take an optional float64 buffer (`work` or
+`out`) that the caller owns.  Given one, they compute into it and allocate
+nothing of state size; the arrays the first three return are views of it,
+which the next call with the same buffer overwrites.  Without one, they
+allocate it and run the same code.  So a loop that evaluates many circuits,
+like the cost of `optim.CostContext`, allocates its buffers once and passes
+them down.
+
 A probability vector is a float64 array of length 2^N, and shot counts an
 int64 array of length 2^N whose sum is the shot count; N is always read from
 the length.  `probabilities` checks the state it squares, `sample` that its
@@ -60,20 +69,48 @@ def check_counts(counts: np.ndarray) -> int:
     return n
 
 
-def product_state(angles: np.ndarray) -> np.ndarray:
+def _real_array(values: object, name: str) -> np.ndarray:
+    """`values` as a float64 array; refuses a complex dtype, whose imaginary
+    part a cast to float would drop with only a warning."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
+def _buffer(buf: np.ndarray | None, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A caller's float64 buffer of `shape`, checked, or a new one when None."""
+    if buf is None:
+        return np.empty(shape)
+    if buf.dtype != np.float64 or buf.shape != shape or not buf.flags.c_contiguous:
+        raise ValueError(
+            f"{name} must be a C-contiguous float64 array of shape {shape}, "
+            f"got {buf.dtype} of shape {buf.shape}"
+        )
+    return buf
+
+
+def product_state(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Ry(angles[q]) on each qubit q of |0...0>, as a (2,)*n amplitude array.
 
     Qubit by qubit, the state so far times (cos(t/2), sin(t/2)) along a new
     last axis: the same products, in the same order, as the n `apply_ry`
-    calls it replaces.
+    calls it replaces.  The growing layers are written alternately into the
+    two rows of `work`, a C-contiguous float64 (2, 2^n) array the caller owns
+    (allocated when None), so that the last one lands in row 0; the result is
+    a view of row 0, and row 1 is left as scratch.  Like the gate kernels, it
+    does not check `work`.
     """
+    n = len(angles)
+    if work is None:
+        work = np.empty((2, 2**n))
     amp = np.ones(1)
-    for t in angles:
+    for k, t in enumerate(angles):
         # Fortran order runs the long axis innermost, not the length-2 one
-        pair = np.empty((amp.size, 2))
+        pair = work[(n - 1 - k) % 2, : 2 * amp.size].reshape(amp.size, 2)
         np.multiply(amp[:, None], (cos(t / 2.0), sin(t / 2.0)), out=pair, order="F")
         amp = pair.reshape(-1)
-    return amp.reshape((2,) * len(angles))
+    return amp.reshape((2,) * n)
 
 
 def apply_ry(amp: np.ndarray, qubit: int, theta: float, out: np.ndarray) -> np.ndarray:
@@ -111,17 +148,23 @@ def apply_cz(amp: np.ndarray, qa: int, qb: int) -> np.ndarray:
     return amp
 
 
-def probabilities(amp: np.ndarray) -> np.ndarray:
+def probabilities(amp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Born-rule probabilities amp^2 of a float64 (2,)*N amplitude array, as a
     length-2^N vector; refuses any other array, N outside [1, MAX_QUBITS] and
-    an unnormalized or non-finite state."""
+    an unnormalized or non-finite state.
+
+    Writes them into `out`, a float64 array of length 2^N the caller owns
+    (allocated when None), and returns it.
+    """
     if amp.dtype != np.float64 or amp.shape != (2,) * amp.ndim:
         raise ValueError(
             f"amplitudes must be a float64 array of shape (2,)*N (Ry/CZ circuits never "
             f"leave the reals), got {amp.dtype} of shape {amp.shape}"
         )
     _check_n_qubits(amp.ndim)
-    probs = amp.reshape(-1) ** 2
+    flat = amp.reshape(-1)
+    # the same bits as flat ** 2, which numpy computes as flat * flat
+    probs = np.multiply(flat, flat, out=_buffer(out, flat.shape, "out"))
     total = float(probs.sum())
     if not abs(total - 1.0) <= _DIST_TOL:  # also rejects NaN
         raise ValueError(f"probabilities sum to {total!r}, not 1")

@@ -71,9 +71,9 @@ def _spy_gates(monkeypatch):
     real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
     real_product = ddqcl.ansatz.product_state
 
-    def product(angles):
+    def product(angles, work):
         calls.extend(("ry", (q,), float(t)) for q, t in enumerate(angles))
-        return real_product(angles)
+        return real_product(angles, work)
 
     def ry(amp, qubit, theta, out):
         calls.append(("ry", (qubit,), float(theta)))
@@ -151,7 +151,7 @@ def test_execute_follows_layout_rule(monkeypatch):
 def test_execute_runs_in_two_buffers(monkeypatch):
     # every kernel call inside one execute writes into a buffer it is given
     # (Ry into `out`, CZ into `amp`) and returns it, and the state only ever
-    # lives in two buffers
+    # lives in the two rows of the caller's `work`
     import ddqcl.ansatz
 
     real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
@@ -161,8 +161,9 @@ def test_execute_runs_in_two_buffers(monkeypatch):
     def address(arr):
         return arr.__array_interface__["data"][0]
 
-    def product(angles):
-        amp = real_product(angles)
+    def product(angles, buf):
+        assert buf is work
+        amp = real_product(angles, buf)
         buffers.add(address(amp))
         return amp
 
@@ -185,10 +186,11 @@ def test_execute_runs_in_two_buffers(monkeypatch):
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
     a = Ansatz(line_topology(6), 3)
-    state = execute(a, np.random.default_rng(8).uniform(0, 2 * np.pi, a.param_count))
+    work = np.empty((2, 2**6))
+    state = execute(a, np.random.default_rng(8).uniform(0, 2 * np.pi, a.param_count), work)
     assert kernel_calls.count("ry") == 2 * 3 * 5 and kernel_calls.count("cz") == 3 * 5
-    assert len(buffers) == 2
-    assert address(state) in buffers
+    assert buffers == {address(work[0]), address(work[1])}
+    assert address(state) in buffers and np.shares_memory(state, work)
 
 
 def test_param_count_formula():
@@ -279,6 +281,13 @@ def test_execute_rejects_non_finite_params(monkeypatch, bad):
     p[5] = bad
     with pytest.raises(ValueError, match="finite"):
         execute(a, p)
+
+
+def test_execute_rejects_complex_params():
+    # a cast to float would drop the imaginary part with only a warning
+    a = Ansatz(line_topology(4), 1)
+    with pytest.raises(ValueError, match="complex128"):
+        execute(a, np.zeros(a.param_count, dtype=complex))
 
 
 def test_single_edge_ansatz_subsumes_u2():

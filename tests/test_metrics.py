@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
 from ddqcl.metrics import (
@@ -103,6 +105,7 @@ def test_js_identical_is_zero():
 def test_js_disjoint_deltas_saturate():
     a, b = np.eye(16)[0], np.eye(16)[15]
     assert js_divergence(a, b) == pytest.approx(math.log(2), abs=1e-12)
+    assert js_divergence(a, b, np.empty((3, 16))) == js_divergence(a, b)
 
 
 def test_js_bas_vs_uniform():
@@ -145,6 +148,62 @@ def test_js_zero_iff_equal():
 def test_js_width_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         js_divergence(BAS22, np.full(4, 0.25))
+
+
+def _parent_js(p, q):
+    # the allocating formula js_divergence had before it ran in a scratch buffer
+    m = 0.5 * (p + q)
+    out = 0.0
+    for x in (p, q):
+        mask = x > 0
+        out += 0.5 * float(np.sum(x[mask] * (np.log(x[mask]) - np.log(m[mask]))))
+    return out
+
+
+def _support(draw, n):
+    # a random mask over n entries with at least one entry in and one out
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    i = draw(st.integers(0, n - 1))
+    mask[i], mask[(i + 1) % n] = True, False
+    return mask
+
+
+@st.composite
+def _js_pairs(draw):
+    # two probability vectors, with exact zeros in p, in q, in both, or with
+    # disjoint supports (JS = ln 2)
+    n = draw(st.integers(2, 40))
+    weights = st.lists(st.floats(1e-12, 1.0), min_size=n, max_size=n)
+    p, q = np.array(draw(weights)), np.array(draw(weights))
+    kind = draw(st.sampled_from(["zeros in p", "zeros in q", "zeros in both", "disjoint"]))
+    in_p = _support(draw, n)
+    if kind != "zeros in q":
+        p[~in_p] = 0.0
+    if kind == "disjoint":
+        q[in_p] = 0.0
+    elif kind != "zeros in p":
+        q[~_support(draw, n)] = 0.0
+    return p / p.sum(), q / q.sum()
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_js_pairs())
+def test_js_in_work_matches_parent_formula(pair):
+    p, q = pair
+    work = np.full((3, len(p)), np.nan)
+    for a, b in ((p, q), (q, p)):  # the second call reuses the scratch
+        assert _bits(js_divergence(a, b, work)) == _bits(_parent_js(a, b))
+        assert _bits(js_divergence(a, b)) == _bits(_parent_js(a, b))
+
+
+@pytest.mark.parametrize("work", [np.empty((3, 8)), np.empty((2, 16)), np.empty((3, 16), dtype=np.float32)])
+def test_js_refuses_wrong_work(work):
+    with pytest.raises(ValueError, match="work must be a C-contiguous float64"):
+        js_divergence(UNIFORM16, BAS22, work)
 
 
 # --- histogram conversion ---

@@ -1,6 +1,8 @@
 """Solver contract tests: exact budgets, recording, determinism, and toy
 convergence for each of the three training loops."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,14 @@ def test_evaluate_rejects_wrong_shape():
     ctx = _ctx(_bowl, 3, 5, 0)
     with pytest.raises(ValueError):
         ctx.evaluate(np.zeros(2))
+
+
+def test_evaluate_rejects_complex_params():
+    # a cast to float would drop the imaginary part with only a warning
+    ctx = _ctx(_bowl, 2, 5, 0)
+    with pytest.raises(ValueError, match="complex128"):
+        ctx.evaluate(np.array([0.5, 1j]))
+    assert ctx.evaluations == 0
 
 
 @pytest.mark.parametrize("kind", ["adam", "svhc", "zoo"])
@@ -189,6 +199,26 @@ def test_exact_cost_of_zero_params():
         ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True
     )
     assert ctx.evaluate(np.zeros(16)) == pytest.approx(0.45391266155837334, abs=1e-12)
+
+
+def test_exact_16_qubit_evaluation_allocates_less_than_a_state():
+    # the context owns the state, probability and JS buffers, so after one
+    # warm-up evaluation nothing of state size is allocated per evaluation
+    ansatz = Ansatz(line_topology(16), 1)
+    target = bas_target_distribution(BasSpec(4, 4))
+    rng = np.random.default_rng(0)
+    ctx = CostContext.for_circuit(ansatz, target, budget=4, shots=1, rng=rng, exact_mode=True)
+    params = rng.uniform(0.0, TAU, (4, ansatz.param_count))
+    ctx.evaluate(params[0])
+    tracemalloc.start()
+    try:
+        for theta in params[1:]:
+            ctx.evaluate(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.evaluations == 4
+    assert peak < 2**16 * 8
 
 
 @pytest.mark.parametrize("readout", ["channel", "confusion"])

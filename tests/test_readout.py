@@ -460,6 +460,12 @@ def test_confusion_shape_is_square_power_of_two(shape):
         ConfusionMatrix(np.full(shape, 1.0 / max(shape[0], 1)))
 
 
+def test_confusion_rejects_complex_entries():
+    # a cast to float would drop the imaginary part with only a warning
+    with pytest.raises(ValueError, match="complex128"):
+        ConfusionMatrix(np.array([[1.0, 0.0], [0.0, 1.0 + 0j]]))
+
+
 def test_confusion_rejects_nan_entry():
     # NaN passes `< 0` and a `> tolerance` test; unchecked, np.linalg.cond then
     # raises LinAlgError: SVD did not converge, which names no fault

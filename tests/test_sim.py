@@ -266,6 +266,58 @@ def test_execute_matches_dense_oracle(circuit):
                                rtol=0, atol=1e-12)
 
 
+# --- execute and probabilities in a caller's buffers, bit for bit ---
+
+
+_WORK_CASES = [
+    (topology, n, layers)
+    for topology in (line_topology, star_topology)
+    for n in (1, 2, 5, 6)
+    for layers in (0, 1, 2)
+    if n > 1 or layers == 0  # entangling layers need an edge
+]
+
+
+@pytest.mark.parametrize("topology, n, layers", _WORK_CASES)
+def test_execute_into_work_matches_fresh_call(topology, n, layers):
+    a = Ansatz(topology(n), layers)
+    rng = np.random.default_rng(n + 10 * layers)
+    work = np.full((2, 2**n), np.nan)
+    for _ in range(2):  # the second call overwrites the first: nothing stale survives
+        theta = rng.uniform(-10, 10, a.param_count)
+        got = execute(a, theta, work)
+        ref = execute(a, theta)
+        assert np.shares_memory(got, work) and got.shape == (2,) * n
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_probabilities_into_out_matches_square(n):
+    a = Ansatz(line_topology(n), 1 if n > 1 else 0)
+    amp = execute(a, np.random.default_rng(n).uniform(0, 2 * np.pi, a.param_count))
+    out = np.full(2**n, np.nan)
+    assert probabilities(amp, out) is out
+    assert out.tobytes() == (amp.reshape(-1) ** 2).tobytes()
+    assert probabilities(amp).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize(
+    "work",
+    [np.empty((2, 8), dtype=np.float32), np.empty((2, 16)), np.empty((3, 8)), np.empty((8, 2)).T],
+    ids=["float32", "wide", "three-rows", "fortran"],
+)
+def test_execute_refuses_wrong_work(work):
+    a = Ansatz(line_topology(3), 1)
+    with pytest.raises(ValueError, match="work must be a C-contiguous float64"):
+        execute(a, np.zeros(a.param_count), work)
+
+
+@pytest.mark.parametrize("out", [np.empty(4, dtype=np.float32), np.empty(8), np.empty((2, 2))])
+def test_probabilities_refuses_wrong_out(out):
+    with pytest.raises(ValueError, match="out must be a C-contiguous float64"):
+        probabilities(np.array([[0.6, 0.0], [0.0, 0.8]]), out)
+
+
 # --- measurement ---
 
 
