@@ -479,7 +479,16 @@ def _stale_curve(name: str, runs: int) -> bool:
 
 
 def export_confusion(m: ConfusionMatrix, out_dir: str | Path) -> Path:
-    """Write confusion.json (row-major entries) into out_dir; returns its path."""
+    """Write confusion.json into out_dir; returns its path.
+
+    The document is {"n_qubits": N, "entries": the 4^N entries in row-major
+    order}, byte for byte as `_write_json` writes it.  `indent` would send
+    the whole list through json's pure-Python encoder, so the entries are
+    encoded on one line by the C encoder instead, and each ", " between two
+    of them (no float's repr contains one) becomes the newline and indent
+    that `indent=2` puts there, inside the fixed frame of the two keys.
+    """
     path = _make_dir(out_dir) / "confusion.json"
-    _write_json(path, {"n_qubits": m.n_qubits, "entries": m.entries.reshape(-1).tolist()})
+    entries = json.dumps(m.entries.reshape(-1).tolist())[1:-1].replace(", ", ",\n    ")
+    _write_text(path, f'{{\n  "entries": [\n    {entries}\n  ],\n  "n_qubits": {m.n_qubits}\n}}\n')
     return path

@@ -27,7 +27,7 @@ import numpy as np
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _real_array, probabilities, sample
+from .sim import _aligned_empty, _real_array, probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -111,16 +111,18 @@ class CostContext:
         is supplied.  Exact mode scores the statevector probabilities directly,
         with no sampling, so it refuses a channel or a confusion matrix.
 
-        The context owns the float64 buffers every evaluation computes in,
-        about 6 x 2^N floats allocated here once: the two state rows of
-        `execute`, the Born probabilities and the scratch of `js_divergence`.
+        The context owns the one float64 (4, 2^N) buffer every evaluation
+        computes in, allocated here once, on a cache line.  Row 0 holds the
+        Born probabilities and rows 1-2 are the two state rows of `execute`;
+        once `probabilities` has read the state, rows 1-3 are the scratch
+        of `js_divergence`.
         """
         if exact_mode and (channel is not None or confusion is not None):
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
         if not exact_mode and shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
-        dim = 2**ansatz.n_qubits
-        state, born, scratch = np.empty((2, dim)), np.empty(dim), np.empty((3, dim))
+        buf = _aligned_empty((4, 2**ansatz.n_qubits))
+        born, state, scratch = buf[0], buf[1:3], buf[1:4]
 
         if exact_mode:
 

@@ -4,6 +4,10 @@ The channel flips each read bit independently: p10 = p(read 1 | true 0),
 p01 = p(read 0 | true 1) per qubit.  Calibration prepares every basis state,
 pushes shots through the channel and tallies columns of the transition
 matrix M with p(y|x) in column x; correction solves M P_x = P_y back.
+M is held column-major (Fortran order), the layout LAPACK reads: each
+calibration experiment writes one contiguous column, and `np.linalg.solve`
+hands M to `dgesv` with contiguous column copies instead of a strided
+transpose, on the same input, so the solution has the same bits.
 Probabilities go in and come out as float64 arrays of length 2^N, and
 sampled counts as int64 arrays of length 2^N, as `sample` returns them; the
 register width is read from the array or from the matrix.
@@ -57,12 +61,16 @@ class PerQubitFlipModel:
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Column-stochastic 2^N x 2^N transition matrix: entry (y, x) = p(read y | true x)."""
+    """Column-stochastic 2^N x 2^N transition matrix: entry (y, x) = p(read y | true x).
+
+    `entries` is a private, read-only, column-major (F-contiguous) copy of
+    the matrix it was built from, checked once, here.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(_real_array(self.entries, "entries"))  # a private, read-only copy: checked once
+        m = np.array(_real_array(self.entries, "entries"), order="F")
         m.setflags(write=False)
         n = len(m).bit_length() - 1 if m.ndim == 2 else 0
         if n < 1 or m.shape != (2**n, 2**n):
@@ -154,7 +162,7 @@ def calibrate(
     n = model.n_qubits
     check_dense_width(n)  # before the 2^n experiments and the matrix they fill
     dim = 2**n
-    cols = np.empty((dim, dim))
+    cols = np.empty((dim, dim), order="F")  # each experiment fills one contiguous column
     for x in range(dim):
         prepared = np.zeros(dim, dtype=np.int64)
         prepared[x] = shots_per_basis_state

@@ -16,9 +16,9 @@ Buffers: `product_state`, `probabilities`, `ansatz.execute` and
 `out`) that the caller owns.  Given one, they compute into it and allocate
 nothing of state size; the arrays the first three return are views of it,
 which the next call with the same buffer overwrites.  Without one, they
-allocate it and run the same code.  So a loop that evaluates many circuits,
-like the cost of `optim.CostContext`, allocates its buffers once and passes
-them down.
+allocate it, starting on a 64-byte cache line, and run the same code.  So a
+loop that evaluates many circuits, like the cost of `optim.CostContext`,
+allocates its buffers once and passes them down.
 
 A probability vector is a float64 array of length 2^N, and shot counts an
 int64 array of length 2^N whose sum is the shot count; N is always read from
@@ -34,7 +34,7 @@ qubit 2 = 1, qubit 3 = 0, and it is the entry [1, 0, 1, 0] of a state array.
 
 from __future__ import annotations
 
-from math import cos, sin
+from math import cos, prod, sin
 
 import numpy as np
 
@@ -42,6 +42,10 @@ import numpy as np
 MAX_QUBITS = 20
 
 _DIST_TOL = 1e-9
+# a buffer's data starts on a cache line: np.empty starts it wherever the heap
+# has room, 16, 32 or 48 bytes past a line, and at 16 qubits `execute` into
+# such a buffer took 7-21% longer than into an aligned one
+_ALIGN_BYTES = 64
 # uniform doubles per block drawn by `sample` and the sampled readout channel
 # (64 KiB): memory stays bounded at any shot count, and a single (shots, n)
 # draw made readout calibration slower
@@ -78,10 +82,20 @@ def _real_array(values: object, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array of `shape` whose data
+    starts on a 64-byte boundary."""
+    size = prod(shape)
+    raw = np.empty(size + _ALIGN_BYTES // 8)
+    start = (-raw.ctypes.data % _ALIGN_BYTES) // 8
+    return raw[start : start + size].reshape(shape)
+
+
 def _buffer(buf: np.ndarray | None, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """A caller's float64 buffer of `shape`, checked, or a new one when None."""
+    """A caller's float64 buffer of `shape`, checked, or a new, aligned one
+    when None."""
     if buf is None:
-        return np.empty(shape)
+        return _aligned_empty(shape)
     if buf.dtype != np.float64 or buf.shape != shape or not buf.flags.c_contiguous:
         raise ValueError(
             f"{name} must be a C-contiguous float64 array of shape {shape}, "
@@ -103,7 +117,7 @@ def product_state(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndar
     """
     n = len(angles)
     if work is None:
-        work = np.empty((2, 2**n))
+        work = _aligned_empty((2, 2**n))
     amp = np.ones(1)
     for k, t in enumerate(angles):
         # Fortran order runs the long axis innermost, not the length-2 one

@@ -22,12 +22,14 @@ from ddqcl.harness import (
     _write_text,
     aggregate,
     export,
+    export_confusion,
     load_config,
     run_batch,
     summary_dict,
 )
 from ddqcl.metrics import js_divergence, kl_divergence, qbas_score
 from ddqcl.optim import SOLVERS, AdamConfig, LearningCurve
+from ddqcl.readout import ConfusionMatrix, PerQubitFlipModel, calibrate
 from ddqcl.sim import probabilities, sample
 
 MINIMAL = {"rows": 2, "cols": 2, "topology": "line", "layers": 2, "optimizer": "adam"}
@@ -553,6 +555,24 @@ def test_exported_confusion_entries_exact(tmp_path):
     doc = json.loads((tmp_path / "confusion.json").read_text(encoding="utf-8"))
     entries = np.array(doc["entries"]).reshape(16, 16)
     np.testing.assert_array_equal(entries, result.confusion.entries)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_exported_confusion_bytes_match_indented_dump(tmp_path, n):
+    # the C-encoded entries, reflowed, are exactly what json's indent=2 writes
+    model = PerQubitFlipModel.uniform(n, 0.05, 0.02)
+    entries = np.array(calibrate(model, 100, np.random.default_rng(n)).entries)
+    entries[:, 0] = 0.0
+    entries[0, 0], entries[1, 0] = 1.0, -0.0
+    entries[:, 1] = 0.0
+    entries[0, 1], entries[1, 1] = 0.1 + 0.2, 0.7
+    if n > 1:  # one qubit has only the two columns above
+        entries[:, 2] = 0.0
+        entries[0, 2], entries[2, 2], entries[3, 2] = 5e-324, 1 - 1e-05, 1e-05
+    m = ConfusionMatrix(entries)
+    doc = {"n_qubits": n, "entries": np.ravel(entries).tolist()}
+    written = export_confusion(m, tmp_path).read_bytes()
+    assert written == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_export_deterministic_bytes(tmp_path):

@@ -384,6 +384,52 @@ def test_confusion_entries_are_a_read_only_copy():
         m.entries[:, 1] = m.entries[:, 0]
 
 
+@pytest.mark.parametrize("layout", ["C", "F", "list"])
+def test_confusion_entries_are_column_major(layout):
+    # held in the layout LAPACK reads, whatever the caller's layout
+    rows = [[0.9, 0.2, 0.0, 0.0], [0.1, 0.8, 0.0, 0.0], [0.0, 0.0, 0.7, 0.4], [0.0, 0.0, 0.3, 0.6]]
+    source = rows if layout == "list" else np.array(rows, order=layout)
+    m = ConfusionMatrix(source)
+    assert m.entries.flags.f_contiguous
+    assert not m.entries.flags.writeable
+    assert m.entries is not source
+    np.testing.assert_array_equal(m.entries, rows)
+
+
+@st.composite
+def _correction_cases(draw):
+    n = draw(st.integers(1, 10))
+    rate = st.floats(0.001, 0.1)
+    model = PerQubitFlipModel(tuple(draw(st.lists(rate, min_size=n, max_size=n))),
+                              tuple(draw(st.lists(rate, min_size=n, max_size=n))))
+    if draw(st.booleans()):
+        m = synth_confusion(model)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        m = calibrate(model, draw(st.integers(100, 300)), rng)
+    # a sparse observed vector sends most of the solution negative, so the
+    # clamp acts; pushed through the matrix, it leaves only rounding to clamp
+    support = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.integers(1, 1000), min_size=len(support), max_size=len(support)))
+    observed = np.zeros(2**n)
+    observed[support] = np.array(weights) / sum(weights)
+    if draw(st.booleans()):
+        observed = np.ascontiguousarray(m.entries) @ observed
+    return m, observed
+
+
+@settings(max_examples=20, deadline=None)
+@given(_correction_cases())
+def test_correct_column_major_matches_row_major_solve(case):
+    # the column-major matrix hands dgesv the same input as a C-ordered one:
+    # the corrected vector is the same, byte for byte
+    m, observed = case
+    raw = np.linalg.solve(np.ascontiguousarray(m.entries), observed)
+    clamped = np.maximum(raw, 0.0)
+    expected = clamped / clamped.sum()
+    assert correct(observed, m).tobytes() == expected.tobytes()
+
+
 def test_condition_number_computed_once_per_matrix(monkeypatch):
     calls = []
     cond = np.linalg.cond

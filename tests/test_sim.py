@@ -301,6 +301,21 @@ def test_probabilities_into_out_matches_square(n):
     assert probabilities(amp).tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(1,), (2, 8), (3, 5), (4, 2**16)])
+def test_allocated_buffers_start_on_a_cache_line(shape):
+    # where the heap puts a buffer must not decide how fast the kernels run
+    buf = sim._aligned_empty(shape)
+    assert buf.shape == shape and buf.dtype == np.float64 and buf.flags.c_contiguous
+    assert buf.ctypes.data % 64 == 0
+
+
+def test_execute_and_probabilities_allocate_aligned():
+    a = Ansatz(line_topology(5), 1)
+    amp = execute(a, np.random.default_rng(3).uniform(0, 2 * np.pi, a.param_count))
+    assert amp.ctypes.data % 64 == 0
+    assert probabilities(amp).ctypes.data % 64 == 0
+
+
 @pytest.mark.parametrize(
     "work",
     [np.empty((2, 8), dtype=np.float32), np.empty((2, 16)), np.empty((3, 8)), np.empty((8, 2)).T],
