@@ -1,9 +1,13 @@
 """Bars-and-stripes pattern sets and their uniform target distribution.
 
 An n x m binary image is a bar pattern when every row is constant and a
-stripe pattern when every column is constant.  Dark pixels encode as 1,
-light as 0, flattened row-major; the top-left pixel is qubit 0.  A pattern
-is its basis-state index, a plain int in [0, 2^N).
+stripe pattern when every column is constant.  A pattern is its basis-state
+index, a plain int in [0, 2^N) with N = n*m: the image flattened row-major,
+dark pixels 1, and the top-left pixel qubit 0, the most significant bit.  So
+row r is bits [m*(n-1-r), m*(n-r)), and in a 2x3 image the dark top row is
+0b111000 and the dark left column 0b100100.  No image is built: a bar is the
+all-dark row 2^m - 1 times the sum of the start bits 2^(m*k) of the rows it
+darkens, and a stripe a column mask in [0, 2^m) times the sum of all n.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MAX_QUBITS
+from .sim import MAX_QUBITS, _aligned_empty
 
 
 @dataclass(frozen=True)
@@ -34,49 +38,22 @@ class BasSpec:
     def n_qubits(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def n_patterns(self) -> int:
-        return 2**self.rows + 2**self.cols - 2
-
-
-def encode_image(spec: BasSpec, image: np.ndarray) -> int:
-    """Flatten a rows x cols binary grid (dark=1) into its basis-state index."""
-    grid = np.asarray(image)
-    if grid.shape != (spec.rows, spec.cols):
-        raise ValueError(f"expected {spec.rows}x{spec.cols} image, got shape {grid.shape}")
-    if set(np.unique(grid)) - {0, 1}:
-        raise ValueError("image pixels must be 0 or 1")
-    value = 0
-    for bit in grid.reshape(-1):
-        value = (value << 1) | int(bit)
-    return value
-
-
-def decode_image(spec: BasSpec, value: int) -> np.ndarray:
-    """Inverse of encode_image: basis-state index back to a rows x cols grid."""
-    n = spec.n_qubits
-    if not 0 <= value < 2**n:
-        raise ValueError(f"pattern {value} out of range for {n} qubits")
-    flat = (value >> np.arange(n - 1, -1, -1)) & 1
-    return flat.reshape(spec.rows, spec.cols)
-
 
 def bas_patterns(spec: BasSpec) -> set[int]:
     """All bar (constant-row) and stripe (constant-column) images, as indices."""
-    patterns: set[int] = set()
-    for mask in range(2**spec.rows):
-        rows = [[(mask >> (spec.rows - 1 - r)) & 1] * spec.cols for r in range(spec.rows)]
-        patterns.add(encode_image(spec, np.array(rows)))
-    for mask in range(2**spec.cols):
-        cols = [(mask >> (spec.cols - 1 - c)) & 1 for c in range(spec.cols)]
-        patterns.add(encode_image(spec, np.array([cols] * spec.rows)))
-    return patterns
+    # sums of row start bits over every subset of rows, the last over all
+    starts = [0]
+    for k in range(spec.rows):
+        starts += [s + (1 << spec.cols * k) for s in starts]
+    bars = {((1 << spec.cols) - 1) * s for s in starts}
+    return bars | {mask * starts[-1] for mask in range(1 << spec.cols)}
 
 
 def bas_target_distribution(spec: BasSpec) -> np.ndarray:
-    """Uniform probabilities over the pattern set, zero elsewhere: a length-2^N vector."""
+    """Uniform probabilities over the pattern set, zero elsewhere: a length-2^N
+    vector starting on a 64-byte cache line, as the cost loop's buffers do."""
     patterns = bas_patterns(spec)
-    probs = np.zeros(2**spec.n_qubits)
-    for p in patterns:
-        probs[p] = 1.0 / len(patterns)
+    probs = _aligned_empty((2**spec.n_qubits,))
+    probs.fill(0.0)
+    probs[list(patterns)] = 1.0 / len(patterns)
     return probs

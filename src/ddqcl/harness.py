@@ -234,6 +234,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         text = p.read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config {p}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config {p} is not UTF-8: {e}") from e
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
@@ -430,10 +432,22 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
     Layout: config.json echo, curve_run<i>.csv per run, aggregate.csv,
     summary.json, and confusion.json when a calibration was used.  UTF-8,
     LF endings, floats at 17 significant digits.  The curves of runs beyond
-    this batch's and a confusion.json it did not write are deleted; no other
+    this batch's and a confusion.json it does not write are deleted; no other
     file in out_dir is touched.
+
+    summary.json is deleted before anything else is written, and written
+    last.  So a directory that holds config.json but no summary.json is an
+    incomplete batch: an export into it failed part way, and its files may
+    mix this batch with an earlier one.
     """
     out = _make_dir(out_dir)
+    (out / "summary.json").unlink(missing_ok=True)
+    # what an earlier batch with more runs, or with a calibration, left here
+    stale = [p for p in out.glob("curve_run*.csv") if _stale_curve(p.name, len(result.runs))]
+    if result.confusion is None:
+        stale.append(out / "confusion.json")
+    for p in stale:
+        p.unlink(missing_ok=True)
     written = []
 
     path = out / "config.json"
@@ -456,19 +470,12 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
     _write_text(path, "\n".join(lines) + "\n")
     written.append(path)
 
-    path = out / "summary.json"
-    _write_json(path, summary_dict(result))
-    written.append(path)
-
     if result.confusion is not None:
         written.append(export_confusion(result.confusion, out))
 
-    # what an earlier batch with more runs, or with a calibration, left here
-    stale = [p for p in out.glob("curve_run*.csv") if _stale_curve(p.name, len(result.runs))]
-    if result.confusion is None:
-        stale.append(out / "confusion.json")
-    for p in stale:
-        p.unlink(missing_ok=True)
+    path = out / "summary.json"
+    _write_json(path, summary_dict(result))
+    written.append(path)
     return written
 
 

@@ -25,12 +25,11 @@ def _check_shapes(a: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
-def kl_divergence(x: np.ndarray, m: np.ndarray, epsilon: float = DEFAULT_EPSILON) -> float:
-    """KL(x || m) = sum x ln(x/m), with 0 ln 0 = 0 and m clamped below at epsilon."""
+def kl_divergence(x: np.ndarray, m: np.ndarray) -> float:
+    """KL(x || m) = sum x ln(x/m), with 0 ln 0 = 0 and m clamped below at
+    DEFAULT_EPSILON."""
     _check_shapes(x, m)
-    if not epsilon > 0:  # also rejects NaN
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    q = np.maximum(m, epsilon)
+    q = np.maximum(m, DEFAULT_EPSILON)
     mask = x > 0
     return float(np.sum(x[mask] * (np.log(x[mask]) - np.log(q[mask]))))
 

@@ -23,8 +23,9 @@ allocates its buffers once and passes them down.
 A probability vector is a float64 array of length 2^N, and shot counts an
 int64 array of length 2^N whose sum is the shot count; N is always read from
 the length.  `probabilities` checks the state it squares, `sample` that its
-cdf ends at 1, and `check_counts` is the one check on counts where they
-enter the program's functions.
+input is 2^N non-negative entries, N in [1, MAX_QUBITS], whose cdf ends at 1,
+and `check_counts` is the one check on counts where they enter the program's
+functions; `sample` and `check_counts` read N by one rule, `_vector_width`.
 
 Bit ordering convention, used everywhere in this package: a measurement
 outcome is its basis-state index, a plain int, and qubit 0 is its most
@@ -57,15 +58,21 @@ def _check_n_qubits(n_qubits: int) -> None:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
 
 
+def _vector_width(vec: np.ndarray, what: str) -> int:
+    """N of a vector of 2^N `what`; refuses any other shape and N outside [1, MAX_QUBITS]."""
+    n = len(vec).bit_length() - 1 if vec.ndim == 1 else 0
+    if n < 1 or vec.shape != (2**n,):
+        raise ValueError(f"expected 2^N {what} for some N >= 1, got shape {vec.shape}")
+    _check_n_qubits(n)
+    return n
+
+
 def check_counts(counts: np.ndarray) -> int:
     """N of integer counts over 2^N basis states (N >= 1); refuses any other
     dtype or length, a negative count and zero shots."""
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got {counts.dtype}")
-    n = len(counts).bit_length() - 1 if counts.ndim == 1 else 0
-    if n < 1 or counts.shape != (2**n,):
-        raise ValueError(f"expected 2^N counts for some N >= 1, got shape {counts.shape}")
-    _check_n_qubits(n)
+    n = _vector_width(counts, "counts")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     if not counts.any():
@@ -191,10 +198,14 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarra
 
     Draws the uniforms in consecutive blocks of at most `_BLOCK_DRAWS`, which
     is the same stream of doubles as one `rng.random(shots)`.  Deterministic
-    for a fixed generator state.
+    for a fixed generator state.  Refuses, before any draw, any `probs` but 2^N
+    non-negative entries, N in [1, MAX_QUBITS], that sum to 1.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    _vector_width(probs, "probabilities")
+    if probs.min() < 0:
+        raise ValueError("probabilities must be non-negative")
     cdf = np.cumsum(probs)
     # NaN fails this too; it would put every shot in bin 0
     if not abs(cdf[-1] - 1.0) <= _DIST_TOL:

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
 
-from ddqcl.bas import (
-    BasSpec,
-    bas_patterns,
-    bas_target_distribution,
-    decode_image,
-    encode_image,
-)
+from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
+
+
+def _image(spec, value):
+    # pixel (r, c) is bit N-1-(r*cols + c): row-major, top-left most significant
+    n = spec.n_qubits
+    return [
+        [(value >> (n - 1 - (r * spec.cols + c))) & 1 for c in range(spec.cols)]
+        for r in range(spec.rows)
+    ]
+
+
+def _is_bar_or_stripe(grid):
+    rows_const = all(len(set(row)) == 1 for row in grid)
+    cols_const = all(len(set(col)) == 1 for col in zip(*grid))
+    return rows_const or cols_const
+
+
+def _shapes(max_pixels):
+    return [(r, c) for r in range(1, max_pixels + 1) for c in range(1, max_pixels // r + 1)]
+
 
 # --- pattern sets ---
 
@@ -23,22 +37,18 @@ def test_1x1_patterns():
 
 
 def test_2x3_pattern_count():
-    spec = BasSpec(2, 3)
-    pats = bas_patterns(spec)
-    assert len(pats) == 10 == spec.n_patterns
+    assert len(bas_patterns(BasSpec(2, 3))) == 10
 
 
 def test_patterns_match_bruteforce_enumeration():
-    # oracle: scan all 2^(n*m) images for constant rows or constant columns
-    spec = BasSpec(2, 3)
-    want = set()
-    for v in range(2**6):
-        grid = np.array([(v >> (5 - k)) & 1 for k in range(6)]).reshape(2, 3)
-        rows_const = all(len(set(row)) == 1 for row in grid.tolist())
-        cols_const = all(len(set(col)) == 1 for col in grid.T.tolist())
-        if rows_const or cols_const:
-            want.add(v)
-    assert bas_patterns(spec) == want
+    # oracle: scan all 2^(rows*cols) images of every shape up to 12 pixels
+    # for constant rows or constant columns
+    shapes = _shapes(12)
+    assert len(shapes) == 35
+    for rows, cols in shapes:
+        spec = BasSpec(rows, cols)
+        want = {v for v in range(2**spec.n_qubits) if _is_bar_or_stripe(_image(spec, v))}
+        assert bas_patterns(spec) == want, (rows, cols)
 
 
 def test_count_formula_holds():
@@ -48,57 +58,33 @@ def test_count_formula_holds():
 
 
 def test_every_pattern_decodes_to_bar_or_stripe():
-    spec = BasSpec(3, 2)
-    for p in bas_patterns(spec):
-        grid = decode_image(spec, p)
-        rows_const = all(len(set(row)) == 1 for row in grid.tolist())
-        cols_const = all(len(set(col)) == 1 for col in grid.T.tolist())
-        assert rows_const or cols_const
+    # past the brute force's reach: shapes of 13 to 20 pixels, each side >= 2
+    for rows, cols in _shapes(20):
+        spec = BasSpec(rows, cols)
+        if spec.n_qubits <= 12 or min(rows, cols) < 2:
+            continue
+        pats = bas_patterns(spec)
+        assert len(pats) == 2**rows + 2**cols - 2
+        assert all(0 <= p < 2**spec.n_qubits for p in pats)
+        assert all(_is_bar_or_stripe(_image(spec, p)) for p in pats), (rows, cols)
 
 
-# --- encoding ---
+# --- pixel convention ---
 
 
 def test_encode_worked_examples():
-    spec = BasSpec(2, 2)
-    assert encode_image(spec, np.array([[1, 0], [1, 0]])) == 0b1010
-    assert encode_image(spec, np.array([[1, 1], [0, 0]])) == 0b1100
-    assert encode_image(spec, np.zeros((2, 2), dtype=int)) == 0b0000
-
-
-def test_encode_decode_roundtrip_random():
-    spec = BasSpec(3, 4)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        grid = rng.integers(0, 2, size=(3, 4))
-        np.testing.assert_array_equal(decode_image(spec, encode_image(spec, grid)), grid)
-
-
-def test_encode_injective_on_all_grids():
-    spec = BasSpec(2, 2)
-    seen = {encode_image(spec, np.array([(v >> (3 - k)) & 1 for k in range(4)]).reshape(2, 2))
-            for v in range(16)}
-    assert len(seen) == 16
-
-
-def test_encode_rejects_bad_input():
-    spec = BasSpec(2, 2)
-    with pytest.raises(ValueError):
-        encode_image(spec, np.zeros((2, 3), dtype=int))
-    with pytest.raises(ValueError):
-        encode_image(spec, np.full((2, 2), 2))
-
-
-@pytest.mark.parametrize("value", [-1, 16, 2**40])
-def test_decode_rejects_value_outside_register(value):
-    with pytest.raises(ValueError, match="out of range for 4 qubits"):
-        decode_image(BasSpec(2, 2), value)
+    # 2x3: the dark top row, left column, bottom row, and the two left columns
+    assert {0b111000, 0b100100, 0b000111, 0b110110} <= bas_patterns(BasSpec(2, 3))
+    # 3x2: the dark top row and the dark left column
+    assert {0b110000, 0b101010} <= bas_patterns(BasSpec(3, 2))
 
 
 def test_decode_msb_is_top_left():
+    # pixel (r, c) is qubit r*cols + c, axis r*cols + c of a (2,)*N state, so
     # qubit 0, the most significant bit, is the top-left pixel
-    np.testing.assert_array_equal(decode_image(BasSpec(2, 3), 0b100000), [[1, 0, 0], [0, 0, 0]])
-    np.testing.assert_array_equal(decode_image(BasSpec(2, 3), 0b000001), [[0, 0, 0], [0, 0, 1]])
+    t = bas_target_distribution(BasSpec(2, 3)).reshape((2,) * 6)
+    assert t[1, 1, 1, 0, 0, 0] == t[1, 0, 0, 1, 0, 0] == 0.1  # top row, left column
+    assert t[1, 0, 0, 0, 0, 0] == 0.0  # the top-left pixel alone is neither
 
 
 def test_spec_validation():
@@ -129,3 +115,19 @@ def test_2x3_target_tenth():
     nz = t[t > 0]
     assert len(nz) == 10
     np.testing.assert_allclose(nz, 0.1)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (2, 2), (2, 3), (3, 3), (4, 4), (2, 7)], ids=lambda s: f"{s[0]}x{s[1]}"
+)
+def test_target_is_exactly_uniform_on_patterns_and_aligned(shape):
+    spec = BasSpec(*shape)
+    pats = bas_patterns(spec)
+    t = bas_target_distribution(spec)
+    assert t.dtype == np.float64 and t.shape == (2**spec.n_qubits,)
+    assert t.ctypes.data % 64 == 0
+    on = np.zeros(len(t), dtype=bool)
+    on[list(pats)] = True
+    assert np.all(t[on] == 1.0 / len(pats))
+    # +0.0, not -0.0, everywhere else
+    assert np.all(t[~on] == 0.0) and not np.signbit(t[~on]).any()

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ddqcl import harness
 from ddqcl.ansatz import Ansatz, execute, line_topology
 from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
 from ddqcl.cli import main
@@ -500,6 +501,28 @@ def test_export_over_an_earlier_batch_leaves_only_its_own_files(tmp_path):
     assert sorted(tmp_path.iterdir()) == sorted(files)
 
 
+@pytest.mark.parametrize("failing", ["curve_run1.csv", "confusion.json"])
+def test_interrupted_export_leaves_no_summary(tmp_path, monkeypatch, failing):
+    # a whole batch first, then an export over it that fails part way
+    doc = _small_doc(exact_mode=False, readout={"p10": 0.02, "calibration_shots": 100})
+    result = run_batch(ExperimentConfig.from_dict(doc))
+    export(result, tmp_path)
+    assert (tmp_path / "summary.json").exists()
+
+    write_text = harness._write_text
+
+    def failing_write(path, text):
+        if path.name == failing:
+            raise OSError(f"failed writing {path}: injected")
+        write_text(path, text)
+
+    monkeypatch.setattr(harness, "_write_text", failing_write)
+    with pytest.raises(OSError, match="injected"):
+        export(result, tmp_path)
+    assert (tmp_path / "config.json").exists()
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_export_deletes_no_other_name(tmp_path):
     kept = ["curve_run01.csv", "curve_run2.csv.bak", "curve_run_old.csv", "notes.txt"]
     for name in kept:
@@ -646,6 +669,16 @@ def test_cli_validate_bad_config(tmp_path, capsys):
     path = _write_config(tmp_path, {**MINIMAL, "topology": "ring"})
     assert main(["validate", "--config", path]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_validate_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+    with pytest.raises(ConfigError, match="is not UTF-8"):
+        load_config(path)
+    assert main(["validate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {path} is not UTF-8: ") and err.count("\n") == 1
 
 
 def test_cli_run(tmp_path, capsys):

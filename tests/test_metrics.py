@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
 from ddqcl.metrics import (
+    DEFAULT_EPSILON,
     QbasScore,
     histogram_to_distribution,
     js_divergence,
@@ -65,12 +66,12 @@ def test_kl_zero_target_terms_drop():
 
 
 def test_kl_clamps_model_zeros():
+    # the zero model entry counts as DEFAULT_EPSILON, no more and no less
     x = np.array([0.5, 0.5])
     m = np.array([1.0, 0.0])
-    got = kl_divergence(x, m, epsilon=1e-8)
-    assert got == pytest.approx(0.5 * math.log(0.5 / 1.0) + 0.5 * math.log(0.5 / 1e-8))
-    # larger epsilon, smaller penalty
-    assert kl_divergence(x, m, epsilon=1e-4) < got
+    want = _kl_oracle(x, [1.0, DEFAULT_EPSILON])
+    assert kl_divergence(x, m) == pytest.approx(want, abs=1e-12)
+    assert want == pytest.approx(0.5 * math.log(0.5 / 1.0) + 0.5 * math.log(0.5 / 1e-8))
 
 
 def test_kl_nonnegative_gibbs():
@@ -90,9 +91,6 @@ def test_kl_matches_oracle_random():
 def test_kl_errors():
     with pytest.raises(ValueError, match="shape mismatch"):
         kl_divergence(BAS22, np.full(4, 0.25))
-    for epsilon in (0.0, np.nan):
-        with pytest.raises(ValueError, match="epsilon must be > 0"):
-            kl_divergence(BAS22, UNIFORM16, epsilon=epsilon)
 
 
 # --- JS ---

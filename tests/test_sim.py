@@ -61,14 +61,26 @@ def test_probabilities_rejects_non_finite(bad):
 
 
 @pytest.mark.parametrize(
-    "probs",
-    [np.array([0.5, 0.6]), np.array([0.25, 0.25, 0.25, 0.2]), np.array([np.nan, 0.5, 0.25, 0.25])],
-    ids=["over-1", "under-1", "nan"],
+    "probs, match",
+    [
+        (np.array([0.5, 0.6]), "sum to"),
+        (np.array([0.25, 0.25, 0.25, 0.2]), "sum to"),
+        # NaN would otherwise put every shot in bin 0
+        (np.array([np.nan, 0.5, 0.25, 0.25]), "sum to"),
+        # sums to 1; unchecked, 1000 shots drew [373, 0, 627, 0]
+        (np.array([0.5, -0.1, 0.6, 0.0]), "non-negative"),
+        (np.array([0.2, 0.3, 0.5]), r"2\^N probabilities for some N >= 1, got shape \(3,\)"),
+        (np.array([1.0]), r"got shape \(1,\)"),
+        (np.full((2, 2), 0.25), r"got shape \(2, 2\)"),
+        # 21 qubits' worth of entries without 16 MiB behind them
+        (np.broadcast_to(np.float64(0.0), (2 ** (MAX_QUBITS + 1),)), "n_qubits"),
+    ],
+    ids=["over-1", "under-1", "nan", "negative", "length-3", "length-1", "2-d", "too-wide"],
 )
-def test_sample_rejects_vector_not_summing_to_one(probs):
-    # NaN would otherwise put every shot in bin 0
+def test_sample_rejects_vector_not_summing_to_one(probs, match):
+    # every refusal comes before the first draw: the generator is untouched
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="sum to"):
+    with pytest.raises(ValueError, match=match):
         sample(probs, 10, rng)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
