@@ -56,6 +56,11 @@ def main(argv: list[str] | None = None) -> int:
         out = _resolve_out(cfg, args)
 
         if args.command == "calibrate":
+            # a calibration of one seed beside the summary of another would
+            # pass for one whole batch
+            summary = out / "summary.json"
+            if summary.exists():
+                raise ValueError(f"{summary} exists: {out} holds a batch; calibrate elsewhere")
             print(f"wrote {export_confusion(calibrate_readout(cfg), out)}")
             return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import _buffer, check_counts
+from .sim import _aligned_empty, _buffer, check_counts
 
 DEFAULT_EPSILON = 1e-8
 
@@ -58,9 +58,10 @@ def js_divergence(p: np.ndarray, q: np.ndarray, work: np.ndarray | None = None) 
 
 
 def histogram_to_distribution(counts: np.ndarray) -> np.ndarray:
-    """Empirical frequencies of int64 counts over 2^N basis states: counts/shots."""
+    """Empirical frequencies of int64 counts over 2^N basis states: counts/shots,
+    in a new vector that starts on a 64-byte line."""
     check_counts(counts)
-    return counts / int(counts.sum())
+    return np.divide(counts, int(counts.sum()), out=_aligned_empty(counts.shape))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,15 @@ The channel flips each read bit independently: p10 = p(read 1 | true 0),
 p01 = p(read 0 | true 1) per qubit.  Calibration prepares every basis state,
 pushes shots through the channel and tallies columns of the transition
 matrix M with p(y|x) in column x; correction solves M P_x = P_y back.
-M is held column-major (Fortran order), the layout LAPACK reads: each
-calibration experiment writes one contiguous column, and `np.linalg.solve`
-hands M to `dgesv` with contiguous column copies instead of a strided
-transpose, on the same input, so the solution has the same bits.
+M is held column-major (Fortran order), the layout LAPACK reads, so each
+calibration experiment writes one contiguous column.  M is read-only once
+built, and `ConfusionMatrix` LU-factorizes it there, once, by LAPACK's
+`dgesv`; `correct` then solves with the stored factors by one `dgetrs`.
+`np.linalg.solve` hands M to that same `dgesv`, which factors it and runs
+the same `dgetrs`, so the solution has the bits `np.linalg.solve` gives,
+without an O(8^N) factorization per call.  Both are numpy's own LAPACK,
+called through `ctypes`; on a numpy build that does not export them,
+`correct` calls `np.linalg.solve` on every correction instead.
 Probabilities go in and come out as float64 arrays of length 2^N, and
 sampled counts as int64 arrays of length 2^N, as `sample` returns them; the
 register width is read from the array or from the matrix.
@@ -15,16 +20,90 @@ register width is read from the array or from the matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import ctypes
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .sim import _BLOCK_DRAWS, _check_n_qubits, _real_array, check_counts
+from .sim import _BLOCK_DRAWS, _aligned_vector, _check_n_qubits, _real_array, check_counts
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
 MAX_CORRECTION_QUBITS = 12  # dense correction holds 2^n x 2^n float64: 128 MiB at 12
+
+
+def _lapack_lu() -> tuple[ctypes._CFuncPtr, ctypes._CFuncPtr] | None:
+    """numpy's own `dgesv` and `dgetrs` (OpenBLAS, 64-bit integers) with
+    their C signatures declared, or None on a numpy build that does not
+    export them under these names."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        gesv, getrs = lib.scipy_dgesv_64_, lib.scipy_dgetrs_64_
+    except (AttributeError, OSError):
+        return None
+    # undeclared, a pointer would be passed as a 32-bit int
+    int_p, ptr = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    # n, nrhs, a, lda, ipiv, b, ldb, info
+    gesv.argtypes = [int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p]
+    # trans, n, nrhs, a, lda, ipiv, b, ldb, info, and the hidden length of trans
+    getrs.argtypes = [ctypes.c_char_p, int_p, int_p, ptr, int_p, ptr, ptr, int_p, int_p,
+                      ctypes.c_size_t]
+    gesv.restype = getrs.restype = None
+    return gesv, getrs
+
+
+_LAPACK = _lapack_lu()
+
+
+class _LUFactors:
+    """The LU factors and row pivots of a square matrix as `dgesv` leaves
+    them, read-only, with the fixed arguments of the `dgetrs` that solves
+    with them built once.  Those arguments carry the addresses of `lu` and
+    `pivots`, which this object holds; a copy or an unpickled instance
+    builds its own from its own arrays (`__reduce__`)."""
+
+    def __init__(self, lu: np.ndarray, pivots: np.ndarray) -> None:
+        lu.setflags(write=False)
+        pivots.setflags(write=False)
+        self.lu, self.pivots = lu, pivots
+        self._getrs = _LAPACK[1]
+        # each byref holds its integer
+        n, nrhs, info = ctypes.c_int64(len(lu)), ctypes.c_int64(1), ctypes.c_int64(0)
+        n_ref = ctypes.byref(n)
+        self._head = (b"N", n_ref, ctypes.byref(nrhs), lu.ctypes.data, n_ref, pivots.ctypes.data)
+        # dgetrs sets info only for an illegal argument, and these are fixed
+        self._tail = (n_ref, ctypes.byref(info), 1)
+
+    @classmethod
+    def factor(cls, m: np.ndarray) -> "_LUFactors":
+        """Factor `m` as P L U by one `dgesv` with one zero right-hand side,
+        on a column-major copy; refuses an exactly singular `m` (nonzero info).
+
+        `np.linalg.solve` of a vector runs this same `dgesv`.  A direct
+        `dgetrf` gives the same factors at one BLAS thread, but at two it
+        splits matrices from 100x100 to about 140x140 over the threads
+        otherwise than `dgesv` does, and leaves other last bits.
+        """
+        lu = np.array(m, dtype=np.float64, order="F")  # overwritten with the factors
+        pivots = np.empty(len(lu), dtype=np.int64)
+        n, nrhs, info = ctypes.c_int64(len(lu)), ctypes.c_int64(1), ctypes.c_int64(0)
+        rhs = np.zeros(len(lu))
+        _LAPACK[0](n, nrhs, lu.ctypes.data, n, pivots.ctypes.data, rhs.ctypes.data, n, info)
+        if info.value != 0:
+            raise ValueError(f"dgesv could not factor the confusion matrix (info {info.value})")
+        return cls(lu, pivots)
+
+    def __reduce__(self):
+        return type(self), (self.lu, self.pivots)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The solution x of M x = b, by one `dgetrs` in a new float64 vector
+        that starts on a 64-byte line; `b` is a vector of the factors' length."""
+        x, address = _aligned_vector(len(self.pivots))
+        x[...] = b
+        self._getrs(*self._head, address, *self._tail)
+        return x
 
 
 @dataclass(frozen=True)
@@ -64,10 +143,12 @@ class ConfusionMatrix:
     """Column-stochastic 2^N x 2^N transition matrix: entry (y, x) = p(read y | true x).
 
     `entries` is a private, read-only, column-major (F-contiguous) copy of
-    the matrix it was built from, checked once, here.
+    the matrix it was built from, checked once, here, and LU-factorized once,
+    here, for `correct` (None on a numpy build without the LAPACK binding).
     """
 
     entries: np.ndarray
+    _lu: _LUFactors | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(_real_array(self.entries, "entries"), order="F")
@@ -85,6 +166,8 @@ class ConfusionMatrix:
         if not np.isfinite(cond) or cond > DEFAULT_MAX_CONDITION:
             raise ValueError(f"confusion matrix too ill-conditioned to invert (cond ~ {cond:.3e})")
         object.__setattr__(self, "entries", m)
+        if _LAPACK is not None:
+            object.__setattr__(self, "_lu", _LUFactors.factor(m))
 
     @property
     def n_qubits(self) -> int:
@@ -171,10 +254,21 @@ def calibrate(
 
 
 def correct(observed: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
-    """Solve M P_x = P_y, clamp negative probabilities to 0, renormalize."""
+    """Solve M P_x = P_y, clamp negative probabilities to 0, renormalize.
+
+    The solve is one `dgetrs` with M's stored factors, into a fresh vector on
+    a 64-byte line that is clamped, renormalized and returned in place; its
+    bits are those of `np.linalg.solve(m.entries, observed)`, which runs
+    instead when the matrix holds no factors.  Refuses complex `observed`.
+    """
+    observed = _real_array(observed, "observed")
     _check_width(observed, m)
-    clamped = np.maximum(np.linalg.solve(m.entries, observed), 0.0)
+    if m._lu is None:
+        raw = np.linalg.solve(m.entries, observed)
+    else:
+        raw = m._lu.solve(observed)
+    clamped = np.maximum(raw, 0.0, out=raw)
     total = clamped.sum()
     if not total > 0:  # also rejects NaN
         raise ValueError(f"corrected distribution has no positive mass (total {float(total)})")
-    return clamped / total
+    return np.divide(clamped, total, out=clamped)

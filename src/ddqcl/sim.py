@@ -35,6 +35,7 @@ qubit 2 = 1, qubit 3 = 0, and it is the entry [1, 0, 1, 0] of a state array.
 
 from __future__ import annotations
 
+import ctypes
 from math import cos, prod, sin
 
 import numpy as np
@@ -89,13 +90,19 @@ def _real_array(values: object, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
+def _aligned_vector(size: int) -> tuple[np.ndarray, int]:
+    """An uninitialized float64 vector of `size` entries whose data starts on
+    a 64-byte boundary, and the address of that data."""
+    raw = np.empty(size + _ALIGN_BYTES // 8)
+    address = ctypes.addressof(ctypes.c_char.from_buffer(raw))  # a third of raw.ctypes.data's time
+    start = (-address % _ALIGN_BYTES) // 8
+    return raw[start : start + size], address + 8 * start
+
+
 def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized C-contiguous float64 array of `shape` whose data
     starts on a 64-byte boundary."""
-    size = prod(shape)
-    raw = np.empty(size + _ALIGN_BYTES // 8)
-    start = (-raw.ctypes.data % _ALIGN_BYTES) // 8
-    return raw[start : start + size].reshape(shape)
+    return _aligned_vector(prod(shape))[0].reshape(shape)
 
 
 def _buffer(buf: np.ndarray | None, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -206,7 +213,7 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarra
     _vector_width(probs, "probabilities")
     if probs.min() < 0:
         raise ValueError("probabilities must be non-negative")
-    cdf = np.cumsum(probs)
+    cdf = np.cumsum(probs, out=_aligned_empty(probs.shape))
     # NaN fails this too; it would put every shot in bin 0
     if not abs(cdf[-1] - 1.0) <= _DIST_TOL:
         raise ValueError(f"probabilities sum to {float(cdf[-1])!r}, not 1")

@@ -733,6 +733,22 @@ def test_cli_calibrate_and_run_write_same_confusion(tmp_path, capsys):
     assert cal == (tmp_path / "run" / "confusion.json").read_bytes()
 
 
+def test_cli_calibrate_refuses_a_batch_directory(tmp_path, capsys):
+    # a seed-7 confusion.json beside a seed-0 summary.json would pass for one batch
+    doc = _small_doc(
+        exact_mode=False, runs=1, readout={"p10": 0.05, "calibration_shots": 100}
+    )
+    path = _write_config(tmp_path, doc)
+    out_dir = tmp_path / "batch"
+    assert main(["run", "--config", path, "--out", str(out_dir)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    capsys.readouterr()
+    assert main(["calibrate", "--config", path, "--out", str(out_dir), "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out_dir / "summary.json") in err
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["calibrate", "run"])
 def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
     # one shot per basis state at 45% flips: with seed 1 both columns read 1

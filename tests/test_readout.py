@@ -1,7 +1,14 @@
 """Readout-error channel, calibration, and correction tests."""
 
+import copy
+import gc
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,16 +425,129 @@ def _correction_cases(draw):
     return m, observed
 
 
+_needs_lapack = pytest.mark.skipif(
+    readout._LAPACK is None, reason="this numpy build exports no dgesv/dgetrs binding"
+)
+
+
+def _solved_clamped_normalized(m, observed):
+    raw = np.linalg.solve(np.ascontiguousarray(m.entries), observed)
+    clamped = np.maximum(raw, 0.0)
+    return clamped / clamped.sum()
+
+
 @settings(max_examples=20, deadline=None)
 @given(_correction_cases())
 def test_correct_column_major_matches_row_major_solve(case):
-    # the column-major matrix hands dgesv the same input as a C-ordered one:
-    # the corrected vector is the same, byte for byte
+    # dgetrs on the factors stored at construction gives what dgesv gives on
+    # a C-ordered copy of the matrix: the corrected vector is the same, byte
+    # for byte (on a numpy build without the binding, correct is that solve)
     m, observed = case
-    raw = np.linalg.solve(np.ascontiguousarray(m.entries), observed)
-    clamped = np.maximum(raw, 0.0)
-    expected = clamped / clamped.sum()
-    assert correct(observed, m).tobytes() == expected.tobytes()
+    assert (m._lu is None) == (readout._LAPACK is None)
+    assert correct(observed, m).tobytes() == _solved_clamped_normalized(m, observed).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(_correction_cases())
+def test_correct_without_lapack_binding_matches_solve(case):
+    # built where numpy exports no dgesv/dgetrs, the matrix holds no factors
+    # and correct is np.linalg.solve, clamped and renormalized
+    m, observed = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(readout, "_LAPACK", None)
+        m = ConfusionMatrix(m.entries)
+    assert m._lu is None
+    assert correct(observed, m).tobytes() == _solved_clamped_normalized(m, observed).tobytes()
+
+
+@_needs_lapack
+def test_confusion_matrix_factored_once(monkeypatch):
+    # one factorization where the matrix is built, then one dgetrs per
+    # correction and no np.linalg.solve, which would factor it again each time
+    gesv, getrs = readout._LAPACK
+    factored, solved = [], []
+
+    def counting_gesv(*args):
+        factored.append(1)
+        return gesv(*args)
+
+    def counting_solve(*args, **kwargs):
+        solved.append(1)
+        return np.linalg.solve(*args, **kwargs)
+
+    monkeypatch.setattr(readout, "_LAPACK", (counting_gesv, getrs))
+    m = synth_confusion(PerQubitFlipModel.uniform(3, 0.05, 0.02))
+    monkeypatch.setattr(readout.np.linalg, "solve", counting_solve)
+    observed = apply_channel_exact(np.full(8, 1 / 8), m)
+    for _ in range(100):
+        correct(observed, m)
+    assert len(factored) == 1 and not solved
+
+
+@_needs_lapack
+def test_factors_survive_copy_and_pickle():
+    # a copy holds its own factors, and its solve reads their addresses,
+    # not the original's: the original can go and the copy still corrects
+    m = synth_confusion(PerQubitFlipModel((0.05, 0.01, 0.08), (0.02, 0.03, 0.04)))
+    observed = apply_channel_exact(np.array([0.3, 0.0, 0.1, 0.2, 0.0, 0.15, 0.05, 0.2]), m)
+    expected = correct(observed, m).tobytes()
+    copies = [copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
+    for c in copies:
+        assert not np.shares_memory(c._lu.lu, m._lu.lu)
+        assert not c._lu.lu.flags.writeable and not c._lu.pivots.flags.writeable
+    del m
+    gc.collect()
+    for c in copies:
+        assert correct(observed, c).tobytes() == expected
+
+
+@_needs_lapack
+def test_singular_factorization_is_refused():
+    # a matrix with an exactly zero pivot would leave dgetrs dividing by
+    # zero: refused where it is factored
+    with pytest.raises(ValueError, match=r"dgesv could not factor .* \(info 2\)"):
+        readout._LUFactors.factor(np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+
+_TWO_THREAD_CHILD = """
+import ctypes
+import numpy as np
+from ddqcl.readout import PerQubitFlipModel, calibrate, correct
+threads = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_openblas_get_num_threads64_
+threads.restype = ctypes.c_int
+rng = np.random.default_rng(3)
+for n in (7, 9):
+    m = calibrate(PerQubitFlipModel.uniform(n, 0.05), 200, np.random.default_rng((0, 1)))
+    assert m._lu is not None
+    for k in range(20):
+        observed = rng.dirichlet(np.full(2**n, 0.2 if k % 2 else 5.0))
+        raw = np.maximum(np.linalg.solve(m.entries, observed), 0.0)
+        assert correct(observed, m).tobytes() == (raw / raw.sum()).tobytes(), (n, k)
+print(threads())
+"""
+
+
+@_needs_lapack
+def test_correct_matches_solve_at_two_blas_threads():
+    # from 100 x 100 up the LU runs on more than one thread if it may, and
+    # its last digits depend on the thread count; the factors built once give
+    # the bits np.linalg.solve gives at the same count (a 7-qubit matrix is
+    # where a plain dgetrf would not)
+    src = str(Path(readout.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _TWO_THREAD_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == min(2, os.cpu_count())  # OpenBLAS runs no more than the cores
+
+
+def test_correct_rejects_complex_observed():
+    # a complex "probability vector" came back before; the imaginary part
+    # has no meaning here
+    m = synth_confusion(PerQubitFlipModel.uniform(2, 0.05))
+    with pytest.raises(ValueError, match="observed must be real, got dtype complex128"):
+        correct(np.full(4, 0.25 + 0.1j), m)
 
 
 def test_condition_number_computed_once_per_matrix(monkeypatch):

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddqcl import sim
+from ddqcl import readout, sim
 from ddqcl.ansatz import Ansatz, Topology, execute, line_topology, star_topology
+from ddqcl.metrics import histogram_to_distribution
+from ddqcl.readout import PerQubitFlipModel, correct, synth_confusion
 from ddqcl.sim import (
     MAX_QUBITS,
     apply_cz,
@@ -326,6 +328,27 @@ def test_execute_and_probabilities_allocate_aligned():
     amp = execute(a, np.random.default_rng(3).uniform(0, 2 * np.pi, a.param_count))
     assert amp.ctypes.data % 64 == 0
     assert probabilities(amp).ctypes.data % 64 == 0
+
+
+def test_sample_frequencies_and_correction_allocate_aligned(monkeypatch):
+    # the shot path's state-sized vectors start on a cache line too: the cdf
+    # `sample` searches, the frequencies and the corrected vector
+    offsets = []
+    searchsorted = np.searchsorted
+
+    def spy(cdf, *args, **kwargs):
+        offsets.append(cdf.ctypes.data % 64)
+        return searchsorted(cdf, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    for n in range(1, 9):
+        probs = np.random.default_rng(n).dirichlet(np.ones(2**n))
+        freq = histogram_to_distribution(sample(probs, 100, np.random.default_rng(0)))
+        assert freq.ctypes.data % 64 == 0
+        if readout._LAPACK is not None:  # without it the solve is np.linalg.solve's own array
+            m = synth_confusion(PerQubitFlipModel.uniform(n, 0.02))
+            assert correct(freq, m).ctypes.data % 64 == 0
+    assert len(offsets) == 8 and not any(offsets)
 
 
 @pytest.mark.parametrize(
