@@ -35,7 +35,7 @@ from .readout import (
     check_dense_width,
     correct,
 )
-from .sim import probabilities, sample
+from .sim import MAX_SHOTS, probabilities, sample
 
 
 class ConfigError(ValueError):
@@ -55,10 +55,8 @@ class ReadoutConfig:
     calibration_shots: int = DEFAULT_CALIBRATION_SHOTS
 
     def __post_init__(self) -> None:
-        if self.calibration_shots < 1:
-            raise ConfigError(
-                f"readout.calibration_shots must be >= 1, got {self.calibration_shots}"
-            )
+        if not 1 <= (shots := self.calibration_shots) <= MAX_SHOTS:
+            raise ConfigError(f"readout.calibration_shots must be in [1, {MAX_SHOTS}], got {shots}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +85,8 @@ class ExperimentConfig:
         for key in ("runs", "budget", "shots", "n_ini_multiplier"):
             if (value := getattr(self, key)) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {value}")
+        if self.shots > MAX_SHOTS:
+            raise ConfigError(f"shots must be <= {MAX_SHOTS}, the largest int64, got {self.shots}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.exact_mode and self.readout is not None:
@@ -305,12 +305,10 @@ def _final_metrics(
     dist = probabilities(execute(ansatz, curve.best_params))
     rng = np.random.default_rng((seed, 2))
     counts = sample(dist, cfg.shots, rng)
-    if cfg.exact_mode:
-        return kl_divergence(target, dist), qbas_score(counts, patterns)
     if channel is not None:
         counts = apply_channel_sampled(counts, channel, rng)
     score = qbas_score(counts, patterns)
-    model = histogram_to_distribution(counts)
+    model = dist if cfg.exact_mode else histogram_to_distribution(counts)
     if confusion is not None:
         model = correct(model, confusion)
     return kl_divergence(target, model), score
@@ -340,9 +338,8 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
             ansatz,
             target,
             budget=cfg.budget,
-            shots=cfg.shots,
+            shots=None if cfg.exact_mode else cfg.shots,
             rng=np.random.default_rng(seed),
-            exact_mode=cfg.exact_mode,
             channel=channel,
             confusion=confusion,
         )

@@ -98,18 +98,18 @@ class CostContext:
         ansatz: Ansatz,
         target: np.ndarray,
         budget: int,
-        shots: int,
+        shots: int | None,
         rng: np.random.Generator,
-        exact_mode: bool = False,
         channel: PerQubitFlipModel | None = None,
         confusion: ConfusionMatrix | None = None,
     ) -> "CostContext":
         """Circuit-training cost: run the ansatz, read out, compare to target.
 
-        Shot mode samples `shots` measurements, optionally corrupts them with
-        the flip channel, and corrects through the confusion matrix when one
-        is supplied.  Exact mode scores the statevector probabilities directly,
-        with no sampling, so it refuses a channel or a confusion matrix.
+        With `shots`, the readout samples that many measurements, optionally
+        corrupts them with the flip channel, and corrects through the
+        confusion matrix when one is supplied.  Exact mode is `shots=None`: it
+        scores the statevector probabilities directly, with no sampling, so it
+        refuses a channel or a confusion matrix.
 
         The context owns the one float64 (4, 2^N) buffer every evaluation
         computes in, allocated here once, on a cache line.  Row 0 holds the
@@ -117,30 +117,23 @@ class CostContext:
         once `probabilities` has read the state, rows 1-3 are the scratch
         of `js_divergence`.
         """
-        if exact_mode and (channel is not None or confusion is not None):
+        if shots is None and (channel is not None or confusion is not None):
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
-        if not exact_mode and shots < 1:
+        if shots is not None and shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
         buf = _aligned_empty((4, 2**ansatz.n_qubits))
         born, state, scratch = buf[0], buf[1:3], buf[1:4]
 
-        if exact_mode:
-
-            def cost_fn(params: np.ndarray) -> float:
-                model = probabilities(execute(ansatz, params, state), born)
-                return js_divergence(model, target, scratch)
-
-        else:
-
-            def cost_fn(params: np.ndarray) -> float:
-                dist = probabilities(execute(ansatz, params, state), born)
-                counts = sample(dist, shots, rng)
+        def cost_fn(params: np.ndarray) -> float:
+            model = probabilities(execute(ansatz, params, state), born)
+            if shots is not None:
+                counts = sample(model, shots, rng)
                 if channel is not None:
                     counts = apply_channel_sampled(counts, channel, rng)
                 model = histogram_to_distribution(counts)
                 if confusion is not None:
                     model = correct(model, confusion)
-                return js_divergence(model, target, scratch)
+            return js_divergence(model, target, scratch)
 
         return cls(cost_fn, ansatz.param_count, budget, rng)
 

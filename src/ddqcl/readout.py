@@ -26,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .sim import _BLOCK_DRAWS, _aligned_vector, _check_n_qubits, _real_array, check_counts
+from .sim import MAX_SHOTS, _BLOCK_DRAWS, _aligned_vector, _check_n_qubits, _real_array, check_counts
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
@@ -208,6 +208,7 @@ def apply_channel_sampled(
     n = model.n_qubits
     if check_counts(counts) != n:
         raise ValueError(f"expected {2**n} counts for {n} qubits, got shape {counts.shape}")
+    counts = counts.astype(np.int64, copy=False)  # np.repeat will not cast unsigned counts
     weights = 1 << np.arange(n - 1, -1, -1)
     bit_values = weights.astype(float)  # sums of distinct powers of two: exact in float64
     xs = np.flatnonzero(counts)
@@ -240,8 +241,8 @@ def calibrate(
     model: PerQubitFlipModel, shots_per_basis_state: int, rng: np.random.Generator
 ) -> ConfusionMatrix:
     """Estimate the channel matrix from one preparation experiment per basis state."""
-    if shots_per_basis_state < 1:
-        raise ValueError(f"shots must be >= 1, got {shots_per_basis_state}")
+    if not 1 <= shots_per_basis_state <= MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots_per_basis_state}")
     n = model.n_qubits
     check_dense_width(n)  # before the 2^n experiments and the matrix they fill
     dim = 2**n

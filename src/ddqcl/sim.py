@@ -42,6 +42,8 @@ import numpy as np
 
 # Register width ceiling; amplitudes are dense, so memory is 2^N float64.
 MAX_QUBITS = 20
+# Shot counts are int64, so no shot total may exceed the largest int64.
+MAX_SHOTS = 2**63 - 1
 
 _DIST_TOL = 1e-9
 # a buffer's data starts on a cache line: np.empty starts it wherever the heap
@@ -70,14 +72,17 @@ def _vector_width(vec: np.ndarray, what: str) -> int:
 
 def check_counts(counts: np.ndarray) -> int:
     """N of integer counts over 2^N basis states (N >= 1); refuses any other
-    dtype or length, a negative count and zero shots."""
+    dtype or length, a negative count, zero shots and a total over MAX_SHOTS."""
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got {counts.dtype}")
     n = _vector_width(counts, "counts")
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    if not counts.any():
+    if (most := int(counts.max())) == 0:
         raise ValueError("shots must be >= 1, got 0")
+    # an int64 sum wraps past MAX_SHOTS, which 2^N counts pass only if one passes MAX_SHOTS / 2^N
+    if most > MAX_SHOTS >> n and sum(counts.tolist()) > MAX_SHOTS:
+        raise ValueError(f"counts total more than {MAX_SHOTS} shots, the largest int64")
     return n
 
 

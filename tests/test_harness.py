@@ -202,6 +202,26 @@ def test_counts_below_one_rejected(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"error: {key} must be >= 1, got 0\n"
 
 
+# shot counts an int64 cannot hold; unchecked, `run` with the second died of
+# an OverflowError traceback in calibration
+_PAST_INT64 = {
+    "shots": {"shots": 2**63},
+    "calibration_shots": {"readout": {"p10": 0.05, "calibration_shots": 10**20}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAST_INT64))
+def test_shot_counts_past_int64_rejected(name):
+    with pytest.raises(ConfigError, match=f"{name} must be .*{2**63 - 1}.*, got "):
+        ExperimentConfig.from_dict({**MINIMAL, **_PAST_INT64[name]})
+
+
+def test_shot_counts_of_int64_max_accepted():
+    doc = {**MINIMAL, "shots": 2**63 - 1, "readout": {"p10": 0.05, "calibration_shots": 2**63 - 1}}
+    cfg = ExperimentConfig.from_dict(doc)
+    assert cfg.shots == cfg.readout.calibration_shots == 2**63 - 1
+
+
 def test_readout_validation():
     # flip probabilities are checked by building the channel
     with pytest.raises(ConfigError, match="p10"):
@@ -772,6 +792,7 @@ def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
         {"optimizer_options": {"alpha": float("inf")}},  # written as Infinity
         {"readout": {"p10": 10**400}},  # too large for float64
         *_TOO_LARGE.values(),
+        *_PAST_INT64.values(),
     ],
 )
 def test_cli_validate_rejects_in_one_line(tmp_path, capsys, overrides):

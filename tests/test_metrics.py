@@ -309,6 +309,16 @@ def test_qbas_rejects_bad_counts(counts, match):
         qbas_score(counts, {0, 15})
 
 
+def test_histogram_and_qbas_refuse_counts_whose_total_wraps_int64():
+    # the int64 sum of these is -2**63: unchecked, the frequencies read
+    # [-0.5, -0.5, -0, -0], and qBAS precision -0.5 and F1 -2.0
+    counts = np.array([2**62, 2**62, 0, 0])
+    with pytest.raises(ValueError, match="counts total more than"):
+        histogram_to_distribution(counts)
+    with pytest.raises(ValueError, match="counts total more than"):
+        qbas_score(counts, {0, 3})
+
+
 @pytest.mark.parametrize("outside", [16, -1, -13])
 def test_qbas_rejects_patterns_outside_register(outside):
     # unchecked, -13 would index the counts from the end and count the shots

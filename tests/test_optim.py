@@ -196,7 +196,7 @@ def test_exact_cost_of_zero_params():
     ansatz = Ansatz(line_topology(4), 2)
     target = bas_target_distribution(BasSpec(2, 2))
     ctx = CostContext.for_circuit(
-        ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True
+        ansatz, target, budget=1, shots=None, rng=np.random.default_rng(0)
     )
     assert ctx.evaluate(np.zeros(16)) == pytest.approx(0.45391266155837334, abs=1e-12)
 
@@ -212,7 +212,7 @@ def test_exact_16_qubit_evaluation_allocates_less_than_a_state():
     state = 2**16 * 8
     tracemalloc.start()
     try:
-        ctx = CostContext.for_circuit(ansatz, target, budget=4, shots=1, rng=rng, exact_mode=True)
+        ctx = CostContext.for_circuit(ansatz, target, budget=4, shots=None, rng=rng)
         held = tracemalloc.get_traced_memory()[0]
         ctx.evaluate(params[0])
         tracemalloc.reset_peak()
@@ -236,9 +236,32 @@ def test_exact_cost_refuses_readout(readout):
     noise = {"channel": channel} if readout == "channel" else {"confusion": synth_confusion(channel)}
     with pytest.raises(ValueError, match="no effect in exact mode"):
         CostContext.for_circuit(
-            ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True,
+            ansatz, target, budget=1, shots=None, rng=np.random.default_rng(0),
             **noise,
         )
+
+
+def test_exact_cost_draws_nothing_from_the_run_rng():
+    # the solver's proposals and the cost share one stream, so an exact
+    # evaluation must leave it where it was
+    ansatz = Ansatz(line_topology(4), 1)
+    target = bas_target_distribution(BasSpec(2, 2))
+    rng = np.random.default_rng(3)
+    params = np.random.default_rng(4).uniform(0.0, TAU, (5, ansatz.param_count))
+    ctx = CostContext.for_circuit(ansatz, target, budget=5, shots=None, rng=rng)
+    before = rng.bit_generator.state
+    for theta in params:
+        ctx.evaluate(theta)
+    assert ctx.evaluations == 5
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("shots", [0, -3])
+def test_cost_refuses_shots_below_one(shots):
+    ansatz = Ansatz(line_topology(4), 1)
+    target = bas_target_distribution(BasSpec(2, 2))
+    with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
+        CostContext.for_circuit(ansatz, target, budget=1, shots=shots, rng=np.random.default_rng(0))
 
 
 def test_exact_cost_reaches_zero():
@@ -246,7 +269,7 @@ def test_exact_cost_reaches_zero():
     ansatz = Ansatz(Topology(1, ()), 0)
     target = probabilities(execute(ansatz, np.array([np.pi / 2])))
     ctx = CostContext.for_circuit(
-        ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True
+        ansatz, target, budget=1, shots=None, rng=np.random.default_rng(0)
     )
     assert ctx.evaluate(np.array([np.pi / 2])) < 1e-12
 
@@ -257,7 +280,7 @@ def test_shot_cost_converges_to_exact():
     params = np.random.default_rng(6).uniform(0, TAU, 10)
 
     exact_ctx = CostContext.for_circuit(
-        ansatz, target, budget=1, shots=1, rng=np.random.default_rng(0), exact_mode=True
+        ansatz, target, budget=1, shots=None, rng=np.random.default_rng(0)
     )
     exact = exact_ctx.evaluate(params)
 
@@ -276,7 +299,7 @@ def test_improvements_descend_to_replayable_best():
     ansatz = Ansatz(line_topology(4), 1)
     target = bas_target_distribution(BasSpec(2, 2))
     ctx = CostContext.for_circuit(
-        ansatz, target, budget=60, shots=1, rng=np.random.default_rng(7), exact_mode=True
+        ansatz, target, budget=60, shots=None, rng=np.random.default_rng(7)
     )
     curve = _run(ctx, "svhc")
     assert curve.improvements[0] == 0  # the first evaluation improves on +inf

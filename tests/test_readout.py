@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from ddqcl import readout
 from ddqcl.bas import BasSpec, bas_patterns, bas_target_distribution
-from ddqcl.metrics import kl_divergence
+from ddqcl.metrics import histogram_to_distribution, kl_divergence, qbas_score
 from ddqcl.readout import (
     ConfusionMatrix,
     PerQubitFlipModel,
@@ -188,6 +188,23 @@ def test_sampled_channel_rejects_bad_counts(counts, match):
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
+@pytest.mark.parametrize("dtype", [np.uint64, np.int32, np.uint8])
+def test_count_consumers_give_the_int64_result_for_any_integer_dtype(dtype):
+    # check_counts admits every integer dtype, so each function that takes
+    # counts must give what it gives for the int64 counts `sample` returns;
+    # unsigned counts made the sampled channel raise a TypeError
+    counts = np.array([200, 0, 57, 3, 0, 255, 1, 9])
+    other = counts.astype(dtype)
+    freqs = histogram_to_distribution(other)
+    np.testing.assert_array_equal(freqs, histogram_to_distribution(counts))
+    assert qbas_score(other, {0, 3, 5}) == qbas_score(counts, {0, 3, 5})
+    model = PerQubitFlipModel((0.1, 0.0, 0.3), (0.05, 0.2, 0.0))
+    expected = apply_channel_sampled(counts, model, np.random.default_rng(2))
+    read = apply_channel_sampled(other, model, np.random.default_rng(2))
+    assert read.dtype == np.int64
+    np.testing.assert_array_equal(read, expected)
+
+
 # --- sampled channel against a per-outcome oracle ---
 
 
@@ -295,6 +312,14 @@ def test_calibrate_columns_stochastic():
 def test_calibrate_rejects_bad_shots():
     with pytest.raises(ValueError):
         calibrate(PerQubitFlipModel.uniform(2, 0.05), 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shots", [2**63, 10**20])
+def test_calibrate_refuses_shots_past_int64(shots):
+    # an int64 count cannot hold them: unchecked, filling the first prepared
+    # state's counts raised OverflowError
+    with pytest.raises(ValueError, match=rf"shots must be in \[1, {2**63 - 1}\], got {shots}$"):
+        calibrate(PerQubitFlipModel.uniform(2, 0.05), shots, np.random.default_rng(0))
 
 
 def test_calibrate_refuses_register_too_wide_to_correct(monkeypatch):

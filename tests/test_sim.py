@@ -14,10 +14,13 @@ from ddqcl.sim import (
     MAX_QUBITS,
     apply_cz,
     apply_ry,
+    check_counts,
     probabilities,
     product_state,
     sample,
 )
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 # --- states and probability vectors ---
 
@@ -458,3 +461,31 @@ def test_sample_memory_is_bounded():
         tracemalloc.stop()
     assert counts.sum() == 1_000_000
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.array([2**62, 2**62, 0, 0]),  # the int64 sum wraps to -2**63
+        np.array([2**63, 0, 0, 2**63], dtype=np.uint64),  # the uint64 sum wraps to 0
+        np.array([INT64_MAX, 1]),
+        np.full(2**20, 2**43),  # 2^20 entries, each just over INT64_MAX / 2^20
+    ],
+    ids=["int64", "uint64", "one-over", "20-qubits"],
+)
+def test_check_counts_refuses_a_total_past_int64(counts):
+    with pytest.raises(ValueError, match=f"counts total more than {INT64_MAX} shots"):
+        check_counts(counts)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        np.array([INT64_MAX - 3, 1, 1, 1]),
+        np.array([INT64_MAX, 0], dtype=np.uint64),
+        np.full(2**20, 2**43 - 1),  # each entry at INT64_MAX / 2^20, rounded down
+    ],
+    ids=["int64", "uint64", "20-qubits"],
+)
+def test_check_counts_admits_a_total_of_int64_max(counts):
+    assert check_counts(counts) == len(counts).bit_length() - 1
