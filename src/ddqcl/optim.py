@@ -27,7 +27,7 @@ import numpy as np
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _aligned_empty, _real_array, probabilities, sample
+from .sim import _aligned_empty, _real_array, check_shots, probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -105,7 +105,8 @@ class CostContext:
     ) -> "CostContext":
         """Circuit-training cost: run the ansatz, read out, compare to target.
 
-        With `shots`, the readout samples that many measurements, optionally
+        With `shots`, an integer in [1, MAX_SHOTS] (checked here, before any
+        draw), the readout samples that many measurements, optionally
         corrupts them with the flip channel, and corrects through the
         confusion matrix when one is supplied.  Exact mode is `shots=None`: it
         scores the statevector probabilities directly, with no sampling, so it
@@ -119,8 +120,8 @@ class CostContext:
         """
         if shots is None and (channel is not None or confusion is not None):
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
-        if shots is not None and shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+        if shots is not None:
+            shots = check_shots(shots)
         buf = _aligned_empty((4, 2**ansatz.n_qubits))
         born, state, scratch = buf[0], buf[1:3], buf[1:4]
 

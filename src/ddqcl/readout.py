@@ -16,21 +16,38 @@ called through `ctypes`; on a numpy build that does not export them,
 Probabilities go in and come out as float64 arrays of length 2^N, and
 sampled counts as int64 arrays of length 2^N, as `sample` returns them; the
 register width is read from the array or from the matrix.
+
+The sampled channel draws its flips in blocks of `_FLIP_BLOCK_DRAWS`
+doubles into one buffer per call, compares each block in place and sums
+each shot's flips into its flip pattern by one `np.matmul`; those sums are
+of distinct powers of two, exact in float64, so no BLAS path or thread
+count can change a count.  `calibrate` runs its 2^N experiments through
+that same kernel.  With a PCG64 generator it splits them into contiguous
+ranges, one per usable CPU, each run in a thread on a copy of the generator
+advanced to the range's first draw.  The matrix and the generator's final
+state are those of the sequential loop, bit for bit.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
 
-from .sim import MAX_SHOTS, _BLOCK_DRAWS, _aligned_vector, _check_n_qubits, _real_array, check_counts
+from .sim import _aligned_vector, _check_n_qubits, _real_array, check_counts, check_shots
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
 MAX_CORRECTION_QUBITS = 12  # dense correction holds 2^n x 2^n float64: 128 MiB at 12
+# uniform doubles per block of the sampled channel (1 MiB): memory stays
+# bounded at any shot count.  A 9-qubit calibration at 10,000 shots (2 cores,
+# median of 8) took 0.344 / 0.304 / 0.302 s in one range and 0.524 / 0.293 /
+# 0.264 s in two for blocks of 2^13 / 2^15 / 2^17; 2^19 was no faster
+_FLIP_BLOCK_DRAWS = 2**17
 
 
 def _lapack_lu() -> tuple[ctypes._CFuncPtr, ctypes._CFuncPtr] | None:
@@ -202,8 +219,11 @@ def apply_channel_sampled(
     read-out counts.
 
     Shots are taken in basis-state order and their flips drawn as
-    ``rng.random((k, n))`` over consecutive blocks of at most ``_BLOCK_DRAWS``
-    doubles: the same stream as one draw per outcome, in bounded memory.
+    ``rng.random((k, n))`` over consecutive blocks of at most
+    ``_FLIP_BLOCK_DRAWS`` doubles: the same stream as one draw per outcome,
+    in bounded memory.  Each block is drawn into one buffer, allocated once
+    per call, and compared against its thresholds in place; a block that
+    prepares a single state compares against that state's row, broadcast.
     """
     n = model.n_qubits
     if check_counts(counts) != n:
@@ -215,15 +235,27 @@ def apply_channel_sampled(
     thresholds = np.where(xs[:, None] & weights, model.p01, model.p10)  # (states, n)
     ends = np.cumsum(counts[xs])
     starts = ends - counts[xs]
+    shots = int(ends[-1])
+    block = max(1, _FLIP_BLOCK_DRAWS // n)
+    size = min(block, shots)
+    draws, patterns, read = np.empty((size, n)), np.empty(size), np.empty(size, dtype=np.int64)
     out = np.zeros(2**n, dtype=np.int64)
-    block = max(1, _BLOCK_DRAWS // n)
-    shots = int(counts.sum())
     for lo in range(0, shots, block):
         hi = min(lo + block, shots)
-        in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
-        flips = rng.random((hi - lo, n)) < np.repeat(thresholds, in_block, axis=0)
-        read = np.repeat(xs, in_block) ^ (flips @ bit_values).astype(np.int64)
-        out += np.bincount(read, minlength=2**n)
+        u, r = draws[: hi - lo], read[: hi - lo]
+        rng.random(out=u)
+        state = int(np.searchsorted(ends, lo, side="right"))  # the state shot `lo` prepares
+        if hi <= ends[state]:
+            x = xs[state]
+            state_thresholds = thresholds[state]
+        else:
+            in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
+            x = np.repeat(xs, in_block)
+            state_thresholds = np.repeat(thresholds, in_block, axis=0)
+        np.less(u, state_thresholds, out=u)  # each draw becomes its flip, 1.0 or 0.0
+        r[...] = np.matmul(u, bit_values, out=patterns[: hi - lo])
+        np.bitwise_xor(r, x, out=r)
+        out += np.bincount(r, minlength=2**n)
     return out
 
 
@@ -237,20 +269,64 @@ def check_dense_width(n_qubits: int) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _advanced(bit_generator: np.random.PCG64, doubles: int) -> np.random.PCG64:
+    """A copy of `bit_generator` that has drawn `doubles` more uniform
+    doubles, one 64-bit output each.  `advance` drops a buffered 32-bit
+    output, which doubles never touch, so the copy keeps the original's."""
+    ahead = deepcopy(bit_generator)
+    ahead.advance(doubles)
+    kept = bit_generator.state
+    ahead.state = {**ahead.state, "has_uint32": kept["has_uint32"], "uinteger": kept["uinteger"]}
+    return ahead
+
+
 def calibrate(
     model: PerQubitFlipModel, shots_per_basis_state: int, rng: np.random.Generator
 ) -> ConfusionMatrix:
-    """Estimate the channel matrix from one preparation experiment per basis state."""
-    if not 1 <= shots_per_basis_state <= MAX_SHOTS:
-        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {shots_per_basis_state}")
+    """Estimate the channel matrix from one preparation experiment per basis state.
+
+    The experiments run in basis-state order on `rng`'s stream.  With a
+    PCG64 generator they are split into contiguous ranges, one per usable
+    CPU, each run in a thread on a copy of the generator advanced to the
+    range's first draw; `rng` is then advanced past all of them.  So the
+    matrix and `rng`'s final state are those of one sequential loop.
+    """
+    shots = check_shots(shots_per_basis_state)
     n = model.n_qubits
     check_dense_width(n)  # before the 2^n experiments and the matrix they fill
     dim = 2**n
     cols = np.empty((dim, dim), order="F")  # each experiment fills one contiguous column
-    for x in range(dim):
+
+    def run(experiments: range, stream: np.random.Generator) -> None:
         prepared = np.zeros(dim, dtype=np.int64)
-        prepared[x] = shots_per_basis_state
-        cols[:, x] = apply_channel_sampled(prepared, model, rng) / shots_per_basis_state
+        for x in experiments:
+            prepared[x] = shots
+            cols[:, x] = apply_channel_sampled(prepared, model, stream) / shots
+            prepared[x] = 0
+
+    parts = min(_usable_cpus(), dim) if type(rng.bit_generator) is np.random.PCG64 else 1
+    if parts == 1:
+        run(range(dim), rng)
+    else:
+        draws = shots * n  # per experiment
+        firsts = [dim * i // parts for i in range(parts + 1)]
+        ranges = [range(lo, hi) for lo, hi in zip(firsts, firsts[1:])]
+        bit_generator = rng.bit_generator
+        streams = [np.random.Generator(_advanced(bit_generator, r.start * draws)) for r in ranges]
+        # imported here, not at the top: its 5 ms would fall on every start
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(parts) as pool:
+            list(pool.map(run, ranges, streams))  # raises what a range raised
+        bit_generator.state = _advanced(bit_generator, dim * draws).state
     return ConfusionMatrix(cols)
 
 

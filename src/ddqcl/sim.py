@@ -26,6 +26,14 @@ the length.  `probabilities` checks the state it squares, `sample` that its
 input is 2^N non-negative entries, N in [1, MAX_QUBITS], whose cdf ends at 1,
 and `check_counts` is the one check on counts where they enter the program's
 functions; `sample` and `check_counts` read N by one rule, `_vector_width`.
+A shot count is checked by `check_shots`: an integer in [1, MAX_SHOTS].
+
+`sample` sorts each block of its uniforms before it counts them, since a
+binary search for each of many unsorted draws mispredicts its branches.  A
+block of at least 2^N draws is counted by searching each cdf entry among
+the draws and taking differences, a smaller one by searching each draw in
+the cdf; either way a draw u counts in bin i when cdf[i-1] <= u < cdf[i].
+The counts and the generator's final state are those of one unsorted draw.
 
 Bit ordering convention, used everywhere in this package: a measurement
 outcome is its basis-state index, a plain int, and qubit 0 is its most
@@ -36,6 +44,7 @@ qubit 2 = 1, qubit 3 = 0, and it is the entry [1, 0, 1, 0] of a state array.
 from __future__ import annotations
 
 import ctypes
+import operator
 from math import cos, prod, sin
 
 import numpy as np
@@ -50,9 +59,8 @@ _DIST_TOL = 1e-9
 # has room, 16, 32 or 48 bytes past a line, and at 16 qubits `execute` into
 # such a buffer took 7-21% longer than into an aligned one
 _ALIGN_BYTES = 64
-# uniform doubles per block drawn by `sample` and the sampled readout channel
-# (64 KiB): memory stays bounded at any shot count, and a single (shots, n)
-# draw made readout calibration slower
+# uniform doubles per block drawn by `sample` (64 KiB): memory stays bounded
+# at any shot count, and each block is sorted before it is counted
 _BLOCK_DRAWS = 2**13
 
 
@@ -204,17 +212,32 @@ def probabilities(amp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return probs
 
 
+def check_shots(shots: object) -> int:
+    """`shots` as an int; refuses a non-integer and a count outside [1, MAX_SHOTS]."""
+    try:
+        count = operator.index(shots)
+    except TypeError:
+        raise ValueError(f"shots must be an integer, got {shots!r}") from None
+    if count < 1:
+        raise ValueError(f"shots must be >= 1, got {count}")
+    if count > MAX_SHOTS:
+        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {count}")
+    return count
+
+
 def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `shots` i.i.d. basis-state outcomes of a probability vector via
     inverse-CDF search; returns their int64 counts, one per basis state.
 
     Draws the uniforms in consecutive blocks of at most `_BLOCK_DRAWS`, which
-    is the same stream of doubles as one `rng.random(shots)`.  Deterministic
-    for a fixed generator state.  Refuses, before any draw, any `probs` but 2^N
-    non-negative entries, N in [1, MAX_QUBITS], that sum to 1.
+    is the same stream of doubles as one `rng.random(shots)`, and counts each
+    block sorted: a draw u lands in bin i when cdf[i-1] <= u < cdf[i], as
+    ``np.searchsorted(cdf, u, side="right")`` places it.  Deterministic for a
+    fixed generator state.  Refuses, before any draw, a shot count that is not
+    an integer in [1, MAX_SHOTS] and any `probs` but 2^N non-negative entries,
+    N in [1, MAX_QUBITS], that sum to 1.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = check_shots(shots)
     _vector_width(probs, "probabilities")
     if probs.min() < 0:
         raise ValueError("probabilities must be non-negative")
@@ -228,5 +251,12 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarra
     counts = np.zeros(len(cdf), dtype=np.int64)
     for start in range(0, shots, _BLOCK_DRAWS):
         u = rng.random(min(_BLOCK_DRAWS, shots - start))
-        counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(cdf))
+        # a search among sorted draws runs without mispredicted branches
+        u.sort()
+        if len(cdf) <= len(u):
+            # the draws below each cdf entry, less those below the one before
+            below = np.searchsorted(u, cdf, side="left")
+            counts += np.diff(below, prepend=0)
+        else:
+            counts += np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(cdf))
     return counts

@@ -264,6 +264,21 @@ def test_cost_refuses_shots_below_one(shots):
         CostContext.for_circuit(ansatz, target, budget=1, shots=shots, rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize(
+    "shots, message",
+    [
+        (2**63, r"shots must be in \[1, \d+\], got \d+$"),
+        (3.0, r"shots must be an integer, got 3\.0$"),
+    ],
+)
+def test_cost_refuses_shots_sample_cannot_take(shots, message):
+    # refused where the cost is built, not at its first evaluation
+    ansatz = Ansatz(line_topology(4), 1)
+    target = bas_target_distribution(BasSpec(2, 2))
+    with pytest.raises(ValueError, match=message):
+        CostContext.for_circuit(ansatz, target, budget=1, shots=shots, rng=np.random.default_rng(0))
+
+
 def test_exact_cost_reaches_zero():
     # one qubit, no entangling layers: Ry(pi/2) gives the uniform distribution
     ansatz = Ansatz(Topology(1, ()), 0)

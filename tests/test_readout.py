@@ -233,7 +233,7 @@ def _channel_cases(draw):
     rate = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True))
     p10 = draw(st.lists(rate, min_size=n, max_size=n))
     p01 = draw(st.lists(rate, min_size=n, max_size=n))
-    block = readout._BLOCK_DRAWS // n
+    block = readout._FLIP_BLOCK_DRAWS // n
     shots = draw(st.integers(2 * block + 1, 4 * block))  # at least 3 blocks
     support = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=40, unique=True))
     weights = draw(st.lists(st.integers(0, 5), min_size=len(support), max_size=len(support)))
@@ -255,9 +255,23 @@ def test_sampled_channel_matches_per_outcome_oracle(case, seed):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sampled_channel_matches_oracle_where_a_block_meets_a_state(offset):
+    # the first state's run ends one shot before, at, or one shot after the
+    # end of the first block: a block that prepares one state and one that
+    # prepares two, against the same oracle
+    model = PerQubitFlipModel((0.3, 0.1), (0.2, 0.4))
+    block = readout._FLIP_BLOCK_DRAWS // 2
+    counts = np.array([0, block + offset, 7, 0], dtype=np.int64)
+    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+    out = apply_channel_sampled(counts, model, rng)
+    np.testing.assert_array_equal(out, _oracle_channel(counts, model, oracle_rng))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 def test_calibrate_matches_per_outcome_oracle():
     model = PerQubitFlipModel((0.0, 0.04, 0.2), (0.1, 0.0, 0.07))
-    shots = 3 * (readout._BLOCK_DRAWS // 3) + 17  # 3 full blocks and a partial one per state
+    shots = 3 * (readout._FLIP_BLOCK_DRAWS // 3) + 17  # 3 full blocks and a partial one per state
     oracle_rng = np.random.default_rng(11)
     expected = np.empty((8, 8))
     for x in range(8):
@@ -266,6 +280,82 @@ def test_calibrate_matches_per_outcome_oracle():
         expected[:, x] = _oracle_channel(prepared, model, oracle_rng) / shots
     m = calibrate(model, shots, np.random.default_rng(11))
     np.testing.assert_array_equal(m.entries, expected)
+
+
+def _traced_calibration(monkeypatch, model, shots, rng):
+    # calibrate `model` on `rng`; returns the matrix and, per generator the
+    # experiments drew from, the basis states it prepared, in order
+    prepared_on = {}
+    channel = readout.apply_channel_sampled
+
+    def spy(counts, model, stream):
+        prepared_on.setdefault(id(stream), []).append(int(np.flatnonzero(counts)[0]))
+        return channel(counts, model, stream)
+
+    monkeypatch.setattr(readout, "apply_channel_sampled", spy)
+    return calibrate(model, shots, rng), sorted(prepared_on.values())
+
+
+@pytest.mark.parametrize(
+    "cpus, ranges",
+    [
+        (2, [range(0, 4), range(4, 8)]),
+        (3, [range(0, 2), range(2, 5), range(5, 8)]),
+        (64, [range(x, x + 1) for x in range(8)]),  # at most one range per experiment
+    ],
+)
+def test_calibrate_split_over_cpus_matches_one_range(monkeypatch, cpus, ranges):
+    # each range draws from a copy of the generator advanced to its first
+    # experiment: the matrix and the final state are those of one range
+    model = PerQubitFlipModel((0.0, 0.04, 0.2), (0.1, 0.0, 0.07))
+    shots = readout._FLIP_BLOCK_DRAWS // 3 + 5  # two blocks per experiment
+    start = np.random.default_rng(21)
+    start.integers(10, dtype=np.uint32)  # leaves a buffered 32-bit output, which doubles skip
+    assert start.bit_generator.state["has_uint32"] == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_rng = copy.deepcopy(start)
+    one, one_ranges = _traced_calibration(monkeypatch, model, shots, one_rng)
+    assert one_ranges == [list(range(8))]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads swap often while they write the matrix
+    try:
+        split_rng = copy.deepcopy(start)
+        split, split_ranges = _traced_calibration(monkeypatch, model, shots, split_rng)
+    finally:
+        sys.setswitchinterval(interval)
+    assert split_ranges == [list(r) for r in ranges]
+    assert split.entries.tobytes() == one.entries.tobytes()
+    assert split_rng.bit_generator.state == one_rng.bit_generator.state
+
+
+def test_calibrate_runs_other_generators_as_one_range(monkeypatch):
+    # MT19937 cannot be advanced by a count of draws: its experiments run in
+    # one range on the caller's generator, whatever the CPUs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    model = PerQubitFlipModel((0.03, 0.2), (0.1, 0.0))
+    rng = np.random.Generator(np.random.MT19937(0))
+    oracle_rng = np.random.Generator(np.random.MT19937(0))
+    expected = np.empty((4, 4))
+    for x in range(4):
+        prepared = np.zeros(4, dtype=np.int64)
+        prepared[x] = 500
+        expected[:, x] = _oracle_channel(prepared, model, oracle_rng) / 500
+    m, ranges = _traced_calibration(monkeypatch, model, 500, rng)
+    assert ranges == [[0, 1, 2, 3]]
+    np.testing.assert_array_equal(m.entries, expected)
+    state, oracle_state = rng.bit_generator.state["state"], oracle_rng.bit_generator.state["state"]
+    np.testing.assert_array_equal(state["key"], oracle_state["key"])
+    assert state["pos"] == oracle_state["pos"]
+
+
+def test_calibrate_counts_cpus_without_affinity(monkeypatch):
+    # a platform without sched_getaffinity splits over os.cpu_count() CPUs
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    model = PerQubitFlipModel.uniform(2, 0.1)
+    _, ranges = _traced_calibration(monkeypatch, model, 50, np.random.default_rng(0))
+    assert ranges == [[0, 1], [2, 3]]
 
 
 def test_sampled_channel_memory_is_bounded():

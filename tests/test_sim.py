@@ -339,9 +339,12 @@ def test_sample_frequencies_and_correction_allocate_aligned(monkeypatch):
     offsets = []
     searchsorted = np.searchsorted
 
-    def spy(cdf, *args, **kwargs):
+    def spy(a, v, *args, **kwargs):
+        # the cdf is searched into the draws, or the draws into it: it is
+        # the argument with 2^n entries (100 draws are never a power of two)
+        cdf = a if len(a) == 2**n else v
         offsets.append(cdf.ctypes.data % 64)
-        return searchsorted(cdf, *args, **kwargs)
+        return searchsorted(a, v, *args, **kwargs)
 
     monkeypatch.setattr(np, "searchsorted", spy)
     for n in range(1, 9):
@@ -402,11 +405,35 @@ class _TopDraws:
 
 def test_sample_never_draws_past_last_positive_outcome():
     # the cumsum of ten 0.1s is 0.9999999999999999, so a draw of 1 - 2**-53
-    # lands past it; it must fall on outcome 9, not on a zero after it
-    d = np.array([0.1] * 10 + [0.0] * 6)
-    assert np.cumsum(d)[9] < 1.0
-    counts = sample(d, 3, _TopDraws())
-    np.testing.assert_array_equal(np.flatnonzero(counts), [9])
+    # lands past it; it must fall on outcome 9, not on a zero after it, when
+    # the draws are fewer than 2^n and when they are as many or more
+    for n, shots in [(4, 3), (4, 64), (12, 3), (12, 5000)]:
+        d = np.array([0.1] * 10 + [0.0] * (2**n - 10))
+        assert np.cumsum(d)[9] < 1.0
+        counts = sample(d, shots, _TopDraws())
+        np.testing.assert_array_equal(np.flatnonzero(counts), [9])
+        assert counts[9] == shots
+
+
+class _GivenDraws:
+    # a generator stub that draws the given uniforms over and over
+    def __init__(self, values):
+        self.values = np.array(values)
+
+    def random(self, k):
+        return np.resize(self.values, k)
+
+
+@pytest.mark.parametrize("shots", [3, 8])
+def test_sample_counts_a_draw_on_a_cdf_entry_in_the_next_bin(shots):
+    # a draw equal to cdf[i] lands in bin i + 1, where searchsorted's
+    # side="right" puts it, whether the draws are fewer than 2^n or not: so a
+    # draw of exactly 0.0 never lands on a leading zero-probability outcome
+    d = np.array([0.0, 0.25, 0.25, 0.5])  # cdf 0, 0.25, 0.5, 1
+    draws = [0.0, 0.25, 0.5, 0.75]
+    counts = sample(d, shots, _GivenDraws(draws))
+    expected = {3: [0, 1, 1, 1], 8: [0, 2, 2, 4]}[shots]
+    np.testing.assert_array_equal(counts, expected)
 
 
 def test_sample_converges_to_distribution():
@@ -421,6 +448,35 @@ def test_sample_rejects_bad_shots():
         sample(d, 0, np.random.default_rng(0))
 
 
+class _NoDraws:
+    # a generator stub that fails the test if anything is drawn from it
+    def random(self, *args, **kwargs):
+        raise AssertionError("drew from the generator")
+
+
+@pytest.mark.parametrize(
+    "shots, message",
+    [
+        (2**63, rf"shots must be in \[1, {INT64_MAX}\], got {2**63}$"),  # about 10^15 blocks
+        (10**20, rf"shots must be in \[1, {INT64_MAX}\], got {10**20}$"),
+        (3.0, r"shots must be an integer, got 3\.0$"),  # range() raised TypeError on it
+        (np.float64(5), r"shots must be an integer, got np\.float64\(5\.0\)$"),
+        ("7", r"shots must be an integer, got '7'$"),
+        (-1, r"shots must be >= 1, got -1$"),
+    ],
+)
+def test_sample_refuses_shots_before_drawing(shots, message):
+    with pytest.raises(ValueError, match=message):
+        sample(np.array([0.5, 0.5]), shots, _NoDraws())
+
+
+def test_sample_takes_integer_shots_of_any_type():
+    d = np.array([0.25, 0.75])
+    expected = sample(d, 300, np.random.default_rng(4))
+    for shots in (np.int64(300), np.uint16(300)):
+        np.testing.assert_array_equal(sample(d, shots, np.random.default_rng(4)), expected)
+
+
 def _oracle_sample(probs, shots, rng):
     # one rng.random(shots) draw for all shots
     cdf = np.cumsum(probs)
@@ -431,12 +487,16 @@ def _oracle_sample(probs, shots, rng):
 
 @st.composite
 def _sample_cases(draw):
-    n = draw(st.integers(1, 8))
-    weights = draw(st.lists(st.integers(0, 9), min_size=2**n, max_size=2**n))
+    n = draw(st.integers(1, 16))
+    mix = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = mix.integers(0, 10, 2**n) * (mix.random(2**n) < draw(st.sampled_from([0.1, 1.0])))
     weights[draw(st.integers(0, 2**n - 1))] += 1
     block = sim._BLOCK_DRAWS
-    shots = draw(st.one_of(st.integers(1, block), st.integers(block + 1, 3 * block + 7)))
-    return np.array(weights) / sum(weights), shots
+    # a block of fewer draws than 2^n is counted by searching the cdf for
+    # each draw, one of 2^n draws or more by searching the draws for each
+    # cdf entry; shots past a block mix the two when 2^n <= block
+    shots = draw(st.one_of(st.integers(1, 2**n - 1), st.integers(2**n, 2**n + 3 * block + 7)))
+    return weights / weights.sum(), shots
 
 
 @settings(max_examples=60, deadline=None)
