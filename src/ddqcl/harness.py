@@ -352,13 +352,9 @@ def run_batch(cfg: ExperimentConfig) -> BatchResult:
 # --- export ---
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _write_text(path: Path, text: str) -> None:
-    """Write a sibling temp file and rename it over `path`: a failed write leaves
-    `path` as it was and no other file behind."""
+def _write_text(path: Path, text: str) -> Path:
+    """Write a sibling temp file and rename it over `path`; returns `path`.
+    A failed write leaves `path` as it was and no other file behind."""
     tmp = path.with_name(f".{path.name}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as f:
@@ -368,10 +364,20 @@ def _write_text(path: Path, text: str) -> None:
         raise OSError(f"failed writing {path}: {e}") from e
     finally:
         tmp.unlink(missing_ok=True)
+    return path
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, doc: dict) -> Path:
+    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_csv(path: Path, header: str, *columns: np.ndarray) -> Path:
+    """`header`, then row j (from 1): j and each column's j-th value to 17 significant digits."""
+    rows = (
+        ",".join([str(j), *(f"{x:.17g}" for x in values)])
+        for j, values in enumerate(zip(*(c.tolist() for c in columns)), 1)
+    )
+    return _write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def _make_dir(out_dir: str | Path) -> Path:
@@ -445,35 +451,20 @@ def export(result: BatchResult, out_dir: str | Path) -> list[Path]:
         stale.append(out / "confusion.json")
     for p in stale:
         p.unlink(missing_ok=True)
-    written = []
-
-    path = out / "config.json"
-    _write_json(path, result.config.to_dict())
-    written.append(path)
-
-    for i, r in enumerate(result.runs):
-        path = out / f"curve_run{i}.csv"
-        lines = ["evaluation,cost,best_cost"]
-        for j, (c, b) in enumerate(zip(r.curve.costs, r.curve.best_costs)):
-            lines.append(f"{j + 1},{_fmt(c)},{_fmt(b)}")
-        _write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
-
-    path = out / "aggregate.csv"
-    lines = ["evaluation,median,min,max"]
-    med, lo, hi = aggregate([r.curve for r in result.runs])
-    for j in range(len(med)):
-        lines.append(f"{j + 1},{_fmt(med[j])},{_fmt(lo[j])},{_fmt(hi[j])}")
-    _write_text(path, "\n".join(lines) + "\n")
-    written.append(path)
-
+    curves = [r.curve for r in result.runs]
+    written = [
+        _write_json(out / "config.json", result.config.to_dict()),
+        *(
+            _write_csv(
+                out / f"curve_run{i}.csv", "evaluation,cost,best_cost", c.costs, c.best_costs
+            )
+            for i, c in enumerate(curves)
+        ),
+        _write_csv(out / "aggregate.csv", "evaluation,median,min,max", *aggregate(curves)),
+    ]
     if result.confusion is not None:
         written.append(export_confusion(result.confusion, out))
-
-    path = out / "summary.json"
-    _write_json(path, summary_dict(result))
-    written.append(path)
-    return written
+    return [*written, _write_json(out / "summary.json", summary_dict(result))]
 
 
 def _stale_curve(name: str, runs: int) -> bool:

@@ -43,7 +43,7 @@ Pool = list[tuple[float, np.ndarray]]  # (cost, params) per initial draw
 _by_cost = itemgetter(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compares and hashes by identity
 class LearningCurve:
     """One run: its raw cost per evaluation, in order, and two parameter vectors."""
 

@@ -155,7 +155,7 @@ class PerQubitFlipModel:
         return len(self.p10)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: compares and hashes by identity
 class ConfusionMatrix:
     """Column-stochastic 2^N x 2^N transition matrix: entry (y, x) = p(read y | true x).
 
@@ -245,6 +245,9 @@ def apply_channel_sampled(
         u, r = draws[: hi - lo], read[: hi - lo]
         rng.random(out=u)
         state = int(np.searchsorted(ends, lo, side="right"))  # the state shot `lo` prepares
+        # Every calibration block takes this branch.  Without it the 2-CPU
+        # `readout-9q-zoo` calibration took 0.69 s, not 0.37 s (slower in 12 of
+        # 12 alternated pairs), though in one range 0.41 s, not 0.50 s.
         if hi <= ends[state]:
             x = xs[state]
             state_thresholds = thresholds[state]
@@ -312,6 +315,8 @@ def calibrate(
             cols[:, x] = apply_channel_sampled(prepared, model, stream) / shots
             prepared[x] = 0
 
+    # Faster than one loop with buffers reused across experiments and a tiled
+    # compare: 0.37 against 0.46 s for `readout-9q-zoo` (13 of 14 pairs).
     parts = min(_usable_cpus(), dim) if type(rng.bit_generator) is np.random.PCG64 else 1
     if parts == 1:
         run(range(dim), rng)

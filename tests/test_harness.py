@@ -534,7 +534,7 @@ def test_interrupted_export_leaves_no_summary(tmp_path, monkeypatch, failing):
     def failing_write(path, text):
         if path.name == failing:
             raise OSError(f"failed writing {path}: injected")
-        write_text(path, text)
+        return write_text(path, text)
 
     monkeypatch.setattr(harness, "_write_text", failing_write)
     with pytest.raises(OSError, match="injected"):
@@ -627,20 +627,30 @@ def test_export_deterministic_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def _read_csv(path):
+    """The header line, and the columns after the row number as float arrays."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",") for row in rows]
+    assert [c[0] for c in cells] == [str(j) for j in range(1, len(rows) + 1)]
+    return header, np.array([[float(v) for v in c[1:]] for c in cells]).T
+
+
 def test_export_csv_layout(tmp_path):
-    cfg = ExperimentConfig.from_dict(_small_doc(runs=1))
+    # three runs, so the median, min and max columns can all differ
+    cfg = ExperimentConfig.from_dict(_small_doc(runs=3))
     result = run_batch(cfg)
     export(result, tmp_path)
-    lines = (tmp_path / "curve_run0.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "evaluation,cost,best_cost"
-    assert len(lines) == 1 + 20
-    assert lines[1].split(",")[0] == "1"
+    curve = result.runs[0].curve
+    header, (costs, best_costs) = _read_csv(tmp_path / "curve_run0.csv")
+    assert header == "evaluation,cost,best_cost"
+    assert len(costs) == 20
     # floats are written with enough digits to round-trip exactly
-    costs = [float(line.split(",")[1]) for line in lines[1:]]
-    np.testing.assert_array_equal(costs, result.runs[0].curve.costs)
-    agg = (tmp_path / "aggregate.csv").read_text(encoding="utf-8").splitlines()
-    assert agg[0] == "evaluation,median,min,max"
-    assert len(agg) == 1 + 20
+    np.testing.assert_array_equal(costs, curve.costs)
+    np.testing.assert_array_equal(best_costs, curve.best_costs)
+    header, columns = _read_csv(tmp_path / "aggregate.csv")
+    assert header == "evaluation,median,min,max"
+    assert len(columns[0]) == 20
+    np.testing.assert_array_equal(columns, aggregate([r.curve for r in result.runs]))
 
 
 def test_export_summary_content(tmp_path):
@@ -658,6 +668,20 @@ def test_export_summary_content(tmp_path):
     assert doc["batch"]["total_evaluations"] == 40
     assert doc["batch"]["best_js"] == min(r["best_js"] for r in doc["runs"])
     assert doc["batch"]["calibration"] is None
+
+
+def test_result_records_compare_and_hash_by_identity():
+    # a field-wise `==` over arrays would raise asking for an array's truth value
+    doc = _small_doc(exact_mode=False, readout={"p10": 0.02, "calibration_shots": 100})
+    a, b = (run_batch(ExperimentConfig.from_dict(doc)) for _ in range(2))
+    np.testing.assert_array_equal(a.runs[0].curve.costs, b.runs[0].curve.costs)
+    np.testing.assert_array_equal(a.confusion.entries, b.confusion.entries)
+    for x, y in [(a, b), (a.runs[0], b.runs[0]), (a.runs[0].curve, b.runs[0].curve),
+                 (a.confusion, b.confusion)]:
+        assert (x == y) is False
+        assert x == x
+        assert hash(x) == hash(x)
+        assert len({x, y, x}) == 2 and y in {y}
 
 
 def test_config_echo_roundtrips(tmp_path):

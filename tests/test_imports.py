@@ -58,3 +58,59 @@ def test_unused_import_check_finds_one():
         "x = np.zeros(probabilities(1))\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "sample")]
+
+
+def _unread_private_names(trees):
+    """(module, line, name) for each module-level name with one leading
+    underscore, defined by a def, class or assignment, that no module of
+    `trees` reads: as a name, as an attribute, or by importing it."""
+    defined, read = [], set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(module, node.lineno, name) for name in private]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_package_reads_every_private_name_it_defines():
+    # a private helper, constant or class that nothing reads is dead code
+    trees = {
+        p.name: ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in SRC.glob("*.py")
+    }
+    assert _unread_private_names(trees) == []
+
+
+def test_unread_private_name_check_finds_one():
+    trees = {
+        "a.py": ast.parse(
+            "__all__ = ['f']\n"
+            "_LIMIT, _SPARE = 3, 4\n"
+            "def _used(): return _LIMIT\n"
+            "def _unused(): pass\n"
+            "class _Kept: pass\n"
+            "def _by_attribute(): pass\n"
+        ),
+        "b.py": ast.parse(
+            "from . import a\n"
+            "from .a import _used, _Kept\n"
+            "_used(), a._by_attribute()\n"
+            "_dead: int = 1\n"
+        ),
+    }
+    assert _unread_private_names(trees) == [
+        ("a.py", 2, "_SPARE"), ("a.py", 4, "_unused"), ("b.py", 4, "_dead")
+    ]
