@@ -28,6 +28,7 @@ from .optim import MAX_RUN_BYTES, SOLVERS, CostContext, LearningCurve, Options, 
 from .optim import run as run_solver
 from .readout import (
     DEFAULT_CALIBRATION_SHOTS,
+    DEFAULT_MAX_CONDITION,
     ConfusionMatrix,
     PerQubitFlipModel,
     apply_channel_sampled,
@@ -95,11 +96,14 @@ class ExperimentConfig:
             # building each part validates it: image shape and qubit cap,
             # topology and layers, flip probabilities, solver, budget and sizes
             ansatz = self.build_ansatz()
-            self.build_channel()
+            channel = self.build_channel()
             n_ini = self.n_ini_multiplier * ansatz.param_count
             check_sizes(self.optimizer_options, ansatz.param_count, n_ini, self.budget)
             if self.readout is not None and self.readout.correction:
                 check_dense_width(ansatz.n_qubits)
+                # its calibrated estimate may pass, yet correcting would magnify noise ~cond-fold
+                if (cond := channel.condition_number) > DEFAULT_MAX_CONDITION:
+                    raise ValueError(f"readout channel too ill-conditioned (cond {cond:.3e})")
         except ValueError as e:
             raise ConfigError(str(e)) from e
         # A batch keeps every run's cost array (8 bytes per evaluation) until
@@ -246,7 +250,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # --- batch execution ---
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compares and hashes by identity, as its curve does
 class RunResult:
     """Final figures for one training run."""
 
@@ -264,7 +268,7 @@ class RunResult:
         return self.curve.best_cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compares and hashes by identity, as its runs do
 class BatchResult:
     config: ExperimentConfig
     runs: tuple[RunResult, ...]

@@ -6,13 +6,13 @@ pushes shots through the channel and tallies columns of the transition
 matrix M with p(y|x) in column x; correction solves M P_x = P_y back.
 M is held column-major (Fortran order), the layout LAPACK reads, so each
 calibration experiment writes one contiguous column.  M is read-only once
-built, and `ConfusionMatrix` LU-factorizes it there, once, by LAPACK's
-`dgesv`; `correct` then solves with the stored factors by one `dgetrs`.
-`np.linalg.solve` hands M to that same `dgesv`, which factors it and runs
-the same `dgetrs`, so the solution has the bits `np.linalg.solve` gives,
-without an O(8^N) factorization per call.  Both are numpy's own LAPACK,
-called through `ctypes`; on a numpy build that does not export them,
-`correct` calls `np.linalg.solve` on every correction instead.
+built, and `ConfusionMatrix` holds its read-only LU factors from one
+`dgesv`; `correct` solves with them by one `dgetrs`.  `np.linalg.solve`
+runs that same `dgesv`, which factors M and runs the same `dgetrs`, so the
+solution has its bits, without an O(8^N) factorization per call.  A copy
+is rebuilt through the constructor, checked and factored again.  Both are
+numpy's own LAPACK, called through `ctypes`; on a numpy build that does
+not export them, `correct` calls `np.linalg.solve` on every correction.
 Probabilities go in and come out as float64 arrays of length 2^N, and
 sampled counts as int64 arrays of length 2^N, as `sample` returns them; the
 register width is read from the array or from the matrix.
@@ -35,6 +35,7 @@ import os
 from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -73,54 +74,27 @@ def _lapack_lu() -> tuple[ctypes._CFuncPtr, ctypes._CFuncPtr] | None:
 _LAPACK = _lapack_lu()
 
 
-class _LUFactors:
-    """The LU factors and row pivots of a square matrix as `dgesv` leaves
-    them, read-only, with the fixed arguments of the `dgetrs` that solves
-    with them built once.  Those arguments carry the addresses of `lu` and
-    `pivots`, which this object holds; a copy or an unpickled instance
-    builds its own from its own arrays (`__reduce__`)."""
+def _factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """The LU factors and row pivots of `m` as one `dgesv` with one zero
+    right-hand side leaves them, read-only, and the two arrays' addresses;
+    refuses an exactly singular `m` (nonzero info).
 
-    def __init__(self, lu: np.ndarray, pivots: np.ndarray) -> None:
-        lu.setflags(write=False)
-        pivots.setflags(write=False)
-        self.lu, self.pivots = lu, pivots
-        self._getrs = _LAPACK[1]
-        # each byref holds its integer
-        n, nrhs, info = ctypes.c_int64(len(lu)), ctypes.c_int64(1), ctypes.c_int64(0)
-        n_ref = ctypes.byref(n)
-        self._head = (b"N", n_ref, ctypes.byref(nrhs), lu.ctypes.data, n_ref, pivots.ctypes.data)
-        # dgetrs sets info only for an illegal argument, and these are fixed
-        self._tail = (n_ref, ctypes.byref(info), 1)
-
-    @classmethod
-    def factor(cls, m: np.ndarray) -> "_LUFactors":
-        """Factor `m` as P L U by one `dgesv` with one zero right-hand side,
-        on a column-major copy; refuses an exactly singular `m` (nonzero info).
-
-        `np.linalg.solve` of a vector runs this same `dgesv`.  A direct
-        `dgetrf` gives the same factors at one BLAS thread, but at two it
-        splits matrices from 100x100 to about 140x140 over the threads
-        otherwise than `dgesv` does, and leaves other last bits.
-        """
-        lu = np.array(m, dtype=np.float64, order="F")  # overwritten with the factors
-        pivots = np.empty(len(lu), dtype=np.int64)
-        n, nrhs, info = ctypes.c_int64(len(lu)), ctypes.c_int64(1), ctypes.c_int64(0)
-        rhs = np.zeros(len(lu))
-        _LAPACK[0](n, nrhs, lu.ctypes.data, n, pivots.ctypes.data, rhs.ctypes.data, n, info)
-        if info.value != 0:
-            raise ValueError(f"dgesv could not factor the confusion matrix (info {info.value})")
-        return cls(lu, pivots)
-
-    def __reduce__(self):
-        return type(self), (self.lu, self.pivots)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """The solution x of M x = b, by one `dgetrs` in a new float64 vector
-        that starts on a 64-byte line; `b` is a vector of the factors' length."""
-        x, address = _aligned_vector(len(self.pivots))
-        x[...] = b
-        self._getrs(*self._head, address, *self._tail)
-        return x
+    `np.linalg.solve` of a vector runs this same `dgesv`.  A direct
+    `dgetrf` gives the same factors at one BLAS thread, but at two it
+    splits matrices from 100x100 to about 140x140 over the threads
+    otherwise than `dgesv` does, and leaves other last bits.
+    """
+    lu = np.array(m, dtype=np.float64, order="F")  # overwritten with the factors
+    pivots = np.empty(len(lu), dtype=np.int64)
+    rhs = np.zeros(len(lu))
+    n, nrhs, info = ctypes.c_int64(len(lu)), ctypes.c_int64(1), ctypes.c_int64(0)
+    lu_address, pivots_address = lu.ctypes.data, pivots.ctypes.data  # ~3 us each: read once
+    _LAPACK[0](n, nrhs, lu_address, n, pivots_address, rhs.ctypes.data, n, info)
+    if info.value != 0:
+        raise ValueError(f"dgesv could not factor the confusion matrix (info {info.value})")
+    lu.setflags(write=False)
+    pivots.setflags(write=False)
+    return lu, pivots, lu_address, pivots_address
 
 
 @dataclass(frozen=True)
@@ -154,18 +128,30 @@ class PerQubitFlipModel:
     def n_qubits(self) -> int:
         return len(self.p10)
 
+    @property
+    def blocks(self) -> list[np.ndarray]:
+        """The per-qubit 2x2 transition blocks [[1 - p10, p01], [p10, 1 - p01]]."""
+        return [np.array([[1.0 - a, b], [a, 1.0 - b]]) for a, b in zip(self.p10, self.p01)]
+
+    @property
+    def condition_number(self) -> float:
+        """The exact channel's 2-norm condition number, in O(n): a Kronecker
+        product's singular values multiply, so the blocks' numbers do."""
+        return prod(float(np.linalg.cond(b)) for b in self.blocks)
+
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compares and hashes by identity
 class ConfusionMatrix:
     """Column-stochastic 2^N x 2^N transition matrix: entry (y, x) = p(read y | true x).
 
     `entries` is a private, read-only, column-major (F-contiguous) copy of
-    the matrix it was built from, checked once, here, and LU-factorized once,
-    here, for `correct` (None on a numpy build without the LAPACK binding).
+    the matrix it was built from, checked and factored once, here: `_lu` is
+    `_factor`'s, for `correct` (None on a numpy build without the LAPACK
+    binding).  A copy or an unpickled matrix is rebuilt, and re-checked, here.
     """
 
     entries: np.ndarray
-    _lu: _LUFactors | None = field(init=False, default=None, repr=False, compare=False)
+    _lu: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(_real_array(self.entries, "entries"), order="F")
@@ -184,7 +170,10 @@ class ConfusionMatrix:
             raise ValueError(f"confusion matrix too ill-conditioned to invert (cond ~ {cond:.3e})")
         object.__setattr__(self, "entries", m)
         if _LAPACK is not None:
-            object.__setattr__(self, "_lu", _LUFactors.factor(m))
+            object.__setattr__(self, "_lu", _factor(m))
+
+    def __reduce__(self):
+        return type(self), (self.entries,)
 
     @property
     def n_qubits(self) -> int:
@@ -193,11 +182,7 @@ class ConfusionMatrix:
 
 def synth_confusion(model: PerQubitFlipModel) -> ConfusionMatrix:
     """Exact channel matrix: Kronecker product of the per-qubit 2x2 blocks."""
-    blocks = [
-        np.array([[1.0 - p10, p01], [p10, 1.0 - p01]])
-        for p10, p01 in zip(model.p10, model.p01)
-    ]
-    return ConfusionMatrix(reduce(np.kron, blocks))
+    return ConfusionMatrix(reduce(np.kron, model.blocks))
 
 
 def _check_width(p: np.ndarray, m: ConfusionMatrix) -> None:
@@ -348,7 +333,11 @@ def correct(observed: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     if m._lu is None:
         raw = np.linalg.solve(m.entries, observed)
     else:
-        raw = m._lu.solve(observed)
+        raw, address = _aligned_vector(len(observed))
+        raw[...] = observed
+        n, nrhs, info = ctypes.c_int64(len(raw)), ctypes.c_int64(1), ctypes.c_int64(0)
+        # dgetrs sets info only for an illegal argument, and these are fixed
+        _LAPACK[1](b"N", n, nrhs, m._lu[2], n, m._lu[3], address, n, info, 1)
     clamped = np.maximum(raw, 0.0, out=raw)
     total = clamped.sum()
     if not total > 0:  # also rejects NaN

@@ -248,6 +248,21 @@ def test_dense_correction_width_cap():
     assert ExperimentConfig.from_dict(doc).readout.correction is False
 
 
+def test_ill_conditioned_channel_refused_at_validation(tmp_path, capsys):
+    # 45% flips on 9 qubits: the exact channel's condition number is 10^9, 10
+    # per qubit, though a calibrated estimate passes its own check; corrected,
+    # the batch would report shot noise magnified by about that much
+    doc = {**MINIMAL, "rows": 3, "cols": 3, "readout": {"p10": 0.45}}
+    refusal = r"^readout channel too ill-conditioned \(cond 1\.000e\+09\)$"
+    with pytest.raises(ConfigError, match=refusal):
+        ExperimentConfig.from_dict(doc)
+    assert main(["validate", "--config", _write_config(tmp_path, doc)]) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: readout channel") and err.count("\n") == 1
+    # without correction nothing is inverted
+    ExperimentConfig.from_dict({**doc, "readout": {"p10": 0.45, "correction": False}})
+
+
 # every option of each solver, none at its default
 _NON_DEFAULT_OPTIONS = {
     "adam": {"alpha": 0.1, "beta1": 0.8, "beta2": 0.99, "fd_step": 0.2, "eps": 1e-6},
@@ -682,6 +697,10 @@ def test_result_records_compare_and_hash_by_identity():
         assert x == x
         assert hash(x) == hash(x)
         assert len({x, y, x}) == 2 and y in {y}
+    # a record rebuilt on the very same curve, runs and matrix is another record
+    for x in (a, a.runs[0]):
+        twin = dataclasses.replace(x)
+        assert (twin == x) is False and len({x, twin}) == 2
 
 
 def test_config_echo_roundtrips(tmp_path):

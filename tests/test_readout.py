@@ -80,6 +80,17 @@ def test_synth_matches_kron_oracle():
     assert m.entries[0, 2] == pytest.approx(0.03 * 0.98)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    *[st.lists(st.floats(0.0, 0.45), min_size=n, max_size=n)] * 2)))
+def test_channel_condition_number_is_the_blocks_product(rates):
+    # checked at validation without the 2^n x 2^n matrix: the singular
+    # values of a Kronecker product are products of its factors'
+    model = PerQubitFlipModel(*rates)
+    dense = np.linalg.cond(synth_confusion(model).entries)
+    assert model.condition_number == pytest.approx(dense, rel=1e-9)
+
+
 def test_synth_columns_stochastic():
     m = synth_confusion(PerQubitFlipModel.uniform(4, 0.05, 0.02))
     np.testing.assert_allclose(m.entries.sum(axis=0), np.ones(16), atol=1e-12)
@@ -545,6 +556,14 @@ _needs_lapack = pytest.mark.skipif(
 )
 
 
+@pytest.mark.skipif(not hasattr(np.__config__, "CONFIG"), reason="numpy reports no build config")
+def test_lapack_binding_found_on_openblas_builds():
+    # a numpy that renames the symbols would leave the binding None: every
+    # test above skipped, and each correction factoring M again, O(8^N)
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]["name"]
+    assert lapack != "scipy-openblas" or readout._LAPACK is not None
+
+
 def _solved_clamped_normalized(m, observed):
     raw = np.linalg.solve(np.ascontiguousarray(m.entries), observed)
     clamped = np.maximum(raw, 0.0)
@@ -601,15 +620,19 @@ def test_confusion_matrix_factored_once(monkeypatch):
 
 @_needs_lapack
 def test_factors_survive_copy_and_pickle():
-    # a copy holds its own factors, and its solve reads their addresses,
-    # not the original's: the original can go and the copy still corrects
+    # a copy is rebuilt through the constructor: read-only entries and
+    # factors of its own, whose addresses its solve reads, not the
+    # original's, so the original can go and the copy still corrects
     m = synth_confusion(PerQubitFlipModel((0.05, 0.01, 0.08), (0.02, 0.03, 0.04)))
     observed = apply_channel_exact(np.array([0.3, 0.0, 0.1, 0.2, 0.0, 0.15, 0.05, 0.2]), m)
     expected = correct(observed, m).tobytes()
     copies = [copy.deepcopy(m), pickle.loads(pickle.dumps(m))]
     for c in copies:
-        assert not np.shares_memory(c._lu.lu, m._lu.lu)
-        assert not c._lu.lu.flags.writeable and not c._lu.pivots.flags.writeable
+        assert not c.entries.flags.writeable and c.entries.flags.f_contiguous
+        np.testing.assert_array_equal(c.entries, m.entries)
+        assert not np.shares_memory(c._lu[0], m._lu[0])
+        assert not np.shares_memory(c._lu[1], m._lu[1])
+        assert not c._lu[0].flags.writeable and not c._lu[1].flags.writeable
     del m
     gc.collect()
     for c in copies:
@@ -621,7 +644,7 @@ def test_singular_factorization_is_refused():
     # a matrix with an exactly zero pivot would leave dgetrs dividing by
     # zero: refused where it is factored
     with pytest.raises(ValueError, match=r"dgesv could not factor .* \(info 2\)"):
-        readout._LUFactors.factor(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        readout._factor(np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 
 _TWO_THREAD_CHILD = """
