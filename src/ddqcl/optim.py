@@ -27,7 +27,8 @@ import numpy as np
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _aligned_empty, _real_array, check_shots, probabilities, sample
+from .sim import _DIST_TOL, _aligned_empty, _real_array, _vector_width, check_shots
+from .sim import probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -110,7 +111,9 @@ class CostContext:
         corrupts them with the flip channel, and corrects through the
         confusion matrix when one is supplied.  Exact mode is `shots=None`: it
         scores the statevector probabilities directly, with no sampling, so it
-        refuses a channel or a confusion matrix.
+        refuses a channel or a confusion matrix.  The target must be 2^N
+        non-negative probabilities summing to 1, for the ansatz's N, and a
+        channel or matrix must read N qubits; both are checked here too.
 
         The context owns the one float64 (4, 2^N) buffer every evaluation
         computes in, allocated here once, on a cache line.  Row 0 holds the
@@ -122,7 +125,16 @@ class CostContext:
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
         if shots is not None:
             shots = check_shots(shots)
-        buf = _aligned_empty((4, 2**ansatz.n_qubits))
+        n = ansatz.n_qubits
+        target = _real_array(target, "target")
+        if _vector_width(target, "target probabilities") != n:
+            raise ValueError(f"expected {2**n} target entries for {n} qubits, not {len(target)}")
+        if target.min() < 0 or not abs(target.sum() - 1.0) <= _DIST_TOL:  # also rejects NaN
+            raise ValueError(f"target must be non-negative and sum to 1, not {float(target.sum())}")
+        for name, readout in (("channel", channel), ("confusion matrix", confusion)):
+            if readout is not None and readout.n_qubits != n:
+                raise ValueError(f"the {name} reads {readout.n_qubits} qubits, the ansatz has {n}")
+        buf = _aligned_empty((4, 2**n))
         born, state, scratch = buf[0], buf[1:3], buf[1:4]
 
         def cost_fn(params: np.ndarray) -> float:

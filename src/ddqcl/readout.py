@@ -21,11 +21,12 @@ The sampled channel draws its flips in blocks of `_FLIP_BLOCK_DRAWS`
 doubles into one buffer per call, compares each block in place and sums
 each shot's flips into its flip pattern by one `np.matmul`; those sums are
 of distinct powers of two, exact in float64, so no BLAS path or thread
-count can change a count.  `calibrate` runs its 2^N experiments through
-that same kernel.  With a PCG64 generator it splits them into contiguous
-ranges, one per usable CPU, each run in a thread on a copy of the generator
-advanced to the range's first draw.  The matrix and the generator's final
-state are those of the sequential loop, bit for bit.
+count can change a count.  `calibrate` draws each column by that same
+step, `_flip_shots`, against its one state's thresholds.  With a PCG64
+generator it splits its 2^N experiments into contiguous ranges, one per
+usable CPU, each run in a thread on a copy of the generator advanced to
+the range's first draw.  The matrix and the generator's final state are
+those of the sequential loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import reduce
 from math import prod
+from typing import Callable
 
 import numpy as np
 
@@ -182,6 +184,7 @@ class ConfusionMatrix:
 
 def synth_confusion(model: PerQubitFlipModel) -> ConfusionMatrix:
     """Exact channel matrix: Kronecker product of the per-qubit 2x2 blocks."""
+    check_dense_width(model.n_qubits)  # before the product fills a matrix of 4^n entries
     return ConfusionMatrix(reduce(np.kron, model.blocks))
 
 
@@ -196,6 +199,31 @@ def apply_channel_exact(p: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     return m.entries @ p
 
 
+def _flip_thresholds(model: PerQubitFlipModel, xs: np.ndarray) -> np.ndarray:
+    """Per state of `xs`, each qubit's flip probability: p01 where its bit is set, else p10."""
+    weights = 1 << np.arange(model.n_qubits - 1, -1, -1)
+    return np.where(xs[:, None] & weights, model.p01, model.p10)
+
+
+def _flip_shots(shots: int, n: int, rng: np.random.Generator, prepared: Callable) -> np.ndarray:
+    """The int64 read-out counts of `shots` shots, drawn as `apply_channel_sampled` says;
+    `prepared(lo, hi)` gives shots lo..hi-1 their states and flip probabilities."""
+    block = max(1, _FLIP_BLOCK_DRAWS // n)
+    size = min(block, shots)
+    draws, sums, read = np.empty((size, n)), np.empty(size), np.empty(size, dtype=np.int64)
+    bit_values = 2.0 ** np.arange(n - 1, -1, -1)  # sums of distinct ones are exact in float64
+    out = np.zeros(2**n, dtype=np.int64)
+    for lo in range(0, shots, block):
+        hi = min(lo + block, shots)
+        u, r = draws[: hi - lo], read[: hi - lo]
+        rng.random(out=u)
+        x, p = prepared(lo, hi)
+        np.less(u, p, out=u)  # each draw becomes its flip, 1.0 or 0.0
+        r[...] = np.matmul(u, bit_values, out=sums[: hi - lo])
+        out += np.bincount(np.bitwise_xor(r, x, out=r), minlength=2**n)
+    return out
+
+
 def apply_channel_sampled(
     counts: np.ndarray, model: PerQubitFlipModel, rng: np.random.Generator
 ) -> np.ndarray:
@@ -207,44 +235,23 @@ def apply_channel_sampled(
     ``rng.random((k, n))`` over consecutive blocks of at most
     ``_FLIP_BLOCK_DRAWS`` doubles: the same stream as one draw per outcome,
     in bounded memory.  Each block is drawn into one buffer, allocated once
-    per call, and compared against its thresholds in place; a block that
-    prepares a single state compares against that state's row, broadcast.
+    per call, and compared in place against the thresholds of the states
+    its shots prepare, one row per shot.
     """
     n = model.n_qubits
     if check_counts(counts) != n:
         raise ValueError(f"expected {2**n} counts for {n} qubits, got shape {counts.shape}")
     counts = counts.astype(np.int64, copy=False)  # np.repeat will not cast unsigned counts
-    weights = 1 << np.arange(n - 1, -1, -1)
-    bit_values = weights.astype(float)  # sums of distinct powers of two: exact in float64
     xs = np.flatnonzero(counts)
-    thresholds = np.where(xs[:, None] & weights, model.p01, model.p10)  # (states, n)
+    thresholds = _flip_thresholds(model, xs)  # (states, n)
     ends = np.cumsum(counts[xs])
     starts = ends - counts[xs]
-    shots = int(ends[-1])
-    block = max(1, _FLIP_BLOCK_DRAWS // n)
-    size = min(block, shots)
-    draws, patterns, read = np.empty((size, n)), np.empty(size), np.empty(size, dtype=np.int64)
-    out = np.zeros(2**n, dtype=np.int64)
-    for lo in range(0, shots, block):
-        hi = min(lo + block, shots)
-        u, r = draws[: hi - lo], read[: hi - lo]
-        rng.random(out=u)
-        state = int(np.searchsorted(ends, lo, side="right"))  # the state shot `lo` prepares
-        # Every calibration block takes this branch.  Without it the 2-CPU
-        # `readout-9q-zoo` calibration took 0.69 s, not 0.37 s (slower in 12 of
-        # 12 alternated pairs), though in one range 0.41 s, not 0.50 s.
-        if hi <= ends[state]:
-            x = xs[state]
-            state_thresholds = thresholds[state]
-        else:
-            in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
-            x = np.repeat(xs, in_block)
-            state_thresholds = np.repeat(thresholds, in_block, axis=0)
-        np.less(u, state_thresholds, out=u)  # each draw becomes its flip, 1.0 or 0.0
-        r[...] = np.matmul(u, bit_values, out=patterns[: hi - lo])
-        np.bitwise_xor(r, x, out=r)
-        out += np.bincount(r, minlength=2**n)
-    return out
+
+    def prepared(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
+        return np.repeat(xs, in_block), np.repeat(thresholds, in_block, axis=0)
+
+    return _flip_shots(int(ends[-1]), n, rng, prepared)
 
 
 def check_dense_width(n_qubits: int) -> None:
@@ -292,16 +299,14 @@ def calibrate(
     check_dense_width(n)  # before the 2^n experiments and the matrix they fill
     dim = 2**n
     cols = np.empty((dim, dim), order="F")  # each experiment fills one contiguous column
+    thresholds = _flip_thresholds(model, np.arange(dim))
 
     def run(experiments: range, stream: np.random.Generator) -> None:
-        prepared = np.zeros(dim, dtype=np.int64)
         for x in experiments:
-            prepared[x] = shots
-            cols[:, x] = apply_channel_sampled(prepared, model, stream) / shots
-            prepared[x] = 0
+            cols[:, x] = _flip_shots(shots, n, stream, lambda lo, hi: (x, thresholds[x])) / shots
 
-    # Faster than one loop with buffers reused across experiments and a tiled
-    # compare: 0.37 against 0.46 s for `readout-9q-zoo` (13 of 14 pairs).
+    # The split stays: in one range, `readout-9q-zoo`'s calibration took 0.42 s,
+    # not 0.29 s (2 CPUs, slower in 12 of 12 alternated fresh-process pairs).
     parts = min(_usable_cpus(), dim) if type(rng.bit_generator) is np.random.PCG64 else 1
     if parts == 1:
         run(range(dim), rng)

@@ -279,6 +279,37 @@ def test_cost_refuses_shots_sample_cannot_take(shots, message):
         CostContext.for_circuit(ansatz, target, budget=1, shots=shots, rng=np.random.default_rng(0))
 
 
+_BAS_2X2 = bas_target_distribution(BasSpec(2, 2))
+
+
+@pytest.mark.parametrize(
+    "target, noise, message",
+    [
+        (bas_target_distribution(BasSpec(3, 3)), {}, "expected 16 target entries .* not 512"),
+        (np.full(16, 0.5), {}, "target must be non-negative and sum to 1, not 8.0"),
+        (np.full(16, -1 / 16), {}, "target must be non-negative and sum to 1, not -1.0"),
+        (np.eye(16)[0] * 1.5 - np.eye(16)[1] * 0.5, {}, "target must be non-negative"),
+        (_BAS_2X2, {"channel": PerQubitFlipModel.uniform(3, 0.05)}, "the channel reads 3 qubits"),
+        (
+            _BAS_2X2,
+            {"confusion": synth_confusion(PerQubitFlipModel.uniform(3, 0.05))},
+            "the confusion matrix reads 3 qubits, the ansatz has 4",
+        ),
+    ],
+    ids=["3x3-target", "sums-to-8", "sums-to-minus-1", "negative-entry", "channel", "confusion"],
+)
+def test_cost_refuses_target_and_readout_of_another_register(target, noise, message):
+    # unchecked, a 512-entry target or a 3-qubit readout raised only at the
+    # first evaluation, after `sample` had drawn from the run's generator,
+    # and a target summing to 8 or -1 was scored without a word
+    ansatz = Ansatz(line_topology(4), 1)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        CostContext.for_circuit(ansatz, target, budget=1, shots=100, rng=rng, **noise)
+    assert rng.bit_generator.state == before
+
+
 def test_exact_cost_reaches_zero():
     # one qubit, no entangling layers: Ry(pi/2) gives the uniform distribution
     ansatz = Ansatz(Topology(1, ()), 0)

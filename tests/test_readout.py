@@ -91,6 +91,17 @@ def test_channel_condition_number_is_the_blocks_product(rates):
     assert model.condition_number == pytest.approx(dense, rel=1e-9)
 
 
+def test_synth_refuses_register_too_wide_to_correct(monkeypatch):
+    # 13 qubits would mean a 512 MiB Kronecker product, then its copy and SVD,
+    # and 16 qubits 32 GiB: refused, as `calibrate` refuses it, before either
+    def no_product(*args):
+        raise AssertionError("the Kronecker product ran before the width was checked")
+
+    monkeypatch.setattr(np, "kron", no_product)
+    with pytest.raises(ValueError, match=r"13 qubits .* 8192x8192 .* cap is 12 qubits"):
+        synth_confusion(PerQubitFlipModel.uniform(13, 0.05))
+
+
 def test_synth_columns_stochastic():
     m = synth_confusion(PerQubitFlipModel.uniform(4, 0.05, 0.02))
     np.testing.assert_allclose(m.entries.sum(axis=0), np.ones(16), atol=1e-12)
@@ -295,15 +306,22 @@ def test_calibrate_matches_per_outcome_oracle():
 
 def _traced_calibration(monkeypatch, model, shots, rng):
     # calibrate `model` on `rng`; returns the matrix and, per generator the
-    # experiments drew from, the basis states it prepared, in order
+    # experiments drew from, the basis states it prepared, in order.  An
+    # experiment is known by where its draws start: basis state x starts
+    # where `rng` stands after the x experiments before it
+    walk, started_by = copy.deepcopy(rng), {}
+    for x in range(2**model.n_qubits):
+        started_by[pickle.dumps(walk.bit_generator.state)] = x
+        walk.random(shots * model.n_qubits)
     prepared_on = {}
-    channel = readout.apply_channel_sampled
+    flip_shots = readout._flip_shots
 
-    def spy(counts, model, stream):
-        prepared_on.setdefault(id(stream), []).append(int(np.flatnonzero(counts)[0]))
-        return channel(counts, model, stream)
+    def spy(shots, n, stream, prepared):  # called once per experiment, before it draws
+        x = started_by[pickle.dumps(stream.bit_generator.state)]
+        prepared_on.setdefault(id(stream), []).append(x)
+        return flip_shots(shots, n, stream, prepared)
 
-    monkeypatch.setattr(readout, "apply_channel_sampled", spy)
+    monkeypatch.setattr(readout, "_flip_shots", spy)
     return calibrate(model, shots, rng), sorted(prepared_on.values())
 
 
@@ -385,6 +403,20 @@ def test_sampled_channel_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+def test_calibration_memory_is_bounded():
+    # each experiment draws in blocks too: two million shots per state stay
+    # far below the 48 MB of one experiment's draws, flip sums and read-outs
+    model = PerQubitFlipModel.uniform(1, 0.05, 0.02)
+    tracemalloc.start()
+    try:
+        m = calibrate(model, 2_000_000, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(m.entries, synth_confusion(model).entries, atol=1e-3)
+    assert peak < 16 * 2**20
+
+
 # --- calibration ---
 
 
@@ -429,7 +461,7 @@ def test_calibrate_refuses_register_too_wide_to_correct(monkeypatch):
     def no_experiment(*args):
         raise AssertionError("an experiment ran before the width was checked")
 
-    monkeypatch.setattr(readout, "apply_channel_sampled", no_experiment)
+    monkeypatch.setattr(readout, "_flip_shots", no_experiment)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=r"13 qubits .* 8192x8192 .* cap is 12 qubits"):
