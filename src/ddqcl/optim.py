@@ -7,6 +7,13 @@ costs; its best-so-far envelope and improvements are derived from them.  A
 solver is only its update rule: a generator that yields its incumbent before
 each step, so the last incumbent yielded is the run's final one.
 
+Every cost is recorded through `CostContext.evaluate`.  The initial pool and
+each ADAM step go through `CostContext.evaluate_many`, which an exact cost
+on at least 16 qubits runs on the usable CPUs, one thread and one buffer per
+CPU, with the costs of row-by-row evaluation: no result depends on the CPU
+count.  Shot costs, narrower registers and SVHC and ZOO, which propose one
+point at a time, run row by row on the calling thread.
+
 SVHC and the elite-set zeroth-order search are reconstructions from their
 one-line descriptions; their hyperparameters are explicit config, not
 canonical values.
@@ -16,18 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import count
+from itertools import count, islice
 from math import isfinite, pi, tau
 from numbers import Integral
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _DIST_TOL, _aligned_empty, _real_array, _vector_width, check_shots
+from .sim import _DIST_TOL, _aligned_empty, _real_array, _usable_cpus, _vector_width, check_shots
 from .sim import probabilities, sample
 
 
@@ -40,7 +47,14 @@ class BudgetExhausted(RuntimeError):
 # host, and far more than a run that trains in hours needs (L = 1000: 24 MB).
 MAX_RUN_BYTES = 2**30
 
-Pool = list[tuple[float, np.ndarray]]  # (cost, params) per initial draw
+# An exact cost runs `evaluate_many`'s rows on threads from this many amplitudes
+# up, where one numpy operation moves 512 KiB.  46 rows of a one-layer line
+# circuit on 2 lanes against 1 (2-core x86-64, one BLAS thread, 12 alternated
+# rounds): 14 qubits 0.78x, faster in 4 of 12; 15 qubits 1.15x, 8 of 12;
+# 16 qubits 1.54x, 12 of 12.  Narrower rows lose to the GIL hand-offs.
+_LANE_AMPLITUDES = 2**16
+
+Pool = list[tuple[float, np.ndarray]]  # (cost, params) per evaluated row
 _by_cost = itemgetter(0)
 
 
@@ -92,6 +106,12 @@ class CostContext:
         self.costs: list[float] = []
         self.best_cost = float("inf")
         self.best_params: np.ndarray | None = None
+        # set by for_circuit when rows may run on threads: the cost computed
+        # in a given (4, 2^N) buffer, and one buffer per lane, the first the
+        # context's own
+        self._lane_cost: Callable[[np.ndarray, np.ndarray], float] | None = None
+        self._buffers: list[np.ndarray] = []
+        self._ahead: Iterator[float] | None = None  # evaluate_many's costs of the next rows
 
     @classmethod
     def for_circuit(
@@ -119,7 +139,9 @@ class CostContext:
         computes in, allocated here once, on a cache line.  Row 0 holds the
         Born probabilities and rows 1-2 are the two state rows of `execute`;
         once `probabilities` has read the state, rows 1-3 are the scratch
-        of `js_divergence`.
+        of `js_divergence`.  An exact cost on at least `_LANE_AMPLITUDES`
+        amplitudes may also run `evaluate_many`'s rows on threads, each in a
+        buffer of its own.
         """
         if shots is None and (channel is not None or confusion is not None):
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
@@ -134,11 +156,9 @@ class CostContext:
         for name, readout in (("channel", channel), ("confusion matrix", confusion)):
             if readout is not None and readout.n_qubits != n:
                 raise ValueError(f"the {name} reads {readout.n_qubits} qubits, the ansatz has {n}")
-        buf = _aligned_empty((4, 2**n))
-        born, state, scratch = buf[0], buf[1:3], buf[1:4]
 
-        def cost_fn(params: np.ndarray) -> float:
-            model = probabilities(execute(ansatz, params, state), born)
+        def cost_in(params: np.ndarray, buf: np.ndarray) -> float:
+            model = probabilities(execute(ansatz, params, buf[1:3]), buf[0])
             if shots is not None:
                 counts = sample(model, shots, rng)
                 if channel is not None:
@@ -146,9 +166,13 @@ class CostContext:
                 model = histogram_to_distribution(counts)
                 if confusion is not None:
                     model = correct(model, confusion)
-            return js_divergence(model, target, scratch)
+            return js_divergence(model, target, buf[1:4])
 
-        return cls(cost_fn, ansatz.param_count, budget, rng)
+        buf = _aligned_empty((4, 2**n))
+        ctx = cls(lambda params: cost_in(params, buf), ansatz.param_count, budget, rng)
+        if shots is None and 2**n >= _LANE_AMPLITUDES:
+            ctx._lane_cost, ctx._buffers = cost_in, [buf]
+        return ctx
 
     @property
     def evaluations(self) -> int:
@@ -161,7 +185,7 @@ class CostContext:
         theta = _real_array(params, "parameters")
         if theta.shape != (self.param_count,):
             raise ValueError(f"expected {self.param_count} parameters, got shape {theta.shape}")
-        cost = float(self._cost_fn(theta))
+        cost = float(self._cost_fn(theta) if self._ahead is None else next(self._ahead))
         if not isfinite(cost):
             raise ValueError(f"cost function returned {cost} at evaluation {self.evaluations}")
         self.costs.append(cost)
@@ -169,6 +193,62 @@ class CostContext:
             self.best_cost = cost
             self.best_params = theta.copy()
         return cost
+
+    def evaluate_many(self, rows: Iterable[np.ndarray]) -> Pool:
+        """Score parameter vectors in row order, exactly as consecutive
+        `evaluate` calls would; (cost, row) per row.
+
+        Every row is recorded through `evaluate`, on the calling thread.  An
+        exact cost on at least `_LANE_AMPLITUDES` amplitudes, with more than
+        one usable CPU, first takes only the rows the remaining budget can
+        record, and computes their costs on one thread per CPU, each in its
+        own buffer; `evaluate` then takes each row's cost from them.  Exact
+        rows draw nothing, and each row's arithmetic is that of `evaluate`,
+        so the costs and the generator are the same bits whatever the CPU
+        count.  Any other cost runs the rows one by one, so a shot cost's
+        draws and the rows' own draws from `rng` interleave as they would.
+        """
+        rows = iter(rows)
+        lanes = _usable_cpus() if self._lane_cost is not None else 1
+        pool: Pool = []
+        if lanes > 1:
+            batch = list(islice(rows, self.budget - self.evaluations))
+            self._ahead = self._lane_costs(batch, lanes)
+            try:
+                pool = [(self.evaluate(row), row) for row in batch]
+            finally:
+                self._ahead.close()  # cancels and waits for the lanes when a row raised
+                self._ahead = None
+        # with the budget spent, the first row left raises BudgetExhausted
+        return pool + [(self.evaluate(row), row) for row in rows]
+
+    def _lane_costs(self, rows: list[np.ndarray], lanes: int) -> Iterator[float]:
+        """The costs of `rows`, in order, computed on up to `lanes` threads,
+        each in a buffer of its own; the threads start at the first `next`."""
+        lanes = min(lanes, len(rows))
+        # imported here, not at the top: their 8 ms would fall on every start
+        from concurrent.futures import ThreadPoolExecutor
+        from queue import SimpleQueue
+
+        while len(self._buffers) < lanes:
+            self._buffers.append(_aligned_empty(self._buffers[0].shape))
+        free = SimpleQueue()  # the buffers no lane holds
+        for buf in self._buffers[:lanes]:
+            free.put(buf)
+
+        def cost(row: np.ndarray) -> float:
+            buf = free.get()
+            try:
+                return self._lane_cost(_real_array(row, "parameters"), buf)
+            finally:
+                free.put(buf)
+
+        with ThreadPoolExecutor(lanes) as pool:
+            try:
+                for future in [pool.submit(cost, row) for row in rows]:
+                    yield future.result()
+            finally:
+                pool.shutdown(cancel_futures=True)
 
     def curve(self, final_params: np.ndarray) -> LearningCurve:
         if self.best_params is None:
@@ -181,14 +261,16 @@ class CostContext:
 
 
 def init_search(ctx: CostContext, n_ini: int) -> Pool:
-    """Evaluate n_ini uniform random parameter vectors; (cost, params) in draw order."""
+    """Evaluate n_ini uniform random parameter vectors; (cost, params) in draw order.
+
+    The draws feed `evaluate_many` one at a time, so a shot cost's own draws
+    interleave with them as in a draw-then-evaluate loop; on lanes, the
+    vectors the budget can record are drawn first, as exact costs draw
+    nothing.
+    """
     if n_ini < 1:
         raise ValueError(f"n_ini must be >= 1, got {n_ini}")
-    pool = []
-    for _ in range(n_ini):
-        cand = ctx.rng.uniform(0.0, tau, ctx.param_count)
-        pool.append((ctx.evaluate(cand), cand))
-    return pool
+    return ctx.evaluate_many(ctx.rng.uniform(0.0, tau, ctx.param_count) for _ in range(n_ini))
 
 
 # --- solver configs ---
@@ -290,20 +372,20 @@ def adam_steps(ctx: CostContext, a: AdamConfig, pool: Pool) -> Iterator[np.ndarr
 
     Each step spends 2L evaluations on the gradient probes plus one on the
     incumbent itself — without the incumbent evaluation the recorded best
-    would sit O(h^2) above the model actually trained.
+    would sit O(h^2) above the model actually trained.  The step is one
+    `evaluate_many` call on the incumbent and then, per coordinate i,
+    theta + h e_i and theta - h e_i; grad[i] is their cost difference over 2h.
     """
     theta = min(pool, key=_by_cost)[1]
     n = ctx.param_count
+    steps = a.fd_step * np.eye(n)  # row i moves coordinate i alone
     m, v = np.zeros(n), np.zeros(n)
     for t in count(1):
         yield theta
-        ctx.evaluate(theta)
-        grad = np.zeros(n)
-        for i in range(n):
-            step = np.zeros(n)
-            step[i] = a.fd_step
-            diff = ctx.evaluate(theta + step) - ctx.evaluate(theta - step)
-            grad[i] = diff / (2.0 * a.fd_step)
+        rows = np.empty((2 * n + 1, n))
+        rows[0], rows[1::2], rows[2::2] = theta, theta + steps, theta - steps
+        costs = np.array([cost for cost, _ in ctx.evaluate_many(rows)])
+        grad = (costs[1::2] - costs[2::2]) / (2.0 * a.fd_step)
         m = a.beta1 * m + (1.0 - a.beta1) * grad
         v = a.beta2 * v + (1.0 - a.beta2) * grad * grad
         m_hat = m / (1.0 - a.beta1**t)

@@ -32,7 +32,6 @@ those of the sequential loop, bit for bit.
 from __future__ import annotations
 
 import ctypes
-import os
 from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import reduce
@@ -41,7 +40,8 @@ from typing import Callable
 
 import numpy as np
 
-from .sim import _aligned_vector, _check_n_qubits, _real_array, check_counts, check_shots
+from .sim import _aligned_vector, _check_n_qubits, _real_array, _usable_cpus, check_counts
+from .sim import check_shots
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
@@ -262,14 +262,6 @@ def check_dense_width(n_qubits: int) -> None:
             f"readout correction on {n_qubits} qubits needs a dense {dim}x{dim} float64 matrix "
             f"({8 * dim**2 / 2**30:g} GiB); the cap is {MAX_CORRECTION_QUBITS} qubits"
         )
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
 
 
 def _advanced(bit_generator: np.random.PCG64, doubles: int) -> np.random.PCG64:

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import ctypes
 import operator
+import os
 from math import cos, prod, sin
 
 import numpy as np
@@ -116,6 +117,14 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialized C-contiguous float64 array of `shape` whose data
     starts on a 64-byte boundary."""
     return _aligned_vector(prod(shape))[0].reshape(shape)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
 
 
 def _buffer(buf: np.ndarray | None, shape: tuple[int, ...], name: str) -> np.ndarray:

@@ -633,6 +633,55 @@ def test_exported_confusion_bytes_match_indented_dump(tmp_path, n):
     assert written == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
 
+def _one_line_entries(entries):
+    # every entry through the C encoder on one line, then reflowed
+    return json.dumps(entries.reshape(-1).tolist())[1:-1].replace(", ", ",\n    ")
+
+
+def _hand_built_entries():
+    entries = np.eye(4)
+    entries[1, 0] = -0.0
+    entries[:, 1] = (5e-324, 1 - 1e-05, 1e-05, 0.0)
+    entries[:, 3] = (0.0, 0.0, 0.25, 0.75)
+    return entries
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        lambda: calibrate(PerQubitFlipModel.uniform(9, 0.05), 10_000, np.random.default_rng(0))
+        .entries,
+        _hand_built_entries,
+    ],
+    ids=["calibrated-9q", "signed-zero-subnormal-one"],
+)
+def test_confusion_encoded_once_per_value_matches_one_line_encoding(tmp_path, entries):
+    m = ConfusionMatrix(entries())
+    assert len(np.unique(m.entries)) < m.entries.size  # values repeat
+    expected = (
+        f'{{\n  "entries": [\n    {_one_line_entries(m.entries)}\n  ],\n'
+        f'  "n_qubits": {m.n_qubits}\n}}\n'
+    )
+    assert export_confusion(m, tmp_path).read_text(encoding="utf-8") == expected
+
+
+def test_exact_16_qubit_batch_exports_the_same_bytes_on_one_and_two_cpus(tmp_path, monkeypatch):
+    # two CPUs score ADAM's rows on two threads; the export must not show it
+    doc = {
+        "rows": 4, "cols": 4, "topology": "line", "layers": 1, "optimizer": "adam",
+        "exact_mode": True, "n_ini_multiplier": 1, "runs": 1, "budget": 60,
+    }
+    cfg = ExperimentConfig.from_dict(doc)
+    digests = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        out = tmp_path / f"cpus{cpus}"
+        export(run_batch(cfg), out)
+        digests.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert digests[0] == digests[1]
+    assert len(digests[0]) == 4
+
+
 def test_export_deterministic_bytes(tmp_path):
     cfg = ExperimentConfig.from_dict(_small_doc())
     export(run_batch(cfg), tmp_path / "a")

@@ -1,6 +1,8 @@
 """Solver contract tests: exact budgets, recording, determinism, and toy
 convergence for each of the three training loops."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddqcl.optim
 from ddqcl.ansatz import Ansatz, Topology, line_topology
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
@@ -186,6 +189,157 @@ def test_init_search_single_candidate():
 def test_init_search_rejects_zero():
     with pytest.raises(ValueError):
         init_search(_ctx(_quad, 2, 5, 0), 0)
+
+
+# --- evaluate_many ---
+
+_ANSATZ_16 = Ansatz(line_topology(16), 1)
+_BAS_4X4 = bas_target_distribution(BasSpec(4, 4))
+
+
+def _cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+def _spy_execute(monkeypatch):
+    """Patch the `execute` the cost calls; returns a list that gets, per call,
+    its thread and the number of threads alive during it."""
+    calls = []
+
+    def spy(*args):
+        calls.append((threading.get_ident(), threading.active_count()))
+        return execute(*args)
+
+    monkeypatch.setattr(ddqcl.optim, "execute", spy)
+    return calls
+
+
+def _ctx_16(budget, seed=0):
+    return CostContext.for_circuit(
+        _ANSATZ_16, _BAS_4X4, budget=budget, shots=None, rng=np.random.default_rng(seed)
+    )
+
+
+def test_threaded_costs_equal_row_by_row_evaluation(monkeypatch):
+    # each lane computes in its own buffer: the costs are those of evaluate,
+    # bit for bit, computed off the calling thread
+    rows = np.random.default_rng(1).uniform(0.0, TAU, (7, _ANSATZ_16.param_count))
+    one_by_one = _ctx_16(7)
+    expected = [one_by_one.evaluate(row).hex() for row in rows]
+    _cpus(monkeypatch, 2)
+    calls = _spy_execute(monkeypatch)
+    ctx = _ctx_16(7)
+    pool = ctx.evaluate_many(rows)
+    assert [cost.hex() for cost, _ in pool] == [c.hex() for c in ctx.costs] == expected
+    np.testing.assert_array_equal([row for _, row in pool], rows)
+    assert len(calls) == 7
+    assert threading.get_ident() not in {thread for thread, _ in calls}
+    np.testing.assert_array_equal(ctx.best_params, one_by_one.best_params)
+
+
+def test_first_row_enters_evaluate_before_any_cost_is_computed(monkeypatch):
+    # a caller timing the first `evaluate` call sees it before any lane works
+    _cpus(monkeypatch, 2)
+    calls = _spy_execute(monkeypatch)
+    ctx = _ctx_16(3)
+    seen = []
+    evaluate = ctx.evaluate
+    ctx.evaluate = lambda params: seen.append(len(calls)) or evaluate(params)
+    ctx.evaluate_many(np.zeros((3, _ANSATZ_16.param_count)))
+    assert seen[0] == 0 and len(calls) == 3
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_evaluate_many_computes_only_what_the_budget_records(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    ctx = _ctx_16(5)
+    ctx.evaluate(np.zeros(_ANSATZ_16.param_count))
+    calls = _spy_execute(monkeypatch)
+    rows = np.random.default_rng(2).uniform(0.0, TAU, (9, _ANSATZ_16.param_count))
+    with pytest.raises(BudgetExhausted):
+        ctx.evaluate_many(rows)
+    assert len(calls) == 4
+    assert ctx.evaluations == ctx.budget == 5
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_non_finite_row_raises_where_evaluate_would(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    rows = np.random.default_rng(3).uniform(0.0, TAU, (32, _ANSATZ_16.param_count))
+    rows[3, 5] = np.nan
+    oracle = _ctx_16(32)
+    for row in rows[:3]:
+        oracle.evaluate(row)
+    with pytest.raises(ValueError, match="parameters must be finite") as expected:
+        oracle.evaluate(rows[3])
+    threads = threading.active_count()
+    ctx = _ctx_16(32)
+    calls = _spy_execute(monkeypatch)
+    with pytest.raises(ValueError) as raised:
+        ctx.evaluate_many(rows)
+    assert str(raised.value) == str(expected.value)
+    assert ctx.costs == oracle.costs and ctx.evaluations == 3
+    assert threading.active_count() == threads  # every lane has stopped
+    assert len(calls) < len(rows)  # the rows after the error were dropped
+    assert ctx.evaluate(rows[4]) == oracle.evaluate(rows[4])  # row by row again
+
+
+def _draw_then_evaluate(ctx, n_ini):
+    # the initial search as a loop: draw one vector, evaluate it, repeat
+    pool = []
+    for _ in range(n_ini):
+        cand = ctx.rng.uniform(0.0, TAU, ctx.param_count)
+        pool.append((ctx.evaluate(cand), cand))
+    return pool
+
+
+@pytest.mark.parametrize(
+    "ansatz, target, shots, budget",
+    [
+        (_ANSATZ_16, _BAS_4X4, None, 20),
+        (_ANSATZ_16, _BAS_4X4, None, 4),  # the budget runs out during the search
+        (Ansatz(line_topology(4), 1), bas_target_distribution(BasSpec(2, 2)), 50, 20),
+    ],
+    ids=["exact-16q", "exact-16q-short-budget", "shots-4q"],
+)
+def test_init_search_leaves_the_generator_as_draw_then_evaluate(
+    monkeypatch, ansatz, target, shots, budget
+):
+    _cpus(monkeypatch, 2)
+    results = []
+    for search in (_draw_then_evaluate, init_search):
+        rng = np.random.default_rng(4)
+        ctx = CostContext.for_circuit(ansatz, target, budget=budget, shots=shots, rng=rng)
+        try:
+            pool = search(ctx, 6)
+        except BudgetExhausted:
+            pool = None
+        results.append((pool, ctx.costs, rng.bit_generator.state))
+    (want, want_costs, want_state), (got, got_costs, got_state) = results
+    assert got_costs == want_costs and got_state == want_state
+    assert (got is None) == (want is None) == (budget < 6)
+    for (cost, params), (want_cost, want_params) in zip(got or [], want or []):
+        assert cost == want_cost
+        np.testing.assert_array_equal(params, want_params)
+
+
+@pytest.mark.parametrize(
+    "ansatz, target, shots",
+    [
+        (_ANSATZ_16, _BAS_4X4, 100),
+        (Ansatz(line_topology(4), 1), bas_target_distribution(BasSpec(2, 2)), None),
+    ],
+    ids=["shots-16q", "exact-4q"],
+)
+def test_shot_and_narrow_costs_start_no_thread(monkeypatch, ansatz, target, shots):
+    _cpus(monkeypatch, 2)
+    calls = _spy_execute(monkeypatch)
+    threads = threading.active_count()
+    ctx = CostContext.for_circuit(
+        ansatz, target, budget=4, shots=shots, rng=np.random.default_rng(5)
+    )
+    ctx.evaluate_many(np.zeros((4, ansatz.param_count)))
+    assert calls == [(threading.get_ident(), threads)] * 4
 
 
 # --- circuit-backed cost ---
