@@ -50,8 +50,9 @@ MAX_RUN_BYTES = 2**30
 # An exact cost runs `evaluate_many`'s rows on threads from this many amplitudes
 # up, where one numpy operation moves 512 KiB.  46 rows of a one-layer line
 # circuit on 2 lanes against 1 (2-core x86-64, one BLAS thread, 12 alternated
-# rounds): 14 qubits 0.78x, faster in 4 of 12; 15 qubits 1.15x, 8 of 12;
-# 16 qubits 1.54x, 12 of 12.  Narrower rows lose to the GIL hand-offs.
+# rounds), with `execute` rotating axes from 15 qubits: 14 qubits 0.84x,
+# faster in 2 of 12; 15 qubits 0.95x, 2 of 12; 16 qubits 1.43x, 12 of 12.
+# Narrower rows lose to the GIL hand-offs around their shorter numpy calls.
 _LANE_AMPLITUDES = 2**16
 
 Pool = list[tuple[float, np.ndarray]]  # (cost, params) per evaluated row

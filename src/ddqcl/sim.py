@@ -2,8 +2,10 @@
 
 Ry and CZ have real matrices, so a state started at |0...0> never leaves the
 reals.  A state is held in one form only: a float64 array of shape (2,)*N,
-one axis per qubit.  The gate kernels `apply_ry` and `apply_cz` act on it
-and do no validation; the register width and qubit indices are checked
+one axis per qubit.  The gate kernels `apply_ry` and `apply_cz` act on
+array axes, not on qubits: `ansatz.execute` says which axis holds which
+qubit, since on wide registers it rotates the axes as it runs.  The kernels
+do no validation; the register width and qubit indices are checked
 once, in `Topology`, the angles once, in `execute`, and the array itself
 where it leaves the circuit, in `probabilities`.  A kernel writes into a
 buffer its caller owns and allocates nothing: `apply_ry` into `out`, and
@@ -164,7 +166,8 @@ def product_state(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndar
 
 
 def apply_ry(amp: np.ndarray, qubit: int, theta: float, out: np.ndarray) -> np.ndarray:
-    """Rotate one qubit of a (2,)*N amplitude array around the y axis by theta.
+    """Rotate the qubit on axis `qubit` of a (2,)*N amplitude array around the
+    y axis by theta.
 
     The 2x2 action on the (bit=0, bit=1) amplitude pair is
     [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Writes the result into
@@ -189,8 +192,9 @@ def apply_ry(amp: np.ndarray, qubit: int, theta: float, out: np.ndarray) -> np.n
 
 
 def apply_cz(amp: np.ndarray, qa: int, qb: int) -> np.ndarray:
-    """Controlled-Z on a (2,)*N amplitude array: negate, in place, the entries
-    with both bits set.  Returns `amp`."""
+    """Controlled-Z between the qubits on axes `qa` and `qb` of a (2,)*N
+    amplitude array: negate, in place, the entries with both bits set.
+    Returns `amp`."""
     sel: list[object] = [slice(None)] * amp.ndim
     sel[qa] = 1
     sel[qb] = 1

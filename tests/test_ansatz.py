@@ -1,9 +1,12 @@
 import dataclasses
+from math import tau
 
 import numpy as np
 import pytest
 
 from ddqcl.ansatz import (
+    _MIN_RUN,
+    _ROTATE_MIN_QUBITS,
     Ansatz,
     Topology,
     execute,
@@ -13,7 +16,7 @@ from ddqcl.ansatz import (
 )
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
-from ddqcl.sim import MAX_QUBITS, probabilities
+from ddqcl.sim import MAX_QUBITS, _aligned_empty, apply_cz, apply_ry, probabilities, product_state
 
 # 4x4 matrix oracle for the two-qubit primitive, built from scratch
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -191,6 +194,110 @@ def test_execute_runs_in_two_buffers(monkeypatch):
     assert kernel_calls.count("ry") == 2 * 3 * 5 and kernel_calls.count("cz") == 3 * 5
     assert buffers == {address(work[0]), address(work[1])}
     assert address(state) in buffers and np.shares_memory(state, work)
+
+
+# --- rotated layouts on wide registers ---
+
+
+def _canonical_execute(ansatz, params):
+    # the gate loop `execute` ran before it rotated axes, kept as the oracle:
+    # qubit q stays on axis q throughout
+    theta = np.mod(np.asarray(params, dtype=float), tau)
+    n = ansatz.n_qubits
+    work = np.empty((2, 2**n))
+    amp = product_state(theta[:n], work)
+    spare = work[1].reshape(amp.shape)
+    angles = iter(theta[n:])
+    for _ in range(ansatz.layers):
+        for a, b in ansatz.topology.edges:
+            apply_cz(amp, a, b)
+            amp, spare = apply_ry(amp, a, next(angles), out=spare), amp
+            amp, spare = apply_ry(amp, b, next(angles), out=spare), amp
+    return amp
+
+
+def _edge_case_angles(rng, count):
+    # values in [-20, 20] with 0, +-pi and 2*pi scattered among them
+    theta = rng.uniform(-20.0, 20.0, count)
+    spots = rng.choice(count, size=min(count, 8), replace=False)
+    theta[spots] = np.resize([0.0, np.pi, -np.pi, 2 * np.pi], len(spots))
+    return theta
+
+
+def _spy_rotations(monkeypatch):
+    import ddqcl.ansatz
+
+    shifts = []
+    real_rotate = ddqcl.ansatz._rotate
+
+    def rotate(amp, shift, out):
+        shifts.append(shift)
+        return real_rotate(amp, shift, out)
+
+    monkeypatch.setattr(ddqcl.ansatz, "_rotate", rotate)
+    return shifts
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("n", [_ROTATE_MIN_QUBITS - 1, _ROTATE_MIN_QUBITS, 16, 17])
+@pytest.mark.parametrize("topology", [line_topology, star_topology])
+def test_execute_matches_canonical_loop_bit_for_bit(monkeypatch, topology, n, layers):
+    # a rotation only moves values, so every amplitude, sign bits included,
+    # is the one the canonical-layout loop computes
+    a = Ansatz(topology(n), layers)
+    theta = _edge_case_angles(np.random.default_rng(100 * n + layers), a.param_count)
+    shifts = _spy_rotations(monkeypatch)
+    work = _aligned_empty((2, 2**n))
+    state = execute(a, theta, work)
+    expected = _canonical_execute(a, theta)
+    assert state.shape == (2,) * n and state.flags.c_contiguous
+    assert state.tobytes() == expected.tobytes()
+    assert any(state.__array_interface__["data"][0] == row.__array_interface__["data"][0]
+               for row in work)
+    # only a wide register with entangling layers rotates, and the line always does
+    if n < _ROTATE_MIN_QUBITS or layers == 0:
+        assert shifts == []
+    elif topology is line_topology:
+        assert shifts
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+def test_wide_line_gates_run_on_long_run_axes(monkeypatch, layers):
+    # on a line every edge fits the axes whose runs hold at least _MIN_RUN
+    # entries, so no gate acts on a short-run axis and each rotation and gate
+    # writes into a row of the caller's `work`
+    import ddqcl.ansatz
+
+    n = 16
+    a = Ansatz(line_topology(n), layers)
+    work = _aligned_empty((2, 2**n))
+    rows = {row.__array_interface__["data"][0] for row in work}
+    real_ry, real_cz, real_rotate = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz, ddqcl.ansatz._rotate
+    axes = []
+
+    def written(arr):
+        assert arr.__array_interface__["data"][0] in rows
+        return arr
+
+    def ry(amp, axis, theta, out):
+        axes.append(axis)
+        return written(real_ry(written(amp), axis, theta, out))
+
+    def cz(amp, qa, qb):
+        axes.extend((qa, qb))
+        return written(real_cz(written(amp), qa, qb))
+
+    def rotate(amp, shift, out):
+        return written(real_rotate(written(amp), shift, out))
+
+    monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
+    monkeypatch.setattr(ddqcl.ansatz, "_rotate", rotate)
+    theta = np.random.default_rng(9).uniform(-20.0, 20.0, a.param_count)
+    state = execute(a, theta, work)
+    assert len(axes) == 4 * layers * (n - 1)
+    assert max(axes) < n + 1 - _MIN_RUN.bit_length()
+    assert state.tobytes() == _canonical_execute(a, theta).tobytes()
 
 
 def test_param_count_formula():
