@@ -15,7 +15,8 @@ from math import tau
 
 import numpy as np
 
-from .sim import _buffer, _check_n_qubits, _real_array, apply_cz, apply_ry, product_state
+from .sim import _buffer, _check_n_qubits, _real_array, apply_cz, apply_ry, check_integer
+from .sim import product_state
 
 # numpy runs a strided operation whose contiguous runs hold fewer than 4096
 # float64 entries through its 8192-entry buffer: at 16 qubits a Ry on axes 0-3
@@ -36,18 +37,19 @@ class Topology:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        _check_n_qubits(self.n_qubits)
-        edges = tuple((int(a), int(b)) for a, b in self.edges)
+        n = _check_n_qubits(self.n_qubits)
+        edges = tuple(
+            tuple(check_integer(q, f"qubit of edge {e}", 0, n - 1) for q in e) for e in self.edges
+        )
         seen: set[tuple[int, int]] = set()
         for a, b in edges:
-            if not (0 <= a < self.n_qubits and 0 <= b < self.n_qubits):
-                raise ValueError(f"edge ({a},{b}) references a qubit outside 0..{self.n_qubits - 1}")
             if a == b:
                 raise ValueError(f"edge ({a},{b}) is a self-loop")
             key = (min(a, b), max(a, b))
             if key in seen:
                 raise ValueError(f"duplicate edge ({a},{b})")
             seen.add(key)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "edges", edges)
 
 
@@ -75,8 +77,7 @@ class Ansatz:
     layers: int
 
     def __post_init__(self) -> None:
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
+        object.__setattr__(self, "layers", check_integer(self.layers, "layers", 0))
         if self.layers >= 1 and not self.topology.edges:
             raise ValueError("entangling layers need at least one edge")
 

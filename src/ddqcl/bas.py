@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MAX_QUBITS, _aligned_empty
+from .sim import MAX_QUBITS, _aligned_empty, check_integer
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class BasSpec:
     cols: int
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"rows and cols must be >= 1, got ({self.rows}, {self.cols})")
+        for name in ("rows", "cols"):
+            object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.n_qubits > MAX_QUBITS:
             raise ValueError(
                 f"{self.rows}x{self.cols} image needs {self.n_qubits} qubits (max {MAX_QUBITS})"

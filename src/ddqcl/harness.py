@@ -36,7 +36,7 @@ from .readout import (
     check_dense_width,
     correct,
 )
-from .sim import MAX_SHOTS, probabilities, sample
+from .sim import MAX_SHOTS, check_integer, probabilities, sample
 
 
 class ConfigError(ValueError):
@@ -44,6 +44,8 @@ class ConfigError(ValueError):
 
 
 _TOPOLOGIES = {"line": line_topology, "star": star_topology}
+# ExperimentConfig's integer fields, each with its least value
+_LEAST = dict(rows=1, cols=1, layers=0, runs=1, budget=1, shots=1, n_ini_multiplier=1, base_seed=0)
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,11 @@ class ReadoutConfig:
     calibration_shots: int = DEFAULT_CALIBRATION_SHOTS
 
     def __post_init__(self) -> None:
-        if not 1 <= (shots := self.calibration_shots) <= MAX_SHOTS:
-            raise ConfigError(f"readout.calibration_shots must be in [1, {MAX_SHOTS}], got {shots}")
+        try:
+            shots = check_integer(self.calibration_shots, "readout.calibration_shots", 1, MAX_SHOTS)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        object.__setattr__(self, "calibration_shots", shots)
 
 
 @dataclass(frozen=True)
@@ -83,16 +88,13 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown topology {self.topology!r}; choose from {sorted(_TOPOLOGIES)}"
             )
-        for key in ("runs", "budget", "shots", "n_ini_multiplier"):
-            if (value := getattr(self, key)) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
-        if self.shots > MAX_SHOTS:
-            raise ConfigError(f"shots must be <= {MAX_SHOTS}, the largest int64, got {self.shots}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
-        if self.exact_mode and self.readout is not None:
-            raise ConfigError("readout noise has no effect in exact mode; drop one of the two")
         try:
+            # stored as the Python ints the rule returns, which json can write
+            for key, low in _LEAST.items():
+                high = MAX_SHOTS if key == "shots" else None
+                object.__setattr__(self, key, check_integer(getattr(self, key), key, low, high))
+            if self.exact_mode and self.readout is not None:
+                raise ValueError("readout noise has no effect in exact mode; drop one of the two")
             # building each part validates it: image shape and qubit cap,
             # topology and layers, flip probabilities, solver, budget and sizes
             ansatz = self.build_ansatz()

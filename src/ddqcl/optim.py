@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from itertools import count, islice
 from math import isfinite, pi, tau
-from numbers import Integral
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -34,8 +33,8 @@ import numpy as np
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _DIST_TOL, _aligned_empty, _real_array, _usable_cpus, _vector_width, check_shots
-from .sim import probabilities, sample
+from .sim import _aligned_empty, _real_array, _usable_cpus, check_integer, check_probabilities
+from .sim import check_shots, probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -96,13 +95,9 @@ class CostContext:
         budget: int,
         rng: np.random.Generator,
     ) -> None:
-        if param_count < 1:
-            raise ValueError(f"param_count must be >= 1, got {param_count}")
-        if budget < 1:
-            raise ValueError(f"budget must be >= 1, got {budget}")
         self._cost_fn = cost_fn
-        self.param_count = param_count
-        self.budget = budget
+        self.param_count = check_integer(param_count, "param_count")
+        self.budget = check_integer(budget, "budget")
         self.rng = rng
         self.costs: list[float] = []
         self.best_cost = float("inf")
@@ -146,14 +141,11 @@ class CostContext:
         """
         if shots is None and (channel is not None or confusion is not None):
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
-        if shots is not None:
-            shots = check_shots(shots)
+        shots = None if shots is None else check_shots(shots)
         n = ansatz.n_qubits
-        target = _real_array(target, "target")
-        if _vector_width(target, "target probabilities") != n:
+        target = check_probabilities(target, "target")
+        if len(target) != 2**n:
             raise ValueError(f"expected {2**n} target entries for {n} qubits, not {len(target)}")
-        if target.min() < 0 or not abs(target.sum() - 1.0) <= _DIST_TOL:  # also rejects NaN
-            raise ValueError(f"target must be non-negative and sum to 1, not {float(target.sum())}")
         for name, readout in (("channel", channel), ("confusion matrix", confusion)):
             if readout is not None and readout.n_qubits != n:
                 raise ValueError(f"the {name} reads {readout.n_qubits} qubits, the ansatz has {n}")
@@ -269,32 +261,34 @@ def init_search(ctx: CostContext, n_ini: int) -> Pool:
     vectors the budget can record are drawn first, as exact costs draw
     nothing.
     """
-    if n_ini < 1:
-        raise ValueError(f"n_ini must be >= 1, got {n_ini}")
+    n_ini = check_integer(n_ini, "n_ini")
     return ctx.evaluate_many(ctx.rng.uniform(0.0, tau, ctx.param_count) for _ in range(n_ini))
 
 
 # --- solver configs ---
 
 
-# Allowed option ranges, keyed by how the error message states them.
-_COUNT, _PERIOD = "an integer >= 1", "an integer >= 0"
+# Allowed ranges of the number options, keyed by how the error message states them.
 _RANGES = {
     "> 0": lambda v: v > 0,
     ">= 0": lambda v: v >= 0,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
-    _COUNT: lambda v: isinstance(v, Integral) and v >= 1,
-    _PERIOD: lambda v: isinstance(v, Integral) and v >= 0,
 }
 
 
-def _check_ranges(cfg: object, **ranges: str) -> None:
-    """Raise ValueError for the first named field outside its range; None is unset."""
+def _check_ranges(cfg: object, **ranges: str | int) -> None:
+    """Raise ValueError for the first named field outside its range; None is
+    unset.  A number's range is a `_RANGES` key, and a bool is not a number.
+    An integer option's range is its least value, and the field is set to
+    the int `check_integer` returns."""
     for name, rule in ranges.items():
-        value = getattr(cfg, name)
-        if value is not None and not _RANGES[rule](value):
+        if (value := getattr(cfg, name)) is None:
+            continue
+        if isinstance(rule, int):
+            object.__setattr__(cfg, name, check_integer(value, name, rule))
+        elif isinstance(value, bool) or not _RANGES[rule](value):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -319,7 +313,7 @@ class SvhcConfig:
     suppression_period: int = 25
 
     def __post_init__(self) -> None:
-        _check_ranges(self, sigma=">= 0", subset_size=_COUNT, suppression_period=_PERIOD)
+        _check_ranges(self, sigma=">= 0", subset_size=1, suppression_period=0)
 
     def subset(self, param_count: int) -> int:
         """Coordinates moved per step: subset_size, or ceil(L/4) when unset."""
@@ -337,8 +331,8 @@ class ZooConfig:
 
     def __post_init__(self) -> None:
         _check_ranges(
-            self, elite_size=_COUNT, elite_prob="in [0, 1]", region_width="> 0",
-            region_shrink="in (0, 1]", stall_limit=_COUNT, suppression_period=_PERIOD,
+            self, elite_size=1, elite_prob="in [0, 1]", region_width="> 0",
+            region_shrink="in (0, 1]", stall_limit=1, suppression_period=0,
         )
 
 
@@ -346,10 +340,12 @@ Options = AdamConfig | SvhcConfig | ZooConfig
 
 
 def check_sizes(options: Options, param_count: int, n_ini: int, budget: int) -> None:
-    """Check the solver options, and the budget, memory and SVHC subset for L parameters."""
+    """Check the solver options, n_ini, and the budget, memory and SVHC subset
+    for L parameters."""
     if type(options) not in _STEPS:
         names = [t.__name__ for t in _STEPS]
         raise ValueError(f"options must be one of {names}, got {options!r}")
+    n_ini = check_integer(n_ini, "n_ini")
     if budget < n_ini + 1:
         raise ValueError(
             f"budget {budget} too small: initialization alone needs {n_ini} "

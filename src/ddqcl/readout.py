@@ -122,9 +122,8 @@ class PerQubitFlipModel:
     @classmethod
     def uniform(cls, n_qubits: int, p10: float, p01: float | None = None) -> "PerQubitFlipModel":
         """Same flip pair on every qubit; symmetric if p01 is omitted."""
-        if p01 is None:
-            p01 = p10
-        return cls((p10,) * n_qubits, (p01,) * n_qubits)
+        n = _check_n_qubits(n_qubits)
+        return cls((p10,) * n, (p10 if p01 is None else p01,) * n)
 
     @property
     def n_qubits(self) -> int:

@@ -24,11 +24,16 @@ allocates its buffers once and passes them down.
 
 A probability vector is a float64 array of length 2^N, and shot counts an
 int64 array of length 2^N whose sum is the shot count; N is always read from
-the length.  `probabilities` checks the state it squares, `sample` that its
-input is 2^N non-negative entries, N in [1, MAX_QUBITS], whose cdf ends at 1,
-and `check_counts` is the one check on counts where they enter the program's
-functions; `sample` and `check_counts` read N by one rule, `_vector_width`.
-A shot count is checked by `check_shots`: an integer in [1, MAX_SHOTS].
+the length.  Inputs are checked where they enter the package, by two rules
+that every module shares.  `check_integer` takes a count, a width, a seed
+or a qubit index: a Python or numpy integer, never a bool, in a stated range,
+returned as a Python int.  `check_probabilities` takes a probability vector:
+real, 2^N entries with N in [1, MAX_QUBITS], none negative, summing to 1
+within `_DIST_TOL`; `sample` and the training cost's target go through it.
+`check_shots` is `check_integer` over [1, MAX_SHOTS], `probabilities` checks
+the state it squares, and `check_counts` is the one check on counts where
+they enter the program's functions; it and `check_probabilities` read N by
+one rule, `_vector_width`.
 
 `sample` sorts each block of its uniforms before it counts them, since a
 binary search for each of many unsorted draws mispredicts its branches.  A
@@ -67,9 +72,30 @@ _ALIGN_BYTES = 64
 _BLOCK_DRAWS = 2**13
 
 
-def _check_n_qubits(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+def check_integer(value: object, name: str, low: int = 1, high: int | None = None) -> int:
+    """`value` as a Python int; refuses a bool, anything that is not a Python
+    or numpy integer, and an integer below `low` or, unless `high` is None,
+    above `high`."""
+    try:
+        if isinstance(value, bool):  # an int subclass, which `operator.index` takes
+            raise TypeError
+        number = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if number < low:
+        raise ValueError(f"{name} must be >= {low}, got {number}")
+    if high is not None and number > high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {number}")
+    return number
+
+
+def check_shots(shots: object) -> int:
+    """`shots` as an int; refuses a non-integer and a count outside [1, MAX_SHOTS]."""
+    return check_integer(shots, "shots", 1, MAX_SHOTS)
+
+
+def _check_n_qubits(n_qubits: object) -> int:
+    return check_integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
 
 
 def _vector_width(vec: np.ndarray, what: str) -> int:
@@ -77,8 +103,7 @@ def _vector_width(vec: np.ndarray, what: str) -> int:
     n = len(vec).bit_length() - 1 if vec.ndim == 1 else 0
     if n < 1 or vec.shape != (2**n,):
         raise ValueError(f"expected 2^N {what} for some N >= 1, got shape {vec.shape}")
-    _check_n_qubits(n)
-    return n
+    return _check_n_qubits(n)
 
 
 def check_counts(counts: np.ndarray) -> int:
@@ -104,6 +129,18 @@ def _real_array(values: object, name: str) -> np.ndarray:
     if arr.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got dtype {arr.dtype}")
     return arr.astype(float, copy=False)
+
+
+def check_probabilities(probs: object, name: str) -> np.ndarray:
+    """`probs` as a float64 vector; refuses a complex one, any shape but 2^N
+    entries with N in [1, MAX_QUBITS], a negative entry and a sum more than
+    `_DIST_TOL` from 1."""
+    vec = _real_array(probs, name)
+    _vector_width(vec, name)
+    total = float(vec.sum())
+    if vec.min() < 0 or not abs(total - 1.0) <= _DIST_TOL:  # also rejects NaN
+        raise ValueError(f"{name} must be non-negative and sum to 1, not {total!r}")
+    return vec
 
 
 def _aligned_vector(size: int) -> tuple[np.ndarray, int]:
@@ -225,19 +262,6 @@ def probabilities(amp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return probs
 
 
-def check_shots(shots: object) -> int:
-    """`shots` as an int; refuses a non-integer and a count outside [1, MAX_SHOTS]."""
-    try:
-        count = operator.index(shots)
-    except TypeError:
-        raise ValueError(f"shots must be an integer, got {shots!r}") from None
-    if count < 1:
-        raise ValueError(f"shots must be >= 1, got {count}")
-    if count > MAX_SHOTS:
-        raise ValueError(f"shots must be in [1, {MAX_SHOTS}], got {count}")
-    return count
-
-
 def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `shots` i.i.d. basis-state outcomes of a probability vector via
     inverse-CDF search; returns their int64 counts, one per basis state.
@@ -247,17 +271,13 @@ def sample(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarra
     block sorted: a draw u lands in bin i when cdf[i-1] <= u < cdf[i], as
     ``np.searchsorted(cdf, u, side="right")`` places it.  Deterministic for a
     fixed generator state.  Refuses, before any draw, a shot count that is not
-    an integer in [1, MAX_SHOTS] and any `probs` but 2^N non-negative entries,
-    N in [1, MAX_QUBITS], that sum to 1.
+    an integer in [1, MAX_SHOTS] and any `probs` that `check_probabilities`
+    refuses, such as a complex vector or one with a NaN, which would put
+    every shot in bin 0.
     """
     shots = check_shots(shots)
-    _vector_width(probs, "probabilities")
-    if probs.min() < 0:
-        raise ValueError("probabilities must be non-negative")
+    probs = check_probabilities(probs, "probabilities")
     cdf = np.cumsum(probs, out=_aligned_empty(probs.shape))
-    # NaN fails this too; it would put every shot in bin 0
-    if not abs(cdf[-1] - 1.0) <= _DIST_TOL:
-        raise ValueError(f"probabilities sum to {float(cdf[-1])!r}, not 1")
     # rounding can leave the cdf short of 1 where it reaches its last positive
     # bin; a draw above it would land on a zero-probability outcome after it
     cdf[np.flatnonzero(probs)[-1] :] = 1.0

@@ -58,8 +58,43 @@ def test_topology_width_checked_where_built():
     # a register too wide to simulate is refused before any gate runs on it
     with pytest.raises(ValueError, match=rf"n_qubits must be in \[1, {MAX_QUBITS}\]"):
         line_topology(MAX_QUBITS + 1)
-    with pytest.raises(ValueError, match=rf"n_qubits must be in \[1, {MAX_QUBITS}\]"):
+    with pytest.raises(ValueError, match=r"n_qubits must be >= 1, got 0$"):
         Topology(0, ())
+
+
+# a float, a bool, a numpy float and a string: none of them is a count
+_NOT_INTEGERS = [2.5, True, np.float64(2.0), "2"]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
+def test_topology_and_layers_refuse_non_integers(value):
+    # unchecked, a float width or layer count passed and `execute` failed later
+    with pytest.raises(ValueError, match=r"^n_qubits must be an integer, got "):
+        Topology(value, ())
+    with pytest.raises(ValueError, match=r"^qubit of edge \(1, .*\) must be an integer, got "):
+        Topology(3, ((0, 1), (1, value)))
+    with pytest.raises(ValueError, match=r"^layers must be an integer, got "):
+        Ansatz(line_topology(3), value)
+
+
+def test_topology_refuses_fractional_edge_ends():
+    # `int` truncated each end, so this was the edge (0, 1)
+    message = r"^qubit of edge \(0\.5, 1\) must be an integer, got 0\.5$"
+    with pytest.raises(ValueError, match=message):
+        Topology(3, ((0.5, 1),))
+    with pytest.raises(ValueError, match=r"^qubit of edge \(0, 3\) must be in \[0, 2\], got 3$"):
+        Topology(3, ((0, 3),))
+    with pytest.raises(ValueError, match=r"^qubit of edge \(-1, 1\) must be >= 0, got -1$"):
+        Topology(3, ((-1, 1),))
+
+
+def test_numpy_integer_sizes_are_stored_as_ints():
+    topo = Topology(np.int64(3), ((np.int64(0), np.uint8(1)), (np.int32(1), 2)))
+    ansatz = Ansatz(topo, np.int64(2))
+    assert topo == Topology(3, ((0, 1), (1, 2)))
+    stored = [topo.n_qubits, *(q for edge in topo.edges for q in edge), ansatz.layers]
+    assert [type(v) for v in stored] == [int] * 6
+    assert ansatz.param_count == 11
 
 
 # --- construction ---

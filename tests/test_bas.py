@@ -23,6 +23,31 @@ def _shapes(max_pixels):
     return [(r, c) for r in range(1, max_pixels + 1) for c in range(1, max_pixels // r + 1)]
 
 
+# --- shape ---
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"], ids=repr)
+def test_shape_refuses_non_integers(value):
+    # unchecked, BasSpec(2.5, 2) passed as a 5.0-qubit register
+    with pytest.raises(ValueError, match=r"^rows must be an integer, got "):
+        BasSpec(value, 2)
+    with pytest.raises(ValueError, match=r"^cols must be an integer, got "):
+        BasSpec(2, value)
+
+
+def test_shape_below_one_refused():
+    with pytest.raises(ValueError, match=r"^rows must be >= 1, got 0$"):
+        BasSpec(0, 2)
+    with pytest.raises(ValueError, match=r"^cols must be >= 1, got -1$"):
+        BasSpec(2, -1)
+
+
+def test_numpy_integer_shape_is_stored_as_ints():
+    spec = BasSpec(np.int64(2), np.uint8(3))
+    assert spec == BasSpec(2, 3)
+    assert type(spec.rows) is int and type(spec.cols) is int and type(spec.n_qubits) is int
+
+
 # --- pattern sets ---
 
 

@@ -210,6 +210,52 @@ _PAST_INT64 = {
 }
 
 
+# every integer field of ExperimentConfig
+_INTEGER_KEYS = [
+    "rows", "cols", "layers", "runs", "budget", "shots", "n_ini_multiplier", "base_seed"
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"], ids=repr)
+@pytest.mark.parametrize("key", _INTEGER_KEYS)
+def test_config_built_in_code_refuses_non_integer_counts(key, value):
+    # a record built in code skips the JSON reader's types; unchecked,
+    # shots=3.5 passed validation and failed at the first run
+    cfg = ExperimentConfig.from_dict(_small_doc())
+    with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got "):
+        dataclasses.replace(cfg, **{key: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"], ids=repr)
+def test_readout_config_refuses_non_integer_calibration_shots(value):
+    with pytest.raises(ConfigError, match=r"^readout\.calibration_shots must be an integer, got "):
+        ReadoutConfig(p10=0.05, p01=0.05, calibration_shots=value)
+
+
+def test_base_seed_below_zero_rejected():
+    with pytest.raises(ConfigError, match=r"^base_seed must be >= 0, got -1$"):
+        ExperimentConfig.from_dict({**MINIMAL, "base_seed": -1})
+
+
+def test_config_built_with_numpy_integers_exports_the_bytes_from_dict_gives(tmp_path):
+    # unchecked, the batch trained and `export` then raised TypeError: json
+    # cannot write an np.int64
+    doc = _small_doc(exact_mode=False, base_seed=3, readout={"p10": 0.05, "calibration_shots": 100})
+    plain = ExperimentConfig.from_dict(doc)
+    readout = dataclasses.replace(plain.readout, calibration_shots=np.int64(100))
+    numpy_cfg = dataclasses.replace(
+        plain, readout=readout, **{key: np.int64(getattr(plain, key)) for key in _INTEGER_KEYS}
+    )
+    stored = [getattr(numpy_cfg, key) for key in _INTEGER_KEYS]
+    assert stored == [getattr(plain, key) for key in _INTEGER_KEYS]
+    assert {type(v) for v in [*stored, numpy_cfg.readout.calibration_shots]} == {int}
+    names = [p.name for p in export(run_batch(plain), tmp_path / "plain")]
+    assert [p.name for p in export(run_batch(numpy_cfg), tmp_path / "numpy")] == names
+    assert "config.json" in names and "confusion.json" in names
+    for name in names:
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(_PAST_INT64))
 def test_shot_counts_past_int64_rejected(name):
     with pytest.raises(ConfigError, match=f"{name} must be .*{2**63 - 1}.*, got "):

@@ -114,3 +114,58 @@ def test_unread_private_name_check_finds_one():
     assert _unread_private_names(trees) == [
         ("a.py", 2, "_SPARE"), ("a.py", 4, "_unused"), ("b.py", 4, "_dead")
     ]
+
+
+# The two input rules live in `sim`: `check_integer`, which reads a count
+# through `operator.index`, and `check_probabilities`, which sums a vector to
+# 1 within `_DIST_TOL`.  A module that reaches for these parts again writes a
+# copy of a rule, and copies drift: one took True for 1, another 0.5 for 0.
+_RULE_PARTS = {"operator.index", "numbers.Integral", "_DIST_TOL"}
+
+
+def _rule_parts(tree):
+    """The parts of `_RULE_PARTS` a module imports, calls or reads."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            named.update(f"{node.module}.{alias.name}" for alias in node.names)
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                named.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+    return sorted(named & _RULE_PARTS)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "sim.py"), ids=lambda p: p.name
+)
+def test_only_sim_writes_the_input_rules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _rule_parts(tree) == []
+
+
+def test_sim_holds_the_input_rules():
+    tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    assert _rule_parts(tree) == ["_DIST_TOL", "operator.index"]
+
+
+def test_rule_part_check_finds_each():
+    found = [
+        _rule_parts(ast.parse(source))
+        for source in (
+            "import operator\nn = operator.index(x)\n",
+            "from operator import index as to_int\n",
+            "from numbers import Integral\n",
+            "import numbers\nok = isinstance(x, numbers.Integral)\n",
+            "from .sim import _DIST_TOL\n",
+            "from ddqcl import sim\ntol = sim._DIST_TOL\n",
+            "import operator\nkey = operator.itemgetter(0)\n",
+        )
+    ]
+    assert found == [
+        ["operator.index"], ["operator.index"], ["numbers.Integral"], ["numbers.Integral"],
+        ["_DIST_TOL"], ["_DIST_TOL"], [],
+    ]

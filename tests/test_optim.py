@@ -21,6 +21,7 @@ from ddqcl.optim import (
     CostContext,
     LearningCurve,
     SvhcConfig,
+    ZooConfig,
     init_search,
     run,
 )
@@ -557,6 +558,84 @@ def test_svhc_subset_size_default():
     # subset defaults to ceil(L/4); an explicit size is kept as given
     assert [SvhcConfig().subset(n) for n in (1, 4, 5, 8, 9)] == [1, 1, 2, 2, 3]
     assert SvhcConfig(subset_size=3).subset(8) == 3
+
+
+# (options type, integer option): each is an integer with a least value
+_INTEGER_OPTIONS = [
+    (SvhcConfig, "subset_size"),
+    (SvhcConfig, "suppression_period"),
+    (ZooConfig, "elite_size"),
+    (ZooConfig, "stall_limit"),
+    (ZooConfig, "suppression_period"),
+]
+# a float, a bool, a numpy float and a string: none of them is a count
+_NOT_INTEGERS = [2.5, True, np.float64(2.0), "2"]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
+def test_counts_refuse_non_integers(value):
+    # before any evaluation: unchecked, 2.5 passed the range checks, and True
+    # ran one initial draw
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^param_count must be an integer, got "):
+        CostContext(_bowl, value, 10, rng)
+    with pytest.raises(ValueError, match=r"^budget must be an integer, got "):
+        CostContext(_bowl, 2, value, rng)
+    ctx = _ctx(_bowl, 2, 10, 0)
+    with pytest.raises(ValueError, match=r"^n_ini must be an integer, got "):
+        init_search(ctx, value)
+    with pytest.raises(ValueError, match=r"^n_ini must be an integer, got "):
+        run(ctx, AdamConfig(), value)
+    assert ctx.evaluations == 0
+    ansatz = Ansatz(line_topology(4), 1)
+    target = bas_target_distribution(BasSpec(2, 2))
+    with pytest.raises(ValueError, match=r"^shots must be an integer, got "):
+        CostContext.for_circuit(ansatz, target, budget=1, shots=value, rng=rng)
+    with pytest.raises(ValueError, match=r"^budget must be an integer, got "):
+        CostContext.for_circuit(ansatz, target, budget=value, shots=None, rng=rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    for options, key in _INTEGER_OPTIONS:
+        with pytest.raises(ValueError, match=rf"^{key} must be an integer, got "):
+            options(**{key: value})
+
+
+def test_numpy_integer_counts_are_stored_as_ints():
+    ctx = CostContext(_bowl, np.int64(2), np.uint16(10), np.random.default_rng(0))
+    assert (ctx.param_count, ctx.budget) == (2, 10)
+    assert type(ctx.param_count) is int and type(ctx.budget) is int
+    assert len(init_search(ctx, np.int64(3))) == 3
+    curve = run(_ctx(_bowl, 2, 10, 0), AdamConfig(), np.int32(3))
+    assert len(curve.costs) == 10
+    for options, key in _INTEGER_OPTIONS:
+        stored = getattr(options(**{key: np.int64(2)}), key)
+        assert stored == 2 and type(stored) is int, key
+
+
+def test_integer_options_state_their_least_value():
+    with pytest.raises(ValueError, match=r"^subset_size must be >= 1, got 0$"):
+        SvhcConfig(subset_size=0)
+    with pytest.raises(ValueError, match=r"^suppression_period must be >= 0, got -1$"):
+        ZooConfig(suppression_period=-1)
+    assert SvhcConfig(suppression_period=0).suppression_period == 0
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SvhcConfig(subset_size=True), r"^subset_size must be an integer, got True$"),
+        (lambda: ZooConfig(stall_limit=True), r"^stall_limit must be an integer, got True$"),
+        (lambda: AdamConfig(alpha=True), r"^alpha must be > 0, got True$"),
+        (lambda: AdamConfig(beta1=False), r"^beta1 must be in \[0, 1\), got False$"),
+        (lambda: SvhcConfig(sigma=False), r"^sigma must be >= 0, got False$"),
+        (lambda: ZooConfig(elite_prob=True), r"^elite_prob must be in \[0, 1\], got True$"),
+    ],
+    ids=["subset_size", "stall_limit", "alpha", "beta1", "sigma", "elite_prob"],
+)
+def test_options_refuse_bools(make, message):
+    # `numbers.Integral` took True as 1, and the number ranges True as 1.0,
+    # though the config file reader refuses both
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 # --- toy convergence ---

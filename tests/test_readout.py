@@ -43,6 +43,17 @@ def test_uniform_symmetric_default():
     assert m.p01 == (0.03, 0.03)
 
 
+@pytest.mark.parametrize("value", [2.5, True, np.float64(2.0), "2"], ids=repr)
+def test_uniform_model_refuses_a_non_integer_width(value):
+    # True made a one-qubit model, and 2.5 a TypeError from tuple repetition
+    with pytest.raises(ValueError, match=r"^n_qubits must be an integer, got "):
+        PerQubitFlipModel.uniform(value, 0.05)
+
+
+def test_uniform_model_takes_a_numpy_width():
+    assert PerQubitFlipModel.uniform(np.int64(3), 0.05) == PerQubitFlipModel.uniform(3, 0.05)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         PerQubitFlipModel((0.5,), (0.0,))  # rate must stay below one half

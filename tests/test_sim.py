@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from functools import reduce
 
@@ -15,6 +16,9 @@ from ddqcl.sim import (
     apply_cz,
     apply_ry,
     check_counts,
+    check_integer,
+    check_probabilities,
+    check_shots,
     probabilities,
     product_state,
     sample,
@@ -475,6 +479,78 @@ def test_sample_takes_integer_shots_of_any_type():
     expected = sample(d, 300, np.random.default_rng(4))
     for shots in (np.int64(300), np.uint16(300)):
         np.testing.assert_array_equal(sample(d, shots, np.random.default_rng(4)), expected)
+
+
+@pytest.mark.parametrize("shots", [True, False, np.True_])
+def test_check_shots_refuses_bools(shots):
+    # `operator.index` takes True as 1: one shot where a flag was passed
+    message = rf"^shots must be an integer, got {re.escape(repr(shots))}$"
+    with pytest.raises(ValueError, match=message):
+        check_shots(shots)
+
+
+def test_sample_refuses_complex_probabilities_before_drawing():
+    # a cast to float dropped the imaginary part with only a ComplexWarning
+    with pytest.raises(ValueError, match=r"^probabilities must be real, got dtype complex128$"):
+        sample(np.array([0.5, 0.5 + 0.25j]), 10, _NoDraws())
+
+
+# --- the two input rules ---
+
+_NOT_INTEGERS = [2.5, True, False, np.float64(2.0), "2", None, np.array(2.0), np.array([2])]
+
+
+@pytest.mark.parametrize("value", _NOT_INTEGERS, ids=repr)
+def test_check_integer_refuses_non_integers_and_bools(value):
+    message = rf"^count must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        check_integer(value, "count", 0)
+
+
+@pytest.mark.parametrize(
+    "value", [3, np.int64(3), np.uint8(3), np.int32(3), np.array(3)], ids=repr
+)
+def test_check_integer_returns_a_python_int(value):
+    got = check_integer(value, "count", 3, 3)
+    assert got == 3 and type(got) is int
+
+
+def test_check_integer_states_its_range():
+    with pytest.raises(ValueError, match=r"^count must be >= 1, got 0$"):
+        check_integer(0, "count")
+    with pytest.raises(ValueError, match=r"^count must be >= -2, got -3$"):
+        check_integer(-3, "count", -2)
+    # below the range, the message names only the least value
+    with pytest.raises(ValueError, match=r"^count must be >= 1, got -1$"):
+        check_integer(-1, "count", 1, 7)
+    with pytest.raises(ValueError, match=r"^count must be in \[0, 7\], got 8$"):
+        check_integer(np.int64(8), "count", 0, 7)
+    assert check_integer(10**30, "count") == 10**30  # no upper bound unless one is given
+    assert check_integer(7, "count", 0, 7) == 7
+
+
+def test_check_probabilities_returns_the_float64_vector():
+    vec = np.array([0.25, 0.75])
+    assert check_probabilities(vec, "p") is vec  # a float64 vector is not copied
+    got = check_probabilities([0, 1, 0, 0], "p")
+    assert got.dtype == np.float64 and got.tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        (np.array([0.5, 0.5j]), r"^p must be real, got dtype complex128$"),
+        (np.array([0.5, 0.5, 0.0]), r"^expected 2\^N p for some N >= 1, got shape \(3,\)$"),
+        (np.array([1.5, -0.5]), r"^p must be non-negative and sum to 1, not 1\.0$"),
+        (np.array([0.5, 0.6]), r"^p must be non-negative and sum to 1, not 1\.1$"),
+        (np.array([np.nan, 1.0]), r"^p must be non-negative and sum to 1, not nan$"),
+        (np.array([np.inf, 0.0]), r"^p must be non-negative and sum to 1, not inf$"),
+    ],
+    ids=["complex", "length-3", "negative", "over-1", "nan", "inf"],
+)
+def test_check_probabilities_refuses(probs, message):
+    with pytest.raises(ValueError, match=message):
+        check_probabilities(probs, "p")
 
 
 def _oracle_sample(probs, shots, rng):
