@@ -13,8 +13,6 @@ import dataclasses
 import json
 import os
 import re
-import sys
-import typing
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -36,7 +34,7 @@ from .readout import (
     check_dense_width,
     correct,
 )
-from .sim import MAX_SHOTS, check_integer, probabilities, sample
+from .sim import MAX_SHOTS, check_integer, check_real, probabilities, sample
 
 
 class ConfigError(ValueError):
@@ -48,21 +46,33 @@ _TOPOLOGIES = {"line": line_topology, "star": star_topology}
 _LEAST = dict(rows=1, cols=1, layers=0, runs=1, budget=1, shots=1, n_ini_multiplier=1, base_seed=0)
 
 
+def _check_kind(value: object, name: str, kind: type | tuple[type, ...], words: str) -> object:
+    """`value`, refused unless it is a `kind`; `words` name the kind in the refusal."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {words}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ReadoutConfig:
-    """Synthetic flip channel settings plus the correction toggle."""
+    """Synthetic flip channel settings plus the correction toggle; p01
+    defaults to p10.  The flip model checks the rates' range."""
 
     p10: float
-    p01: float
+    p01: float | None = None
     correction: bool = True
     calibration_shots: int = DEFAULT_CALIBRATION_SHOTS
 
     def __post_init__(self) -> None:
         try:
+            p10 = check_real(self.p10, "readout.p10")
+            p01 = p10 if self.p01 is None else check_real(self.p01, "readout.p01")
             shots = check_integer(self.calibration_shots, "readout.calibration_shots", 1, MAX_SHOTS)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        object.__setattr__(self, "calibration_shots", shots)
+        _check_kind(self.correction, "readout.correction", bool, "a boolean")
+        for key, value in (("p10", p10), ("p01", p01), ("calibration_shots", shots)):
+            object.__setattr__(self, key, value)
 
 
 @dataclass(frozen=True)
@@ -84,10 +94,13 @@ class ExperimentConfig:
     readout: ReadoutConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.topology not in _TOPOLOGIES:
+        if _check_kind(self.topology, "topology", str, "a string") not in _TOPOLOGIES:
             raise ConfigError(
                 f"unknown topology {self.topology!r}; choose from {sorted(_TOPOLOGIES)}"
             )
+        _check_kind(self.exact_mode, "exact_mode", bool, "a boolean")
+        _check_kind(self.out_dir, "out_dir", (str, type(None)), "a string or None")
+        _check_kind(self.readout, "readout", (ReadoutConfig, type(None)), "a ReadoutConfig or None")
         try:
             # stored as the Python ints the rule returns, which json can write
             for key, low in _LEAST.items():
@@ -149,20 +162,18 @@ class ExperimentConfig:
         args = _read(doc, "config", cls, ("optimizer", "optimizer_options", "readout"))
         if "optimizer" not in doc:
             raise ConfigError("missing required config key 'optimizer'")
-        kind = _value("optimizer", doc["optimizer"], (str,))
+        kind = _check_kind(doc["optimizer"], "optimizer", str, "a string")
         if kind not in SOLVERS:
             raise ConfigError(f"unknown optimizer {kind!r}; choose from {sorted(SOLVERS)}")
         option_type = SOLVERS[kind][0]
         options = _read(doc.get("optimizer_options", {}), "optimizer_options", option_type)
         try:
             options = option_type(**options)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        except ValueError as e:  # the option's own name, as the config spells its key
+            raise ConfigError(f"optimizer_options.{e}") from e
 
         readout = doc.get("readout")
         if readout is not None:
-            if isinstance(readout, dict) and "p10" in readout:
-                readout = {"p01": readout["p10"], **readout}  # p01 defaults to p10
             readout = ReadoutConfig(**_read(readout, "readout", ReadoutConfig))
         return cls(optimizer_options=options, readout=readout, **args)
 
@@ -170,57 +181,26 @@ class ExperimentConfig:
         return {**dataclasses.asdict(self), "optimizer": self.optimizer}
 
 
-# JSON scalar types a config field may declare, as the error messages name them
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
 def _read(doc: object, where: str, cls: type, extra: tuple[str, ...] = ()) -> dict:
-    """Check the JSON object `doc` against the scalar fields of `cls`.
+    """Check the key names of the JSON object `doc` against the fields of `cls`.
 
-    Each field typed bool, int, float or str (or that or None) is one key,
-    required when the field has no default.  Returns the keyword arguments
-    for `cls`, holding only the keys `doc` sets, so the dataclass supplies
-    its own defaults.  Keys in `extra` are allowed and left to the caller.
+    Each field is one key, required when the field has no default; keys in
+    `extra` are allowed and left to the caller.  Returns the other keys
+    `doc` sets as keyword arguments for `cls`, so the dataclass supplies its
+    own defaults and its `__post_init__` checks the values.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    fields = list(_scalar_fields(cls))
-    allowed = {f.name for f, _ in fields} | set(extra)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in extra]
+    allowed = {f.name for f in fields} | set(extra)
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)} (allowed: {sorted(allowed)})")
     prefix = "" if where == "config" else f"{where}."
-    args = {}
-    for f, kinds in fields:
-        if f.name in doc:
-            args[f.name] = _value(prefix + f.name, doc[f.name], kinds)
-        elif f.default is dataclasses.MISSING:
+    for f in fields:
+        if f.name not in doc and f.default is dataclasses.MISSING:
             raise ConfigError(f"missing required config key {prefix + f.name!r}")
-    return args
-
-
-def _scalar_fields(cls: type):
-    """(field, JSON types) for each field of `cls` that is one config key."""
-    hints = typing.get_type_hints(cls)
-    for f in dataclasses.fields(cls):
-        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)  # (T, NoneType) for T | None
-        if kinds[0] in _JSON_TYPES:
-            yield f, kinds
-
-
-def _value(key: str, value: object, kinds: tuple[type, ...]):
-    """`value` as the first of the JSON types `kinds`, or None when they allow it."""
-    if value is None and type(None) in kinds:
-        return None
-    kind = kinds[0]
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        raise ConfigError(f"config key {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
-    if kind is float:
-        if not -sys.float_info.max <= value <= sys.float_info.max:  # also rejects NaN
-            raise ConfigError(f"config key {key!r} must be a finite number, got {value!r}")
-        return float(value)
-    return value
+    return {f.name: doc[f.name] for f in fields if f.name in doc}
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import count, islice
-from math import isfinite, pi, tau
+from math import inf, isfinite, pi, tau
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
@@ -34,7 +34,7 @@ from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
 from .sim import _aligned_empty, _real_array, _usable_cpus, check_integer, check_probabilities
-from .sim import check_shots, probabilities, sample
+from .sim import check_real, check_shots, probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -268,28 +268,21 @@ def init_search(ctx: CostContext, n_ini: int) -> Pool:
 # --- solver configs ---
 
 
-# Allowed ranges of the number options, keyed by how the error message states them.
-_RANGES = {
-    "> 0": lambda v: v > 0,
-    ">= 0": lambda v: v >= 0,
-    "in [0, 1)": lambda v: 0 <= v < 1,
-    "in [0, 1]": lambda v: 0 <= v <= 1,
-    "in (0, 1]": lambda v: 0 < v <= 1,
-}
-
-
-def _check_ranges(cfg: object, **ranges: str | int) -> None:
-    """Raise ValueError for the first named field outside its range; None is
-    unset.  A number's range is a `_RANGES` key, and a bool is not a number.
-    An integer option's range is its least value, and the field is set to
-    the int `check_integer` returns."""
+def _check_ranges(cfg: object, **ranges: int | tuple[float, float, str]) -> None:
+    """Raise ValueError for the first named field outside its range, and set
+    each field to what its rule returns.  An integer option's range is its
+    least value, for `check_integer`; a number's is the (low, high, ends) of
+    `check_real`."""
     for name, rule in ranges.items():
-        if (value := getattr(cfg, name)) is None:
-            continue
+        value = getattr(cfg, name)
         if isinstance(rule, int):
-            object.__setattr__(cfg, name, check_integer(value, name, rule))
-        elif isinstance(value, bool) or not _RANGES[rule](value):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+            value = check_integer(value, name, rule)
+        else:
+            value = check_real(value, name, *rule)
+        object.__setattr__(cfg, name, value)
+
+
+_POSITIVE, _FRACTION = (0, inf, "(]"), (0, 1, "[)")  # > 0 and in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -302,7 +295,8 @@ class AdamConfig:
 
     def __post_init__(self) -> None:
         _check_ranges(
-            self, alpha="> 0", beta1="in [0, 1)", beta2="in [0, 1)", fd_step="> 0", eps="> 0"
+            self, alpha=_POSITIVE, beta1=_FRACTION, beta2=_FRACTION, fd_step=_POSITIVE,
+            eps=_POSITIVE,
         )
 
 
@@ -313,7 +307,9 @@ class SvhcConfig:
     suppression_period: int = 25
 
     def __post_init__(self) -> None:
-        _check_ranges(self, sigma=">= 0", subset_size=1, suppression_period=0)
+        _check_ranges(self, sigma=(0, inf, "[]"), suppression_period=0)
+        if self.subset_size is not None:
+            _check_ranges(self, subset_size=1)
 
     def subset(self, param_count: int) -> int:
         """Coordinates moved per step: subset_size, or ceil(L/4) when unset."""
@@ -331,8 +327,8 @@ class ZooConfig:
 
     def __post_init__(self) -> None:
         _check_ranges(
-            self, elite_size=1, elite_prob="in [0, 1]", region_width="> 0",
-            region_shrink="in (0, 1]", stall_limit=1, suppression_period=0,
+            self, elite_size=1, elite_prob=(0, 1, "[]"), region_width=_POSITIVE,
+            region_shrink=(0, 1, "(]"), stall_limit=1, suppression_period=0,
         )
 
 

@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .sim import _aligned_vector, _check_n_qubits, _real_array, _usable_cpus, check_counts
-from .sim import check_shots
+from .sim import check_real, check_shots
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
@@ -107,17 +107,12 @@ class PerQubitFlipModel:
     p01: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        p10 = tuple(float(p) for p in self.p10)
-        p01 = tuple(float(p) for p in self.p01)
-        if len(p10) != len(p01) or not p10:
+        for name in ("p10", "p01"):
+            rates = tuple(check_real(p, name, 0, 0.5, "[)") for p in getattr(self, name))
+            object.__setattr__(self, name, rates)
+        if len(self.p10) != len(self.p01) or not self.p10:
             raise ValueError("p10 and p01 must be equal-length, non-empty")
-        _check_n_qubits(len(p10))
-        for name, probs in (("p10", p10), ("p01", p01)):
-            for p in probs:
-                if not 0.0 <= p < 0.5:
-                    raise ValueError(f"{name} entries must lie in [0, 0.5), got {p}")
-        object.__setattr__(self, "p10", p10)
-        object.__setattr__(self, "p01", p01)
+        _check_n_qubits(len(self.p10))
 
     @classmethod
     def uniform(cls, n_qubits: int, p10: float, p01: float | None = None) -> "PerQubitFlipModel":

@@ -24,12 +24,17 @@ allocates its buffers once and passes them down.
 
 A probability vector is a float64 array of length 2^N, and shot counts an
 int64 array of length 2^N whose sum is the shot count; N is always read from
-the length.  Inputs are checked where they enter the package, by two rules
-that every module shares.  `check_integer` takes a count, a width, a seed
-or a qubit index: a Python or numpy integer, never a bool, in a stated range,
-returned as a Python int.  `check_probabilities` takes a probability vector:
-real, 2^N entries with N in [1, MAX_QUBITS], none negative, summing to 1
-within `_DIST_TOL`; `sample` and the training cost's target go through it.
+the length.  Inputs are checked where they enter the package, by three
+rules that every module shares.  `check_integer` takes a count, a width, a
+seed or a qubit index: a Python or numpy integer, never a bool, in a stated
+range, returned as a Python int.  `check_real` takes a number, such as a
+flip rate or a solver option: a Python or numpy real, never a bool or a
+string, finite in float64, in a stated range whose ends are each open or
+closed, returned as a Python float.  So a record that stores what these
+return holds only values json writes and reads back as they were.
+`check_probabilities` takes a probability vector: real, 2^N entries with N
+in [1, MAX_QUBITS], none negative, summing to 1 within `_DIST_TOL`;
+`sample` and the training cost's target go through it.
 `check_shots` is `check_integer` over [1, MAX_SHOTS], `probabilities` checks
 the state it squares, and `check_counts` is the one check on counts where
 they enter the program's functions; it and `check_probabilities` read N by
@@ -51,9 +56,10 @@ qubit 2 = 1, qubit 3 = 0, and it is the entry [1, 0, 1, 0] of a state array.
 from __future__ import annotations
 
 import ctypes
+import numbers
 import operator
 import os
-from math import cos, prod, sin
+from math import cos, inf, isfinite, prod, sin
 
 import numpy as np
 
@@ -86,6 +92,32 @@ def check_integer(value: object, name: str, low: int = 1, high: int | None = Non
         raise ValueError(f"{name} must be >= {low}, got {number}")
     if high is not None and number > high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {number}")
+    return number
+
+
+def check_real(
+    value: object, name: str, low: float = -inf, high: float = inf, ends: str = "[]"
+) -> float:
+    """`value` as a Python float; refuses a bool, anything that is not a Python
+    or numpy real, a value that is not finite in float64, and one outside the
+    range from `low` to `high`, whose `ends` are each closed ("[", "]") or
+    open ("(", ")")."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past float64, such as 10**400
+        number = inf
+    if not isfinite(number):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    above = low <= number if ends[0] == "[" else low < number
+    below = number <= high if ends[1] == "]" else number < high
+    if not (above and below):
+        if high < inf:
+            rule = f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
+        else:
+            rule = f"{'>=' if ends[0] == '[' else '>'} {low:g}"
+        raise ValueError(f"{name} must be {rule}, got {number!r}")
     return number
 
 

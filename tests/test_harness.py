@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddqcl import harness
 from ddqcl.ansatz import Ansatz, execute, line_topology
@@ -29,7 +32,7 @@ from ddqcl.harness import (
     summary_dict,
 )
 from ddqcl.metrics import js_divergence, kl_divergence, qbas_score
-from ddqcl.optim import SOLVERS, AdamConfig, LearningCurve
+from ddqcl.optim import SOLVERS, AdamConfig, LearningCurve, SvhcConfig, ZooConfig
 from ddqcl.readout import ConfusionMatrix, PerQubitFlipModel, calibrate
 from ddqcl.sim import probabilities, sample
 
@@ -105,7 +108,7 @@ def test_from_dict_types_fail_closed():
         ("zoo", "region_width", True, "a number"),
     ]:
         doc = {**MINIMAL, "optimizer": kind, "optimizer_options": {key: value}}
-        with pytest.raises(ConfigError, match=f"'optimizer_options.{key}' must be {message}"):
+        with pytest.raises(ConfigError, match=f"optimizer_options.{key} must be {message}"):
             ExperimentConfig.from_dict(doc)
 
 
@@ -254,6 +257,117 @@ def test_config_built_with_numpy_integers_exports_the_bytes_from_dict_gives(tmp_
     assert "config.json" in names and "confusion.json" in names
     for name in names:
         assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_config_built_with_numpy_floats_exports_the_bytes_its_from_dict_twin_gives(tmp_path):
+    # unchecked, the batch trained and `export` then raised TypeError: json
+    # cannot write an np.float32
+    doc = _small_doc(exact_mode=False, readout={"p10": 0.05, "calibration_shots": 100})
+    options = ZooConfig(elite_prob=np.float32(0.9), region_width=np.float64(1.5),
+                        region_shrink=np.float32(0.8))
+    readout = ReadoutConfig(p10=np.float32(0.05), p01=np.float64(0.03), calibration_shots=100)
+    cfg = dataclasses.replace(ExperimentConfig.from_dict(doc), optimizer_options=options,
+                              readout=readout)
+    stored = [*dataclasses.astuple(cfg.optimizer_options), cfg.readout.p10, cfg.readout.p01]
+    assert {type(v) for v in stored} == {int, float}
+    names = [p.name for p in export(run_batch(cfg), tmp_path / "numpy")]
+    twin = load_config(tmp_path / "numpy" / "config.json")
+    assert [p.name for p in export(run_batch(twin), tmp_path / "twin")] == names
+    assert "config.json" in names and "confusion.json" in names
+    for name in names:
+        assert (tmp_path / "twin" / name).read_bytes() == (tmp_path / "numpy" / name).read_bytes()
+
+
+# each record a config holds, with the solver whose options it is
+_RECORDS = {ExperimentConfig: "adam", ReadoutConfig: "adam", AdamConfig: "adam",
+            SvhcConfig: "svhc", ZooConfig: "zoo"}
+# every field of each record that holds one value, not another record
+_SCALAR_FIELDS = [
+    (record, f) for record in _RECORDS for f in dataclasses.fields(record)
+    if f.name not in ("optimizer_options", "readout")
+]
+
+
+def _built_in_code(record, key, value):
+    """A small shot-mode config with a flip channel, built in code, whose
+    `record` has `value` in its field `key`."""
+    fields = {record: {key: value}}
+    readout = {"p10": 0.05, "p01": 0.05, "calibration_shots": 100, **fields.get(ReadoutConfig, {})}
+    readout = ReadoutConfig(**readout)
+    kind = _RECORDS[record]
+    options = SOLVERS[kind][0](**fields.get(SOLVERS[kind][0], {}))
+    top = {"rows": 2, "cols": 2, "topology": "line", "layers": 0, "runs": 1, "budget": 20,
+           "shots": 50, **fields.get(ExperimentConfig, {})}
+    return ExperimentConfig(**top, optimizer_options=options, readout=readout)
+
+
+def _of_its_kind(field, value):
+    """Whether `value` is of a type the field's annotation names."""
+    kinds = field.type.split(" | ")
+    if value is None:
+        return "None" in kinds
+    if isinstance(value, bool):
+        return "bool" in kinds
+    types = {"int": (int, np.integer), "float": (int, float, np.integer, np.floating),
+             "str": str, "bool": ()}
+    return isinstance(value, types[kinds[0]])
+
+
+_PROBE_VALUES = st.one_of(
+    st.integers(-2, 40),
+    st.integers(-2, 40).map(np.int64),
+    st.floats(),
+    st.floats(-2, 2).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from([True, False, None, "line", "0.05", "", math.nan, math.inf, -math.inf,
+                     10**400, 0.05, 1, Path("results")]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(_SCALAR_FIELDS), value=_PROBE_VALUES)
+def test_config_built_in_code_is_refused_or_rebuilds_from_its_own_json(field, value):
+    # each record checks its own values: a config the API accepts rebuilds,
+    # byte for byte, from the config.json it exports.  Bytes, not dicts:
+    # `1 == 1.0` hid an `alpha` of 1 that came back as 1.0
+    record, f = field
+    try:
+        cfg = _built_in_code(record, f.name, value)
+    except ValueError as e:
+        # a value of the field's own kind may break a rule across fields
+        # (budget, qubit cap, conditioning); one of any other kind is
+        # refused by the field's own rule, which names the field
+        assert _of_its_kind(f, value) or re.search(rf"\b{f.name} must be ", str(e)), str(e)
+        return
+    text = json.dumps(cfg.to_dict(), sort_keys=True)
+    twin = ExperimentConfig.from_dict(json.loads(text))
+    assert json.dumps(twin.to_dict(), sort_keys=True) == text
+
+
+@pytest.mark.parametrize(
+    "record, key", [(r, f.name) for r, f in _SCALAR_FIELDS], ids=lambda x: getattr(x, "__name__", x)
+)
+def test_every_scalar_field_refuses_an_object(record, key):
+    # the JSON reader checks key names only, so a field no rule checks would
+    # take anything; this walks every field, new ones too
+    with pytest.raises(ValueError, match=rf"\b{key} must be "):
+        _built_in_code(record, key, object())
+
+
+def test_config_refuses_a_readout_that_is_not_a_record():
+    cfg = ExperimentConfig.from_dict(_small_doc(exact_mode=False))
+    # unchecked, a dict raised AttributeError: 'dict' object has no attribute 'p10'
+    with pytest.raises(ConfigError, match=r"^readout must be a ReadoutConfig or None, got \{"):
+        dataclasses.replace(cfg, readout={"p10": 0.05, "p01": 0.05})
+
+
+def test_readout_config_built_in_code_defaults_p01_to_p10():
+    # as in JSON; before, ReadoutConfig(p10=0.05) raised TypeError
+    readout = ReadoutConfig(p10=np.float32(0.25))
+    assert readout.p01 == readout.p10 == 0.25 and type(readout.p01) is float
+    assert ReadoutConfig(p10=0.05, p01=None) == ReadoutConfig(p10=0.05, p01=0.05)
+    cfg = ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.05}})
+    assert cfg.to_dict()["readout"]["p01"] == 0.05
 
 
 @pytest.mark.parametrize("name", sorted(_PAST_INT64))
@@ -928,6 +1042,10 @@ def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
         {"optimizer": "zoo", "optimizer_options": {"region_shrink": 0.0}},
         {"rows": 4, "cols": 4, "layers": 0, "readout": {"p10": 0.05}},
         {"optimizer_options": {"alpha": float("inf")}},  # written as Infinity
+        {"optimizer_options": {"alpha": float("nan")}},  # written as NaN
+        {"optimizer_options": {"alpha": "1e400"}},  # written as the number 1e400
+        {"optimizer_options": {"alpha": "0.2"}},
+        {"topology": ["line"]},
         {"readout": {"p10": 10**400}},  # too large for float64
         *_TOO_LARGE.values(),
         *_PAST_INT64.values(),
@@ -935,6 +1053,9 @@ def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
 )
 def test_cli_validate_rejects_in_one_line(tmp_path, capsys, overrides):
     path = _write_config(tmp_path, {**MINIMAL, **overrides})
+    # json.dumps cannot write the number 1e400, so the string stands for it
+    text = Path(path).read_text(encoding="utf-8").replace('"1e400"', "1e400")
+    Path(path).write_text(text, encoding="utf-8")
     assert main(["validate", "--config", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -116,11 +116,14 @@ def test_unread_private_name_check_finds_one():
     ]
 
 
-# The two input rules live in `sim`: `check_integer`, which reads a count
-# through `operator.index`, and `check_probabilities`, which sums a vector to
-# 1 within `_DIST_TOL`.  A module that reaches for these parts again writes a
-# copy of a rule, and copies drift: one took True for 1, another 0.5 for 0.
-_RULE_PARTS = {"operator.index", "numbers.Integral", "_DIST_TOL"}
+# The three input rules live in `sim`: `check_integer`, which reads a count
+# through `operator.index`, `check_real`, which knows a number by
+# `numbers.Real`, and `check_probabilities`, which sums a vector to 1 within
+# `_DIST_TOL`.  A module that reaches for these parts again, or for the
+# float64 bounds in `sys.float_info`, writes a copy of a rule, and copies
+# drift: one took True for 1, another 0.5 for 0, and a third checked numbers
+# read from JSON but not numbers built in code.
+_RULE_PARTS = {"operator.index", "numbers.Integral", "numbers.Real", "sys.float_info", "_DIST_TOL"}
 
 
 def _rule_parts(tree):
@@ -149,7 +152,7 @@ def test_only_sim_writes_the_input_rules(path):
 
 def test_sim_holds_the_input_rules():
     tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
-    assert _rule_parts(tree) == ["_DIST_TOL", "operator.index"]
+    assert _rule_parts(tree) == ["_DIST_TOL", "numbers.Real", "operator.index"]
 
 
 def test_rule_part_check_finds_each():
@@ -163,9 +166,10 @@ def test_rule_part_check_finds_each():
             "from .sim import _DIST_TOL\n",
             "from ddqcl import sim\ntol = sim._DIST_TOL\n",
             "import operator\nkey = operator.itemgetter(0)\n",
+            "import sys, numbers\nok = isinstance(x, numbers.Real) and x <= sys.float_info.max\n",
         )
     ]
     assert found == [
         ["operator.index"], ["operator.index"], ["numbers.Integral"], ["numbers.Integral"],
-        ["_DIST_TOL"], ["_DIST_TOL"], [],
+        ["_DIST_TOL"], ["_DIST_TOL"], [], ["numbers.Real", "sys.float_info"],
     ]

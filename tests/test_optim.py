@@ -624,10 +624,10 @@ def test_integer_options_state_their_least_value():
     [
         (lambda: SvhcConfig(subset_size=True), r"^subset_size must be an integer, got True$"),
         (lambda: ZooConfig(stall_limit=True), r"^stall_limit must be an integer, got True$"),
-        (lambda: AdamConfig(alpha=True), r"^alpha must be > 0, got True$"),
-        (lambda: AdamConfig(beta1=False), r"^beta1 must be in \[0, 1\), got False$"),
-        (lambda: SvhcConfig(sigma=False), r"^sigma must be >= 0, got False$"),
-        (lambda: ZooConfig(elite_prob=True), r"^elite_prob must be in \[0, 1\], got True$"),
+        (lambda: AdamConfig(alpha=True), r"^alpha must be a number, got True$"),
+        (lambda: AdamConfig(beta1=False), r"^beta1 must be a number, got False$"),
+        (lambda: SvhcConfig(sigma=False), r"^sigma must be a number, got False$"),
+        (lambda: ZooConfig(elite_prob=True), r"^elite_prob must be a number, got True$"),
     ],
     ids=["subset_size", "stall_limit", "alpha", "beta1", "sigma", "elite_prob"],
 )

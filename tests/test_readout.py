@@ -65,6 +65,19 @@ def test_model_validation():
         PerQubitFlipModel((), ())
 
 
+@pytest.mark.parametrize("rate", ["0.05", True, None, np.nan, np.inf], ids=repr)
+def test_model_refuses_a_rate_that_is_not_a_number(rate):
+    # `float(p)` took the string and the bool
+    with pytest.raises(ValueError, match=r"^p01 must be a (finite )?number, got "):
+        PerQubitFlipModel((0.05,), (rate,))
+
+
+def test_model_stores_its_rates_as_floats():
+    model = PerQubitFlipModel((np.float32(0.25), 0), [np.float64(0.125), np.int64(0)])
+    assert model.p10 == (0.25, 0.0) and model.p01 == (0.125, 0.0)
+    assert {type(p) for p in model.p10 + model.p01} == {float}
+
+
 # --- synthesized confusion matrix ---
 
 

@@ -18,6 +18,7 @@ from ddqcl.sim import (
     check_counts,
     check_integer,
     check_probabilities,
+    check_real,
     check_shots,
     probabilities,
     product_state,
@@ -495,7 +496,7 @@ def test_sample_refuses_complex_probabilities_before_drawing():
         sample(np.array([0.5, 0.5 + 0.25j]), 10, _NoDraws())
 
 
-# --- the two input rules ---
+# --- the three input rules ---
 
 _NOT_INTEGERS = [2.5, True, False, np.float64(2.0), "2", None, np.array(2.0), np.array([2])]
 
@@ -527,6 +528,61 @@ def test_check_integer_states_its_range():
         check_integer(np.int64(8), "count", 0, 7)
     assert check_integer(10**30, "count") == 10**30  # no upper bound unless one is given
     assert check_integer(7, "count", 0, 7) == 7
+
+
+_NOT_REALS = [True, False, np.True_, "0.5", None, 1j, np.complex128(1), np.array(0.5), [0.5]]
+
+
+@pytest.mark.parametrize("value", _NOT_REALS, ids=repr)
+def test_check_real_refuses_non_reals_and_bools(value):
+    message = rf"^rate must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        check_real(value, "rate")
+
+
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, np.float32("inf"), 10**400, -(10**400)], ids=repr
+)
+def test_check_real_refuses_what_float64_cannot_hold_finitely(value):
+    # 10**400 is an int float() raises OverflowError on, which the CLI would not print
+    message = rf"^rate must be a finite number, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        check_real(value, "rate")
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0.25, 0.25),
+        (1, 1.0),
+        (np.float64(0.25), 0.25),
+        (np.float32(0.1), 0.10000000149011612),
+        (np.int64(3), 3.0),
+        (np.uint8(3), 3.0),
+    ],
+    ids=repr,
+)
+def test_check_real_returns_a_python_float(value, expected):
+    got = check_real(value, "rate")
+    assert got == expected and type(got) is float
+
+
+def test_check_real_states_its_range():
+    for ends, rule in [("[]", r"in \[0, 1\]"), ("[)", r"in \[0, 1\)"), ("(]", r"in \(0, 1\]")]:
+        with pytest.raises(ValueError, match=rf"^rate must be {rule}, got -0\.5$"):
+            check_real(-0.5, "rate", 0, 1, ends)
+    with pytest.raises(ValueError, match=r"^rate must be in \[0, 0\.5\), got 0\.5$"):
+        check_real(0.5, "rate", 0, 0.5, "[)")
+    with pytest.raises(ValueError, match=r"^rate must be in \(0, 1\], got 0\.0$"):
+        check_real(0, "rate", 0, 1, "(]")
+    # with no upper end, the message names only the lower one
+    with pytest.raises(ValueError, match=r"^rate must be > 0, got 0\.0$"):
+        check_real(0.0, "rate", 0, np.inf, "(]")
+    with pytest.raises(ValueError, match=r"^rate must be >= 0, got -1\.0$"):
+        check_real(-1, "rate", 0)
+    assert check_real(0, "rate", 0, 1, "[)") == 0.0
+    assert check_real(1, "rate", 0, 1, "(]") == 1.0
+    assert check_real(-1e308, "rate") == -1e308  # no range unless one is given
 
 
 def test_check_probabilities_returns_the_float64_vector():
