@@ -15,7 +15,7 @@ from math import tau
 
 import numpy as np
 
-from .sim import _buffer, _check_n_qubits, _real_array, apply_cz, apply_ry, check_integer
+from .sim import _buffer, _check_n_qubits, apply_cz, apply_ry, check_integer, check_params
 from .sim import product_state
 
 # numpy runs a strided operation whose contiguous runs hold fewer than 4096
@@ -110,12 +110,7 @@ def execute(ansatz: Ansatz, params: np.ndarray, work: np.ndarray | None = None) 
     qubit q to axis q.  A rotation only moves values, so every amplitude is
     the same product and sum in any layout.
     """
-    theta = _real_array(params, "parameters")
-    if theta.shape != (ansatz.param_count,):
-        raise ValueError(f"expected {ansatz.param_count} parameters, got shape {theta.shape}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("parameters must be finite")
-    theta = np.mod(theta, tau)
+    theta = np.mod(check_params(params, ansatz.param_count), tau)
     n = ansatz.n_qubits
     work = _buffer(work, (2, 2**n), "work")
     amp = product_state(theta[:n], work)

@@ -27,6 +27,7 @@ from .optim import run as run_solver
 from .readout import (
     DEFAULT_CALIBRATION_SHOTS,
     DEFAULT_MAX_CONDITION,
+    MAX_FLIP_RATE,
     ConfusionMatrix,
     PerQubitFlipModel,
     apply_channel_sampled,
@@ -34,7 +35,7 @@ from .readout import (
     check_dense_width,
     correct,
 )
-from .sim import MAX_SHOTS, check_integer, check_real, probabilities, sample
+from .sim import MAX_SHOTS, brief, check_integer, check_real, probabilities, sample
 
 
 class ConfigError(ValueError):
@@ -49,14 +50,14 @@ _LEAST = dict(rows=1, cols=1, layers=0, runs=1, budget=1, shots=1, n_ini_multipl
 def _check_kind(value: object, name: str, kind: type | tuple[type, ...], words: str) -> object:
     """`value`, refused unless it is a `kind`; `words` name the kind in the refusal."""
     if not isinstance(value, kind):
-        raise ConfigError(f"{name} must be {words}, got {value!r}")
+        raise ConfigError(f"{name} must be {words}, got {brief(value)}")
     return value
 
 
 @dataclass(frozen=True)
 class ReadoutConfig:
     """Synthetic flip channel settings plus the correction toggle; p01
-    defaults to p10.  The flip model checks the rates' range."""
+    defaults to p10.  Each rate is in [0, MAX_FLIP_RATE)."""
 
     p10: float
     p01: float | None = None
@@ -65,8 +66,9 @@ class ReadoutConfig:
 
     def __post_init__(self) -> None:
         try:
-            p10 = check_real(self.p10, "readout.p10")
-            p01 = p10 if self.p01 is None else check_real(self.p01, "readout.p01")
+            rate = (0, MAX_FLIP_RATE, "[)")
+            p10 = check_real(self.p10, "readout.p10", *rate)
+            p01 = p10 if self.p01 is None else check_real(self.p01, "readout.p01", *rate)
             shots = check_integer(self.calibration_shots, "readout.calibration_shots", 1, MAX_SHOTS)
         except ValueError as e:
             raise ConfigError(str(e)) from e
@@ -96,7 +98,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if _check_kind(self.topology, "topology", str, "a string") not in _TOPOLOGIES:
             raise ConfigError(
-                f"unknown topology {self.topology!r}; choose from {sorted(_TOPOLOGIES)}"
+                f"unknown topology {brief(self.topology)}; choose from {sorted(_TOPOLOGIES)}"
             )
         _check_kind(self.exact_mode, "exact_mode", bool, "a boolean")
         _check_kind(self.out_dir, "out_dir", (str, type(None)), "a string or None")
@@ -164,7 +166,7 @@ class ExperimentConfig:
             raise ConfigError("missing required config key 'optimizer'")
         kind = _check_kind(doc["optimizer"], "optimizer", str, "a string")
         if kind not in SOLVERS:
-            raise ConfigError(f"unknown optimizer {kind!r}; choose from {sorted(SOLVERS)}")
+            raise ConfigError(f"unknown optimizer {brief(kind)}; choose from {sorted(SOLVERS)}")
         option_type = SOLVERS[kind][0]
         options = _read(doc.get("optimizer_options", {}), "optimizer_options", option_type)
         try:

@@ -9,10 +9,10 @@ each step, so the last incumbent yielded is the run's final one.
 
 Every cost is recorded through `CostContext.evaluate`.  The initial pool and
 each ADAM step go through `CostContext.evaluate_many`, which an exact cost
-on at least 16 qubits runs on the usable CPUs, one thread and one buffer per
-CPU, with the costs of row-by-row evaluation: no result depends on the CPU
-count.  Shot costs, narrower registers and SVHC and ZOO, which propose one
-point at a time, run row by row on the calling thread.
+on at least 16 qubits runs on up to two usable CPUs, one thread and one
+buffer per CPU, with the costs of row-by-row evaluation: no result depends
+on the CPU count.  Shot costs, narrower registers and SVHC and ZOO, which
+propose one point at a time, run row by row on the calling thread.
 
 SVHC and the elite-set zeroth-order search are reconstructions from their
 one-line descriptions; their hyperparameters are explicit config, not
@@ -33,7 +33,7 @@ import numpy as np
 from .ansatz import Ansatz, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _aligned_empty, _real_array, _usable_cpus, check_integer, check_probabilities
+from .sim import _aligned_empty, _usable_cpus, check_integer, check_params, check_probabilities
 from .sim import check_real, check_shots, probabilities, sample
 
 
@@ -53,6 +53,10 @@ MAX_RUN_BYTES = 2**30
 # faster in 2 of 12; 15 qubits 0.95x, 2 of 12; 16 qubits 1.43x, 12 of 12.
 # Narrower rows lose to the GIL hand-offs around their shorter numpy calls.
 _LANE_AMPLITUDES = 2**16
+# and on at most this many lanes: scaling past 2 CPUs was never measured, and
+# at 2 the GIL hand-offs around numpy calls under ~20 us already limit it
+# (a 16-qubit `apply_cz` ran at 0.73x its one-thread throughput on two)
+_MAX_LANES = 2
 
 Pool = list[tuple[float, np.ndarray]]  # (cost, params) per evaluated row
 _by_cost = itemgetter(0)
@@ -143,9 +147,7 @@ class CostContext:
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
         shots = None if shots is None else check_shots(shots)
         n = ansatz.n_qubits
-        target = check_probabilities(target, "target")
-        if len(target) != 2**n:
-            raise ValueError(f"expected {2**n} target entries for {n} qubits, not {len(target)}")
+        target = check_probabilities(target, "target", n)
         for name, readout in (("channel", channel), ("confusion matrix", confusion)):
             if readout is not None and readout.n_qubits != n:
                 raise ValueError(f"the {name} reads {readout.n_qubits} qubits, the ansatz has {n}")
@@ -172,12 +174,11 @@ class CostContext:
         return len(self.costs)
 
     def evaluate(self, params: np.ndarray) -> float:
-        """Score one parameter vector, recording it against the budget."""
+        """Score one parameter vector, recording it against the budget; a
+        vector `check_params` refuses raises before the cost is called."""
         if self.evaluations >= self.budget:
             raise BudgetExhausted(f"budget of {self.budget} evaluations spent")
-        theta = _real_array(params, "parameters")
-        if theta.shape != (self.param_count,):
-            raise ValueError(f"expected {self.param_count} parameters, got shape {theta.shape}")
+        theta = check_params(params, self.param_count)
         cost = float(self._cost_fn(theta) if self._ahead is None else next(self._ahead))
         if not isfinite(cost):
             raise ValueError(f"cost function returned {cost} at evaluation {self.evaluations}")
@@ -194,15 +195,16 @@ class CostContext:
         Every row is recorded through `evaluate`, on the calling thread.  An
         exact cost on at least `_LANE_AMPLITUDES` amplitudes, with more than
         one usable CPU, first takes only the rows the remaining budget can
-        record, and computes their costs on one thread per CPU, each in its
-        own buffer; `evaluate` then takes each row's cost from them.  Exact
-        rows draw nothing, and each row's arithmetic is that of `evaluate`,
-        so the costs and the generator are the same bits whatever the CPU
-        count.  Any other cost runs the rows one by one, so a shot cost's
-        draws and the rows' own draws from `rng` interleave as they would.
+        record, and computes their costs on one thread per CPU, up to
+        `_MAX_LANES`, each in its own buffer; `evaluate` then takes each
+        row's cost from them.  Exact rows draw nothing, and each row's
+        arithmetic is that of `evaluate`, so the costs and the generator are
+        the same bits whatever the CPU count.  Any other cost runs the rows
+        one by one, so a shot cost's draws and the rows' own draws from `rng`
+        interleave as they would.
         """
         rows = iter(rows)
-        lanes = _usable_cpus() if self._lane_cost is not None else 1
+        lanes = 1 if self._lane_cost is None else min(_usable_cpus(), _MAX_LANES)
         pool: Pool = []
         if lanes > 1:
             batch = list(islice(rows, self.budget - self.evaluations))
@@ -232,16 +234,14 @@ class CostContext:
         def cost(row: np.ndarray) -> float:
             buf = free.get()
             try:
-                return self._lane_cost(_real_array(row, "parameters"), buf)
+                return self._lane_cost(row, buf)
             finally:
                 free.put(buf)
 
+        # closed early, or past a row that raised, map's iterator cancels the
+        # rows not started, and the pool's exit waits for those running
         with ThreadPoolExecutor(lanes) as pool:
-            try:
-                for future in [pool.submit(cost, row) for row in rows]:
-                    yield future.result()
-            finally:
-                pool.shutdown(cancel_futures=True)
+            yield from pool.map(cost, rows)
 
     def curve(self, final_params: np.ndarray) -> LearningCurve:
         if self.best_params is None:

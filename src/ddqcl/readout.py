@@ -40,12 +40,14 @@ from typing import Callable
 
 import numpy as np
 
-from .sim import _aligned_vector, _check_n_qubits, _real_array, _usable_cpus, check_counts
-from .sim import check_real, check_shots
+from .sim import _aligned_vector, _check_n_qubits, _real_array, _usable_cpus, _vector_width
+from .sim import check_counts, check_real, check_shots
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
 MAX_CORRECTION_QUBITS = 12  # dense correction holds 2^n x 2^n float64: 128 MiB at 12
+# a flip rate lies in [0, MAX_FLIP_RATE): from 0.5 up a bit reads flipped at least as often as not
+MAX_FLIP_RATE = 0.5
 # uniform doubles per block of the sampled channel (1 MiB): memory stays
 # bounded at any shot count.  A 9-qubit calibration at 10,000 shots (2 cores,
 # median of 8) took 0.344 / 0.304 / 0.302 s in one range and 0.524 / 0.293 /
@@ -108,7 +110,7 @@ class PerQubitFlipModel:
 
     def __post_init__(self) -> None:
         for name in ("p10", "p01"):
-            rates = tuple(check_real(p, name, 0, 0.5, "[)") for p in getattr(self, name))
+            rates = tuple(check_real(p, name, 0, MAX_FLIP_RATE, "[)") for p in getattr(self, name))
             object.__setattr__(self, name, rates)
         if len(self.p10) != len(self.p01) or not self.p10:
             raise ValueError("p10 and p01 must be equal-length, non-empty")
@@ -182,14 +184,9 @@ def synth_confusion(model: PerQubitFlipModel) -> ConfusionMatrix:
     return ConfusionMatrix(reduce(np.kron, model.blocks))
 
 
-def _check_width(p: np.ndarray, m: ConfusionMatrix) -> None:
-    if p.shape != (len(m.entries),):
-        raise ValueError(f"expected {len(m.entries)} probabilities, got shape {p.shape}")
-
-
 def apply_channel_exact(p: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     """Push exact probabilities through the channel: P_y = M P_x."""
-    _check_width(p, m)
+    _vector_width(p, "probabilities", m.n_qubits)
     return m.entries @ p
 
 
@@ -232,9 +229,7 @@ def apply_channel_sampled(
     per call, and compared in place against the thresholds of the states
     its shots prepare, one row per shot.
     """
-    n = model.n_qubits
-    if check_counts(counts) != n:
-        raise ValueError(f"expected {2**n} counts for {n} qubits, got shape {counts.shape}")
+    n = check_counts(counts, model.n_qubits)
     counts = counts.astype(np.int64, copy=False)  # np.repeat will not cast unsigned counts
     xs = np.flatnonzero(counts)
     thresholds = _flip_thresholds(model, xs)  # (states, n)
@@ -320,7 +315,7 @@ def correct(observed: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     instead when the matrix holds no factors.  Refuses complex `observed`.
     """
     observed = _real_array(observed, "observed")
-    _check_width(observed, m)
+    _vector_width(observed, "probabilities", m.n_qubits)
     if m._lu is None:
         raw = np.linalg.solve(m.entries, observed)
     else:

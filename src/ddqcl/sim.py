@@ -6,12 +6,13 @@ one axis per qubit.  The gate kernels `apply_ry` and `apply_cz` act on
 array axes, not on qubits: `ansatz.execute` says which axis holds which
 qubit, since on wide registers it rotates the axes as it runs.  The kernels
 do no validation; the register width and qubit indices are checked
-once, in `Topology`, the angles once, in `execute`, and the array itself
-where it leaves the circuit, in `probabilities`.  A kernel writes into a
-buffer its caller owns and allocates nothing: `apply_ry` into `out`, and
-`apply_cz` into `amp` itself, so a circuit runs in two state buffers.  The
-first rotation layer on |0...0> is a product state, which `product_state`
-builds directly, with the same products as the n Ry gates it replaces.
+once, in `Topology`, the angles once, in `execute` by `check_params`, and
+the array itself where it leaves the circuit, in `probabilities`.  A kernel
+writes into a buffer its caller owns and allocates nothing: `apply_ry` into
+`out`, and `apply_cz` into `amp` itself, so a circuit runs in two state
+buffers.  The first rotation layer on |0...0> is a product state, which
+`product_state` builds directly, with the same products as the n Ry gates
+it replaces.
 
 Buffers: `product_state`, `probabilities`, `ansatz.execute` and
 `metrics.js_divergence` each take an optional float64 buffer (`work` or
@@ -24,21 +25,25 @@ allocates its buffers once and passes them down.
 
 A probability vector is a float64 array of length 2^N, and shot counts an
 int64 array of length 2^N whose sum is the shot count; N is always read from
-the length.  Inputs are checked where they enter the package, by three
+the length.  Inputs are checked where they enter the package, by four
 rules that every module shares.  `check_integer` takes a count, a width, a
 seed or a qubit index: a Python or numpy integer, never a bool, in a stated
 range, returned as a Python int.  `check_real` takes a number, such as a
 flip rate or a solver option: a Python or numpy real, never a bool or a
 string, finite in float64, in a stated range whose ends are each open or
 closed, returned as a Python float.  So a record that stores what these
-return holds only values json writes and reads back as they were.
-`check_probabilities` takes a probability vector: real, 2^N entries with N
-in [1, MAX_QUBITS], none negative, summing to 1 within `_DIST_TOL`;
-`sample` and the training cost's target go through it.
+return holds only values json writes and reads back as they were; a value
+they refuse is shown by `brief`, shortened past a few dozen characters.
+`check_params` takes a parameter vector: real, of a stated length, every
+angle finite, returned as float64; `execute` and `CostContext.evaluate` go
+through it.  `check_probabilities` takes a probability vector: real, 2^N
+entries with N in [1, MAX_QUBITS], none negative, summing to 1 within
+`_DIST_TOL`; `sample` and the training cost's target go through it.
 `check_shots` is `check_integer` over [1, MAX_SHOTS], `probabilities` checks
 the state it squares, and `check_counts` is the one check on counts where
 they enter the program's functions; it and `check_probabilities` read N by
-one rule, `_vector_width`.
+one rule, `_vector_width`, which also refuses, given the register's
+`n_qubits`, a vector of another register.
 
 `sample` sorts each block of its uniforms before it counts them, since a
 binary search for each of many unsorted draws mispredicts its branches.  A
@@ -59,6 +64,7 @@ import ctypes
 import numbers
 import operator
 import os
+import reprlib
 from math import cos, inf, isfinite, prod, sin
 
 import numpy as np
@@ -78,6 +84,11 @@ _ALIGN_BYTES = 64
 _BLOCK_DRAWS = 2**13
 
 
+# a refused value is shown by its repr shortened past a few dozen characters,
+# so that the refusal stays one short line however long the value
+brief = reprlib.repr
+
+
 def check_integer(value: object, name: str, low: int = 1, high: int | None = None) -> int:
     """`value` as a Python int; refuses a bool, anything that is not a Python
     or numpy integer, and an integer below `low` or, unless `high` is None,
@@ -87,11 +98,11 @@ def check_integer(value: object, name: str, low: int = 1, high: int | None = Non
             raise TypeError
         number = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {brief(value)}") from None
     if number < low:
-        raise ValueError(f"{name} must be >= {low}, got {number}")
+        raise ValueError(f"{name} must be >= {low}, got {brief(number)}")
     if high is not None and number > high:
-        raise ValueError(f"{name} must be in [{low}, {high}], got {number}")
+        raise ValueError(f"{name} must be in [{low}, {high}], got {brief(number)}")
     return number
 
 
@@ -103,13 +114,13 @@ def check_real(
     range from `low` to `high`, whose `ends` are each closed ("[", "]") or
     open ("(", ")")."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {brief(value)}")
     try:
         number = float(value)
     except OverflowError:  # an int past float64, such as 10**400
         number = inf
     if not isfinite(number):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {brief(value)}")
     above = low <= number if ends[0] == "[" else low < number
     below = number <= high if ends[1] == "]" else number < high
     if not (above and below):
@@ -130,20 +141,26 @@ def _check_n_qubits(n_qubits: object) -> int:
     return check_integer(n_qubits, "n_qubits", 1, MAX_QUBITS)
 
 
-def _vector_width(vec: np.ndarray, what: str) -> int:
-    """N of a vector of 2^N `what`; refuses any other shape and N outside [1, MAX_QUBITS]."""
+def _vector_width(vec: np.ndarray, what: str, n_qubits: int | None = None) -> int:
+    """N of a vector of 2^N `what`; refuses any other shape, N outside
+    [1, MAX_QUBITS] and, unless `n_qubits` is None, N other than `n_qubits`."""
     n = len(vec).bit_length() - 1 if vec.ndim == 1 else 0
     if n < 1 or vec.shape != (2**n,):
         raise ValueError(f"expected 2^N {what} for some N >= 1, got shape {vec.shape}")
+    if n_qubits is not None and n != n_qubits:
+        raise ValueError(
+            f"expected {2**n_qubits} {what} for {n_qubits} qubits, got shape {vec.shape}"
+        )
     return _check_n_qubits(n)
 
 
-def check_counts(counts: np.ndarray) -> int:
+def check_counts(counts: np.ndarray, n_qubits: int | None = None) -> int:
     """N of integer counts over 2^N basis states (N >= 1); refuses any other
-    dtype or length, a negative count, zero shots and a total over MAX_SHOTS."""
+    dtype or length, N other than `n_qubits` unless it is None, a negative
+    count, zero shots and a total over MAX_SHOTS."""
     if counts.dtype.kind not in "iu":
         raise ValueError(f"counts must be integers, got {counts.dtype}")
-    n = _vector_width(counts, "counts")
+    n = _vector_width(counts, "counts", n_qubits)
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
     if (most := int(counts.max())) == 0:
@@ -163,12 +180,23 @@ def _real_array(values: object, name: str) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def check_probabilities(probs: object, name: str) -> np.ndarray:
+def check_params(params: object, count: int) -> np.ndarray:
+    """`params` as a float64 vector of `count` angles; refuses a complex
+    dtype, any other shape and a NaN or infinite angle."""
+    theta = _real_array(params, "parameters")
+    if theta.shape != (count,):
+        raise ValueError(f"expected {count} parameters, got shape {theta.shape}")
+    if not np.isfinite(theta).all():
+        raise ValueError("parameters must be finite")
+    return theta
+
+
+def check_probabilities(probs: object, name: str, n_qubits: int | None = None) -> np.ndarray:
     """`probs` as a float64 vector; refuses a complex one, any shape but 2^N
-    entries with N in [1, MAX_QUBITS], a negative entry and a sum more than
-    `_DIST_TOL` from 1."""
+    entries with N in [1, MAX_QUBITS], N other than `n_qubits` unless it is
+    None, a negative entry and a sum more than `_DIST_TOL` from 1."""
     vec = _real_array(probs, name)
-    _vector_width(vec, name)
+    _vector_width(vec, name, n_qubits)
     total = float(vec.sum())
     if vec.min() < 0 or not abs(total - 1.0) <= _DIST_TOL:  # also rejects NaN
         raise ValueError(f"{name} must be non-negative and sum to 1, not {total!r}")

@@ -383,16 +383,37 @@ def test_shot_counts_of_int64_max_accepted():
 
 
 def test_readout_validation():
-    # flip probabilities are checked by building the channel
+    # flip probabilities are checked by the record, and named by their keys
     with pytest.raises(ConfigError, match="p10"):
         ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.5, "p01": 0.1}})
     with pytest.raises(ConfigError, match="p01"):
         ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.05, "p01": -0.1}})
     with pytest.raises(ConfigError, match="calibration_shots"):
         ReadoutConfig(p10=0.05, p01=0.05, calibration_shots=0)
+    with pytest.raises(ConfigError, match=r"readout.p10 must be in \[0, 0.5\)"):
+        ReadoutConfig(p10=0.7)
+    with pytest.raises(ConfigError, match=r"readout.p01 must be in \[0, 0.5\)"):
+        ReadoutConfig(p10=0.05, p01=0.5)
+    with pytest.raises(ConfigError, match=r"^readout.p10 must be in \[0, 0.5\), got 0.5$"):
+        ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.5}})
     r = ExperimentConfig.from_dict({**MINIMAL, "readout": {"p10": 0.05}}).readout
     assert r.p01 == 0.05  # p01 defaults to p10
     assert r.correction is True
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: AdamConfig(alpha=10**400), "alpha"),
+        (lambda: ExperimentConfig.from_dict({**MINIMAL, "topology": "x" * 5000}), "topology"),
+    ],
+    ids=["alpha", "topology"],
+)
+def test_refused_value_is_shown_briefly(build, field):
+    # shown in full, 10**400 made a one-line error of 436 characters
+    with pytest.raises(ValueError, match=field) as refused:
+        build()
+    assert len(str(refused.value)) < 200
 
 
 def test_dense_correction_width_cap():
@@ -1049,6 +1070,7 @@ def test_cli_refuses_singular_calibration(tmp_path, capsys, command):
         {"readout": {"p10": 10**400}},  # too large for float64
         *_TOO_LARGE.values(),
         *_PAST_INT64.values(),
+        {"readout": {"p10": 0.5}},
     ],
 )
 def test_cli_validate_rejects_in_one_line(tmp_path, capsys, overrides):

@@ -2,6 +2,8 @@
 the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -173,3 +175,19 @@ def test_rule_part_check_finds_each():
         ["operator.index"], ["operator.index"], ["numbers.Integral"], ["numbers.Integral"],
         ["_DIST_TOL"], ["_DIST_TOL"], [], ["numbers.Real", "sys.float_info"],
     ]
+
+
+def test_cli_imports_no_thread_pool():
+    # `readout.calibrate` and `CostContext._lane_costs` import these where they
+    # start threads, so that `ddqcl validate` does not pay 5-8 ms for them
+    code = (
+        "import sys, ddqcl.cli; "
+        "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -82,6 +82,17 @@ def test_evaluate_rejects_complex_params():
     assert ctx.evaluations == 0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=repr)
+def test_non_finite_params_raise_before_the_cost_is_called(value):
+    # unchecked, a NaN angle was scored and recorded as the run's best params
+    calls = []
+    ctx = _ctx(lambda x: calls.append(x) or min(1.0, float(x @ x)), 2, 5, 0)
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        ctx.evaluate(np.array([value, 0.0]))
+    assert calls == []
+    assert ctx.evaluations == 0 and ctx.best_params is None
+
+
 @pytest.mark.parametrize("kind", ["adam", "svhc", "zoo"])
 def test_solvers_spend_exact_budget(kind):
     budget = 73
@@ -227,15 +238,17 @@ def test_threaded_costs_equal_row_by_row_evaluation(monkeypatch):
     rows = np.random.default_rng(1).uniform(0.0, TAU, (7, _ANSATZ_16.param_count))
     one_by_one = _ctx_16(7)
     expected = [one_by_one.evaluate(row).hex() for row in rows]
-    _cpus(monkeypatch, 2)
-    calls = _spy_execute(monkeypatch)
-    ctx = _ctx_16(7)
-    pool = ctx.evaluate_many(rows)
-    assert [cost.hex() for cost, _ in pool] == [c.hex() for c in ctx.costs] == expected
-    np.testing.assert_array_equal([row for _, row in pool], rows)
-    assert len(calls) == 7
-    assert threading.get_ident() not in {thread for thread, _ in calls}
-    np.testing.assert_array_equal(ctx.best_params, one_by_one.best_params)
+    for cpus in (2, 64):
+        _cpus(monkeypatch, cpus)
+        calls = _spy_execute(monkeypatch)
+        ctx = _ctx_16(7)
+        pool = ctx.evaluate_many(rows)
+        assert [cost.hex() for cost, _ in pool] == [c.hex() for c in ctx.costs] == expected
+        np.testing.assert_array_equal([row for _, row in pool], rows)
+        assert len(calls) == 7
+        assert threading.get_ident() not in {thread for thread, _ in calls}
+        np.testing.assert_array_equal(ctx.best_params, one_by_one.best_params)
+        assert len(ctx._buffers) <= 2  # at most two lanes, whatever the CPU count
 
 
 def test_first_row_enters_evaluate_before_any_cost_is_computed(monkeypatch):
@@ -440,7 +453,11 @@ _BAS_2X2 = bas_target_distribution(BasSpec(2, 2))
 @pytest.mark.parametrize(
     "target, noise, message",
     [
-        (bas_target_distribution(BasSpec(3, 3)), {}, "expected 16 target entries .* not 512"),
+        (
+            bas_target_distribution(BasSpec(3, 3)),
+            {},
+            r"expected 16 target for 4 qubits, got shape \(512,\)",
+        ),
         (np.full(16, 0.5), {}, "target must be non-negative and sum to 1, not 8.0"),
         (np.full(16, -1 / 16), {}, "target must be non-negative and sum to 1, not -1.0"),
         (np.eye(16)[0] * 1.5 - np.eye(16)[1] * 0.5, {}, "target must be non-negative"),

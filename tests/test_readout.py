@@ -165,7 +165,7 @@ def test_exact_channel_preserves_mass():
 def test_exact_channel_width_mismatch():
     p = np.full(4, 0.25)
     m = synth_confusion(PerQubitFlipModel.uniform(3, 0.05))
-    with pytest.raises(ValueError, match=r"expected 8 probabilities, got shape \(4,\)"):
+    with pytest.raises(ValueError, match=r"expected 8 probabilities for 3 qubits, got shape \(4,\)"):
         apply_channel_exact(p, m)
 
 
@@ -546,7 +546,7 @@ def test_correct_rejects_no_positive_mass(observed):
 
 def test_correct_width_mismatch():
     m = synth_confusion(PerQubitFlipModel.uniform(2, 0.05))
-    with pytest.raises(ValueError, match=r"expected 4 probabilities, got shape \(8,\)"):
+    with pytest.raises(ValueError, match=r"expected 4 probabilities for 2 qubits, got shape \(8,\)"):
         correct(np.full(8, 1 / 8), m)
 
 

@@ -1,4 +1,5 @@
 import re
+import reprlib
 import tracemalloc
 from functools import reduce
 
@@ -545,7 +546,7 @@ def test_check_real_refuses_non_reals_and_bools(value):
 )
 def test_check_real_refuses_what_float64_cannot_hold_finitely(value):
     # 10**400 is an int float() raises OverflowError on, which the CLI would not print
-    message = rf"^rate must be a finite number, got {re.escape(repr(value))}$"
+    message = rf"^rate must be a finite number, got {re.escape(reprlib.repr(value))}$"
     with pytest.raises(ValueError, match=message):
         check_real(value, "rate")
 
