@@ -1,9 +1,10 @@
 """Hardware-style layered Ry/CZ circuit over a fixed entangling topology.
 
-An `Ansatz` is just its topology and depth; `execute` lays the gates out from
-them as it runs, by the rule in the `Ansatz` docstring, and returns the
-state as the float64 (2,)*N array it computed in: a view of one row of the
-(2, 2^N) `work` buffer, which the caller may own and reuse across calls.
+An `Ansatz` is just its topology and depth; a `GateProgram` lays its gates
+out on one (2, 2^N) `work` buffer, by the rule in the `Ansatz` docstring,
+once, and `execute` runs it and returns the state as the float64 (2,)*N
+array it computed in: a view of one row of `work`, which the caller may own
+and reuse across calls.
 For 4 qubits and 3 edges this gives 10 rotations / 3 CZs at one layer and
 16 rotations / 6 CZs at two.
 """
@@ -15,8 +16,8 @@ from math import tau
 
 import numpy as np
 
-from .sim import _buffer, _check_n_qubits, apply_cz, apply_ry, check_integer, check_params
-from .sim import product_state
+from .sim import _buffer, _check_n_qubits, apply_cz, apply_product, apply_ry, check_integer
+from .sim import check_params, cz_gate, product_layer, product_state, ry_gate
 
 # numpy runs a strided operation whose contiguous runs hold fewer than 4096
 # float64 entries through its 8192-entry buffer: at 16 qubits a Ry on axes 0-3
@@ -90,15 +91,81 @@ class Ansatz:
         return self.n_qubits + 2 * self.layers * len(self.topology.edges)
 
 
-def execute(ansatz: Ansatz, params: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+class GateProgram:
+    """An `Ansatz`'s gates laid out once on one (2, 2^N) work buffer, in the
+    layout of `execute`: the product layer's views, then per edge its
+    rotation's views (or None), its `CzGate` and its two `RyGate`s, and the
+    last rotation's (or None).  `state` is the view of the row the state
+    ends in.  `run` runs the gates through the kernels `apply_product`,
+    `apply_cz` and `apply_ry`, looked up when it runs.
+    """
+
+    def __init__(self, ansatz: Ansatz, work: np.ndarray | None = None) -> None:
+        n = ansatz.n_qubits
+        self.ansatz = ansatz
+        work = _buffer(work, (2, 2**n), "work")
+        rows = [row.reshape((2,) * n) for row in work]
+        self._product = product_layer(work)
+        # the row that holds the state: each Ry and each rotation writes into
+        # the other one, which then holds it, and CZ acts in place
+        here = 0
+        # axes below `reach` have long runs; a narrower register counts them all
+        reach = n + 1 - _MIN_RUN.bit_length() if n >= _ROTATE_MIN_QUBITS else n
+        off = 0
+        edges = []
+        for _ in range(ansatz.layers):
+            for a, b in ansatz.topology.edges:
+                ma, mb = (a - off) % n, (b - off) % n
+                rotation = None
+                if max(ma, mb) >= reach:
+                    # the pair fits a window of `reach` consecutive axes starting at one of them
+                    start = ma if (mb - ma) % n < reach else mb if (ma - mb) % n < reach else 0
+                    if start:
+                        rotation, here = _rotation(rows[here], start, rows[1 - here]), 1 - here
+                        off = (off + start) % n
+                        ma, mb = (ma - start) % n, (mb - start) % n
+                cz = cz_gate(rows[here], ma, mb)
+                ry_a, here = ry_gate(rows[here], ma, rows[1 - here]), 1 - here
+                ry_b, here = ry_gate(rows[here], mb, rows[1 - here]), 1 - here
+                edges.append((rotation, cz, ry_a, ry_b))
+        self._edges = tuple(edges)
+        self._restore = None
+        if off:
+            self._restore, here = _rotation(rows[here], n - off, rows[1 - here]), 1 - here
+        self.state = rows[here]
+
+    def run(self, theta: np.ndarray) -> np.ndarray:
+        """The state for `theta`, a float64 vector of `param_count` finite
+        angles as `check_params` returns it, which is not checked again."""
+        angles = np.mod(theta, tau).tolist()
+        n = self.ansatz.n_qubits
+        apply_product(self._product, angles[:n])
+        rest = iter(angles[n:])
+        for rotation, cz, ry_a, ry_b in self._edges:
+            if rotation is not None:
+                np.copyto(*rotation)
+            apply_cz(cz)
+            apply_ry(ry_a, next(rest))
+            apply_ry(ry_b, next(rest))
+        if self._restore is not None:
+            np.copyto(*self._restore)
+        return self.state
+
+
+def execute(
+    ansatz: Ansatz | GateProgram, params: np.ndarray, work: np.ndarray | None = None
+) -> np.ndarray:
     """Run the circuit on |0...0> in the layout of `Ansatz`; returns the
     float64 (2,)*N amplitude array.  Angles are reduced modulo 2*pi, and
     complex or non-finite ones are refused.
 
     The state is computed in the two rows of `work`, a C-contiguous float64
-    (2, 2^N) array the caller owns (allocated when None).  The result is a
-    view of one of its rows, so the next call with the same `work`
-    overwrites it.
+    (2, 2^N) array the caller owns (allocated when None), by a `GateProgram`
+    built on it.  The result is a view of one of its rows, so the next call
+    with the same `work` overwrites it.  A loop that runs one circuit many
+    times passes the `GateProgram` it built once instead of the `Ansatz`: it
+    runs in its own buffer, `work` is unused, and `params` must be what
+    `check_params` returned, which is not checked again.
 
     From `_ROTATE_MIN_QUBITS` qubits up, the state's axes may be rotated
     cyclically while it runs, so that qubit q sits on axis (q - off) % N,
@@ -110,41 +177,18 @@ def execute(ansatz: Ansatz, params: np.ndarray, work: np.ndarray | None = None) 
     qubit q to axis q.  A rotation only moves values, so every amplitude is
     the same product and sum in any layout.
     """
-    theta = np.mod(check_params(params, ansatz.param_count), tau)
-    n = ansatz.n_qubits
-    work = _buffer(work, (2, 2**n), "work")
-    amp = product_state(theta[:n], work)
-    # the state moves between the two rows: each Ry and each rotation writes
-    # into the spare one and leaves the old one as the next spare; CZ acts in place
-    spare = work[1].reshape(amp.shape)
-    # axes below `reach` have long runs; a narrower register counts them all
-    reach = n + 1 - _MIN_RUN.bit_length() if n >= _ROTATE_MIN_QUBITS else n
-    off = 0
-    angles = iter(theta[n:])
-    for _ in range(ansatz.layers):
-        for a, b in ansatz.topology.edges:
-            ma, mb = (a - off) % n, (b - off) % n
-            if max(ma, mb) >= reach:
-                # the pair fits a window of `reach` consecutive axes starting at one of them
-                start = ma if (mb - ma) % n < reach else mb if (ma - mb) % n < reach else 0
-                if start:
-                    amp, spare = _rotate(amp, start, spare), amp
-                    off = (off + start) % n
-                    ma, mb = (ma - start) % n, (mb - start) % n
-            apply_cz(amp, ma, mb)
-            amp, spare = apply_ry(amp, ma, next(angles), out=spare), amp
-            amp, spare = apply_ry(amp, mb, next(angles), out=spare), amp
-    if off:
-        amp = _rotate(amp, n - off, spare)
-    return amp
+    if isinstance(ansatz, GateProgram):
+        return ansatz.run(params)
+    theta = check_params(params, ansatz.param_count)
+    return GateProgram(ansatz, work).run(theta)
 
 
-def _rotate(amp: np.ndarray, shift: int, out: np.ndarray) -> np.ndarray:
-    """Copy a (2,)*N state into `out` with its first `shift` axes moved to the
-    end, so that axis m becomes axis (m - shift) % N; returns `out`."""
+def _rotation(amp: np.ndarray, shift: int, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (destination, source) views of `np.copyto` that copies a (2,)*N
+    state into `out` with its first `shift` axes moved to the end, so that
+    axis m becomes axis (m - shift) % N."""
     n = amp.ndim
-    np.copyto(out.reshape(2 ** (n - shift), 2**shift), amp.reshape(2**shift, 2 ** (n - shift)).T)
-    return out
+    return out.reshape(2 ** (n - shift), 2**shift), amp.reshape(2**shift, 2 ** (n - shift)).T
 
 
 def u2_block(theta: float, gamma: float, beta: float) -> np.ndarray:
@@ -158,5 +202,8 @@ def u2_block(theta: float, gamma: float, beta: float) -> np.ndarray:
     """
     # not through `execute`: it reduces angles mod 2*pi, and Ry has period
     # 4*pi, so a reduced angle can flip the sign of the amplitudes
-    amp = apply_cz(product_state((gamma, beta)), 0, 1)
-    return apply_ry(amp, 0, theta, np.empty_like(amp))
+    amp = product_state((gamma, beta))
+    apply_cz(cz_gate(amp, 0, 1))
+    out = np.empty_like(amp)
+    apply_ry(ry_gate(amp, 0, out), theta)
+    return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sim import MAX_QUBITS, _aligned_empty, check_integer
+from .sim import MAX_QUBITS, _aligned_empty, brief, check_integer
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,8 @@ class BasSpec:
             object.__setattr__(self, name, check_integer(getattr(self, name), name))
         if self.n_qubits > MAX_QUBITS:
             raise ValueError(
-                f"{self.rows}x{self.cols} image needs {self.n_qubits} qubits (max {MAX_QUBITS})"
+                f"{brief(self.rows)}x{brief(self.cols)} image needs {brief(self.n_qubits)} qubits "
+                f"(max {MAX_QUBITS})"
             )
 
     @property

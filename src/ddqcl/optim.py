@@ -23,18 +23,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import inf, isfinite, pi, tau
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .ansatz import Ansatz, execute
+from .ansatz import Ansatz, GateProgram, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _aligned_empty, _usable_cpus, check_integer, check_params, check_probabilities
-from .sim import check_real, check_shots, probabilities, sample
+from .sim import _aligned_empty, _usable_cpus, brief, check_integer, check_params
+from .sim import check_probabilities, check_real, check_shots, probabilities, sample
 
 
 class BudgetExhausted(RuntimeError):
@@ -106,12 +106,13 @@ class CostContext:
         self.costs: list[float] = []
         self.best_cost = float("inf")
         self.best_params: np.ndarray | None = None
-        # set by for_circuit when rows may run on threads: the cost computed
-        # in a given (4, 2^N) buffer, and one buffer per lane, the first the
-        # context's own
-        self._lane_cost: Callable[[np.ndarray, np.ndarray], float] | None = None
-        self._buffers: list[np.ndarray] = []
-        self._ahead: Iterator[float] | None = None  # evaluate_many's costs of the next rows
+        # set by for_circuit when rows may run on threads: a maker of one more
+        # lane's cost, each computed in a buffer of its own, and the lanes'
+        # costs so far, the first the context's own
+        self._new_lane: Callable[[], Callable[[np.ndarray], float]] | None = None
+        self._lanes: list[Callable[[np.ndarray], float]] = []
+        # evaluate_many's checked next rows and their costs
+        self._ahead: Iterator[tuple[np.ndarray, float]] | None = None
 
     @classmethod
     def for_circuit(
@@ -136,12 +137,13 @@ class CostContext:
         channel or matrix must read N qubits; both are checked here too.
 
         The context owns the one float64 (4, 2^N) buffer every evaluation
-        computes in, allocated here once, on a cache line.  Row 0 holds the
-        Born probabilities and rows 1-2 are the two state rows of `execute`;
-        once `probabilities` has read the state, rows 1-3 are the scratch
-        of `js_divergence`.  An exact cost on at least `_LANE_AMPLITUDES`
-        amplitudes may also run `evaluate_many`'s rows on threads, each in a
-        buffer of its own.
+        computes in, allocated here once, on a cache line, and the
+        `GateProgram` built on it.  Row 0 holds the Born probabilities and
+        rows 1-2 are the two state rows of `execute`; once `probabilities`
+        has read the state, rows 1-3 are the scratch of `js_divergence`.
+        An exact cost on at least `_LANE_AMPLITUDES` amplitudes may also run
+        `evaluate_many`'s rows on threads, each in a buffer and program of
+        its own.
         """
         if shots is None and (channel is not None or confusion is not None):
             raise ValueError("readout noise has no effect in exact mode; drop one of the two")
@@ -152,21 +154,29 @@ class CostContext:
             if readout is not None and readout.n_qubits != n:
                 raise ValueError(f"the {name} reads {readout.n_qubits} qubits, the ansatz has {n}")
 
-        def cost_in(params: np.ndarray, buf: np.ndarray) -> float:
-            model = probabilities(execute(ansatz, params, buf[1:3]), buf[0])
-            if shots is not None:
-                counts = sample(model, shots, rng)
-                if channel is not None:
-                    counts = apply_channel_sampled(counts, channel, rng)
-                model = histogram_to_distribution(counts)
-                if confusion is not None:
-                    model = correct(model, confusion)
-            return js_divergence(model, target, buf[1:4])
+        def new_lane() -> Callable[[np.ndarray], float]:
+            """The cost, of a vector `check_params` returned, computed in a
+            new buffer by a program built on it."""
+            buf = _aligned_empty((4, 2**n))
+            program = GateProgram(ansatz, buf[1:3])
 
-        buf = _aligned_empty((4, 2**n))
-        ctx = cls(lambda params: cost_in(params, buf), ansatz.param_count, budget, rng)
+            def cost(theta: np.ndarray) -> float:
+                model = probabilities(execute(program, theta), buf[0])
+                if shots is not None:
+                    counts = sample(model, shots, rng)
+                    if channel is not None:
+                        counts = apply_channel_sampled(counts, channel, rng)
+                    model = histogram_to_distribution(counts)
+                    if confusion is not None:
+                        model = correct(model, confusion)
+                return js_divergence(model, target, buf[1:4])
+
+            return cost
+
+        cost = new_lane()
+        ctx = cls(cost, ansatz.param_count, budget, rng)
         if shots is None and 2**n >= _LANE_AMPLITUDES:
-            ctx._lane_cost, ctx._buffers = cost_in, [buf]
+            ctx._new_lane, ctx._lanes = new_lane, [cost]
         return ctx
 
     @property
@@ -175,11 +185,15 @@ class CostContext:
 
     def evaluate(self, params: np.ndarray) -> float:
         """Score one parameter vector, recording it against the budget; a
-        vector `check_params` refuses raises before the cost is called."""
+        vector `check_params` refuses raises before the cost is called.  The
+        cost function gets the float64 vector `check_params` returned."""
         if self.evaluations >= self.budget:
             raise BudgetExhausted(f"budget of {self.budget} evaluations spent")
-        theta = check_params(params, self.param_count)
-        cost = float(self._cost_fn(theta) if self._ahead is None else next(self._ahead))
+        if self._ahead is None:
+            theta = check_params(params, self.param_count)
+            cost = float(self._cost_fn(theta))
+        else:  # `params` is the next row evaluate_many checked and ran on a lane
+            theta, cost = next(self._ahead)
         if not isfinite(cost):
             raise ValueError(f"cost function returned {cost} at evaluation {self.evaluations}")
         self.costs.append(cost)
@@ -195,20 +209,28 @@ class CostContext:
         Every row is recorded through `evaluate`, on the calling thread.  An
         exact cost on at least `_LANE_AMPLITUDES` amplitudes, with more than
         one usable CPU, first takes only the rows the remaining budget can
-        record, and computes their costs on one thread per CPU, up to
-        `_MAX_LANES`, each in its own buffer; `evaluate` then takes each
-        row's cost from them.  Exact rows draw nothing, and each row's
+        record, up to the first one `check_params` refuses, checks them once
+        and computes their costs on one thread per CPU, up to `_MAX_LANES`,
+        each in its own buffer; `evaluate` then takes each row's checked
+        vector and cost from them.  Exact rows draw nothing, and each row's
         arithmetic is that of `evaluate`, so the costs and the generator are
         the same bits whatever the CPU count.  Any other cost runs the rows
         one by one, so a shot cost's draws and the rows' own draws from `rng`
         interleave as they would.
         """
         rows = iter(rows)
-        lanes = 1 if self._lane_cost is None else min(_usable_cpus(), _MAX_LANES)
+        lanes = 1 if self._new_lane is None else min(_usable_cpus(), _MAX_LANES)
         pool: Pool = []
         if lanes > 1:
-            batch = list(islice(rows, self.budget - self.evaluations))
-            self._ahead = self._lane_costs(batch, lanes)
+            batch, thetas = [], []
+            for row in islice(rows, self.budget - self.evaluations):
+                try:
+                    thetas.append(check_params(row, self.param_count))
+                except ValueError:
+                    rows = chain([row], rows)  # refused by `evaluate` in its turn
+                    break
+                batch.append(row)
+            self._ahead = self._lane_costs(thetas, lanes)
             try:
                 pool = [(self.evaluate(row), row) for row in batch]
             finally:
@@ -217,31 +239,34 @@ class CostContext:
         # with the budget spent, the first row left raises BudgetExhausted
         return pool + [(self.evaluate(row), row) for row in rows]
 
-    def _lane_costs(self, rows: list[np.ndarray], lanes: int) -> Iterator[float]:
-        """The costs of `rows`, in order, computed on up to `lanes` threads,
-        each in a buffer of its own; the threads start at the first `next`."""
-        lanes = min(lanes, len(rows))
+    def _lane_costs(
+        self, thetas: list[np.ndarray], lanes: int
+    ) -> Iterator[tuple[np.ndarray, float]]:
+        """Each of `thetas`, checked vectors, with its cost, in order,
+        computed on up to `lanes` threads, each in a buffer of its own; the
+        threads start at the first `next`."""
+        lanes = min(lanes, len(thetas))
         # imported here, not at the top: their 8 ms would fall on every start
         from concurrent.futures import ThreadPoolExecutor
         from queue import SimpleQueue
 
-        while len(self._buffers) < lanes:
-            self._buffers.append(_aligned_empty(self._buffers[0].shape))
-        free = SimpleQueue()  # the buffers no lane holds
-        for buf in self._buffers[:lanes]:
-            free.put(buf)
+        while len(self._lanes) < lanes:
+            self._lanes.append(self._new_lane())
+        free = SimpleQueue()  # the lanes' costs no thread holds
+        for lane in self._lanes[:lanes]:
+            free.put(lane)
 
-        def cost(row: np.ndarray) -> float:
-            buf = free.get()
+        def cost(theta: np.ndarray) -> tuple[np.ndarray, float]:
+            lane = free.get()
             try:
-                return self._lane_cost(row, buf)
+                return theta, lane(theta)
             finally:
-                free.put(buf)
+                free.put(lane)
 
         # closed early, or past a row that raised, map's iterator cancels the
         # rows not started, and the pool's exit waits for those running
         with ThreadPoolExecutor(lanes) as pool:
-            yield from pool.map(cost, rows)
+            yield from pool.map(cost, thetas)
 
     def curve(self, final_params: np.ndarray) -> LearningCurve:
         if self.best_params is None:
@@ -340,7 +365,7 @@ def check_sizes(options: Options, param_count: int, n_ini: int, budget: int) -> 
     for L parameters."""
     if type(options) not in _STEPS:
         names = [t.__name__ for t in _STEPS]
-        raise ValueError(f"options must be one of {names}, got {options!r}")
+        raise ValueError(f"options must be one of {names}, got {brief(options)}")
     n_ini = check_integer(n_ini, "n_ini")
     if budget < n_ini + 1:
         raise ValueError(

@@ -18,11 +18,16 @@ sampled counts as int64 arrays of length 2^N, as `sample` returns them; the
 register width is read from the array or from the matrix.
 
 The sampled channel draws its flips in blocks of `_FLIP_BLOCK_DRAWS`
-doubles into one buffer per call, compares each block in place and sums
-each shot's flips into its flip pattern by one `np.matmul`; those sums are
-of distinct powers of two, exact in float64, so no BLAS path or thread
-count can change a count.  `calibrate` draws each column by that same
-step, `_flip_shots`, against its one state's thresholds.  With a PCG64
+doubles into one buffer per call, compares each block in place, as one
+contiguous run, against the model's p10 rates tiled once per shot of a
+block, and, when some qubit's two rates differ, against its p01 rates into
+a second buffer.  It sums each shot's flips into its flip pattern by one
+`np.matmul`; those sums are of distinct powers of two, exact in float64,
+so no BLAS path or thread count can change a count.  A shot prepared in
+state x reads (f10 & ~x) | (~f01 & x) from its two patterns, f10 ^ x from
+one.  The rows are built once per model, at most one block long, and
+depend on no state: `calibrate` draws each column by that same step,
+`_flip_shots`, for its one prepared state.  With a PCG64
 generator it splits its 2^N experiments into contiguous ranges, one per
 usable CPU, each run in a thread on a copy of the generator advanced to
 the range's first draw.  The matrix and the generator's final state are
@@ -34,7 +39,7 @@ from __future__ import annotations
 import ctypes
 from copy import deepcopy
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from math import prod
 from typing import Callable
 
@@ -137,6 +142,15 @@ class PerQubitFlipModel:
         product's singular values multiply, so the blocks' numbers do."""
         return prod(float(np.linalg.cond(b)) for b in self.blocks)
 
+    @cached_property
+    def _flip_rows(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The flip step's thresholds, built once: p10 and p01, each tiled
+        once per shot of a `_flip_shots` block into a (shots, n) array; p01's
+        is None when each qubit's two rates are equal."""
+        block = max(1, _FLIP_BLOCK_DRAWS // self.n_qubits)
+        p10 = np.tile(self.p10, (block, 1))
+        return p10, None if self.p01 == self.p10 else np.tile(self.p01, (block, 1))
+
 
 @dataclass(frozen=True, eq=False)  # holds arrays: compares and hashes by identity
 class ConfusionMatrix:
@@ -190,28 +204,40 @@ def apply_channel_exact(p: np.ndarray, m: ConfusionMatrix) -> np.ndarray:
     return m.entries @ p
 
 
-def _flip_thresholds(model: PerQubitFlipModel, xs: np.ndarray) -> np.ndarray:
-    """Per state of `xs`, each qubit's flip probability: p01 where its bit is set, else p10."""
-    weights = 1 << np.arange(model.n_qubits - 1, -1, -1)
-    return np.where(xs[:, None] & weights, model.p01, model.p10)
-
-
-def _flip_shots(shots: int, n: int, rng: np.random.Generator, prepared: Callable) -> np.ndarray:
+def _flip_shots(
+    shots: int,
+    rows: tuple[np.ndarray, np.ndarray | None],
+    rng: np.random.Generator,
+    states: Callable[[int, int], np.ndarray | int],
+) -> np.ndarray:
     """The int64 read-out counts of `shots` shots, drawn as `apply_channel_sampled` says;
-    `prepared(lo, hi)` gives shots lo..hi-1 their states and flip probabilities."""
-    block = max(1, _FLIP_BLOCK_DRAWS // n)
+    `rows` are the model's `_flip_rows`, and `states(lo, hi)` gives shots lo..hi-1
+    their prepared states, or the one state they all prepare."""
+    p10, p01 = rows
+    block, n = p10.shape
     size = min(block, shots)
     draws, sums, read = np.empty((size, n)), np.empty(size), np.empty(size, dtype=np.int64)
+    if p01 is not None:
+        flips01, read01 = np.empty((size, n)), np.empty(size, dtype=np.int64)
     bit_values = 2.0 ** np.arange(n - 1, -1, -1)  # sums of distinct ones are exact in float64
     out = np.zeros(2**n, dtype=np.int64)
     for lo in range(0, shots, block):
-        hi = min(lo + block, shots)
-        u, r = draws[: hi - lo], read[: hi - lo]
+        k = min(block, shots - lo)
+        u, r = draws[:k], read[:k]
         rng.random(out=u)
-        x, p = prepared(lo, hi)
-        np.less(u, p, out=u)  # each draw becomes its flip, 1.0 or 0.0
-        r[...] = np.matmul(u, bit_values, out=sums[: hi - lo])
-        out += np.bincount(np.bitwise_xor(r, x, out=r), minlength=2**n)
+        x = states(lo, lo + k)
+        if p01 is not None:
+            f01 = read01[:k]
+            f01[...] = np.matmul(np.less(u, p01[:k], out=flips01[:k]), bit_values, out=sums[:k])
+        np.less(u, p10[:k], out=u)  # each draw becomes its flip, 1.0 or 0.0
+        r[...] = np.matmul(u, bit_values, out=sums[:k])
+        if p01 is None:
+            np.bitwise_xor(r, x, out=r)
+        else:
+            # a 0 bit of x reads as its p10 flip, a 1 bit as 1 unless its p01 flip
+            np.bitwise_and(np.invert(f01, out=f01), x, out=f01)
+            np.bitwise_or(np.bitwise_and(r, ~x, out=r), f01, out=r)
+        out += np.bincount(r, minlength=2**n)
     return out
 
 
@@ -226,21 +252,21 @@ def apply_channel_sampled(
     ``rng.random((k, n))`` over consecutive blocks of at most
     ``_FLIP_BLOCK_DRAWS`` doubles: the same stream as one draw per outcome,
     in bounded memory.  Each block is drawn into one buffer, allocated once
-    per call, and compared in place against the thresholds of the states
-    its shots prepare, one row per shot.
+    per call, and compared in place against the model's p10 row, and into
+    a second buffer against its p01 row when some qubit's two rates differ,
+    giving each shot two flip patterns; a shot prepared in state x reads
+    (f10 & ~x) | (~f01 & x), which is f10 ^ x when the rows are one.
     """
     n = check_counts(counts, model.n_qubits)
     counts = counts.astype(np.int64, copy=False)  # np.repeat will not cast unsigned counts
     xs = np.flatnonzero(counts)
-    thresholds = _flip_thresholds(model, xs)  # (states, n)
     ends = np.cumsum(counts[xs])
     starts = ends - counts[xs]
 
-    def prepared(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        in_block = np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0)
-        return np.repeat(xs, in_block), np.repeat(thresholds, in_block, axis=0)
+    def states(lo: int, hi: int) -> np.ndarray:
+        return np.repeat(xs, np.maximum(np.minimum(ends, hi) - np.maximum(starts, lo), 0))
 
-    return _flip_shots(int(ends[-1]), n, rng, prepared)
+    return _flip_shots(int(ends[-1]), model._flip_rows, rng, states)
 
 
 def check_dense_width(n_qubits: int) -> None:
@@ -280,11 +306,11 @@ def calibrate(
     check_dense_width(n)  # before the 2^n experiments and the matrix they fill
     dim = 2**n
     cols = np.empty((dim, dim), order="F")  # each experiment fills one contiguous column
-    thresholds = _flip_thresholds(model, np.arange(dim))
+    rows = model._flip_rows
 
     def run(experiments: range, stream: np.random.Generator) -> None:
         for x in experiments:
-            cols[:, x] = _flip_shots(shots, n, stream, lambda lo, hi: (x, thresholds[x])) / shots
+            cols[:, x] = _flip_shots(shots, rows, stream, lambda lo, hi: x) / shots
 
     # The split stays: in one range, `readout-9q-zoo`'s calibration took 0.42 s,
     # not 0.29 s (2 CPUs, slower in 12 of 12 alternated fresh-process pairs).

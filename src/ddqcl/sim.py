@@ -2,17 +2,21 @@
 
 Ry and CZ have real matrices, so a state started at |0...0> never leaves the
 reals.  A state is held in one form only: a float64 array of shape (2,)*N,
-one axis per qubit.  The gate kernels `apply_ry` and `apply_cz` act on
-array axes, not on qubits: `ansatz.execute` says which axis holds which
-qubit, since on wide registers it rotates the axes as it runs.  The kernels
-do no validation; the register width and qubit indices are checked
-once, in `Topology`, the angles once, in `execute` by `check_params`, and
-the array itself where it leaves the circuit, in `probabilities`.  A kernel
-writes into a buffer its caller owns and allocates nothing: `apply_ry` into
-`out`, and `apply_cz` into `amp` itself, so a circuit runs in two state
-buffers.  The first rotation layer on |0...0> is a product state, which
-`product_state` builds directly, with the same products as the n Ry gates
-it replaces.
+one axis per qubit.  The gate kernels `apply_ry` and `apply_cz` take a
+gate, the views of the state buffers it reads and writes, which `ry_gate`
+and `cz_gate` build once for an array axis, not a qubit: `ansatz.execute`
+says which axis holds which qubit, since on wide registers it rotates the
+axes as it runs.  So a circuit run many times, as `ansatz.GateProgram`
+runs it, builds its views once, and each kernel call only computes.  The
+kernels do no validation; the register width and qubit indices are checked
+once, in `Topology`, the angles once, by `check_params` where they enter,
+and the array itself where it leaves the circuit, in `probabilities`.  A
+kernel writes into buffers its caller owns and allocates nothing:
+`apply_ry` from its source into its target, and `apply_cz` negates its
+quarter of the state in place, so a circuit runs in two state buffers.
+The first rotation layer on |0...0> is a product state: `apply_product`
+fills the views of `product_layer` with the same products as the n Ry
+gates it replaces, and `product_state` builds and fills them in one call.
 
 Buffers: `product_state`, `probabilities`, `ansatz.execute` and
 `metrics.js_divergence` each take an optional float64 buffer (`work` or
@@ -36,7 +40,8 @@ return holds only values json writes and reads back as they were; a value
 they refuse is shown by `brief`, shortened past a few dozen characters.
 `check_params` takes a parameter vector: real, of a stated length, every
 angle finite, returned as float64; `execute` and `CostContext.evaluate` go
-through it.  `check_probabilities` takes a probability vector: real, 2^N
+through it, and the training cost runs what it returned with no second
+check.  `check_probabilities` takes a probability vector: real, 2^N
 entries with N in [1, MAX_QUBITS], none negative, summing to 1 within
 `_DIST_TOL`; `sample` and the training cost's target go through it.
 `check_shots` is `check_integer` over [1, MAX_SHOTS], `probabilities` checks
@@ -66,6 +71,7 @@ import operator
 import os
 import reprlib
 from math import cos, inf, isfinite, prod, sin
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -239,64 +245,114 @@ def _buffer(buf: np.ndarray | None, shape: tuple[int, ...], name: str) -> np.nda
     return buf
 
 
-def product_state(angles: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Ry(angles[q]) on each qubit q of |0...0>, as a (2,)*n amplitude array.
+class ProductLayer(NamedTuple):
+    """The views of `work` that the first rotation layer on |0...0> writes,
+    built once by `product_layer`."""
+
+    steps: tuple[tuple[np.ndarray, np.ndarray], ...]  # per qubit: the state so far, its next layer
+    factors: np.ndarray  # scratch for one qubit's (cos(t/2), sin(t/2))
+    state: np.ndarray  # the (2,)*n view of row 0 the last step fills
+
+
+def product_layer(work: np.ndarray) -> ProductLayer:
+    """The `ProductLayer` of a C-contiguous float64 (2, 2^n) buffer: the
+    growing layers are written alternately into its two rows, so that the
+    last one lands in row 0, and row 1 is left as scratch."""
+    n = work.shape[1].bit_length() - 1
+    steps, column = [], np.ones((1, 1))
+    for k in range(n):
+        pair = work[(n - 1 - k) % 2, : 2 * len(column)].reshape(len(column), 2)
+        steps.append((column, pair))
+        column = pair.reshape(-1, 1)
+    return ProductLayer(tuple(steps), np.empty(2), work[0].reshape((2,) * n))
+
+
+def apply_product(layer: ProductLayer, angles: Sequence[float]) -> np.ndarray:
+    """Ry(angles[q]) on each qubit q of |0...0>, written into `layer`'s views;
+    returns the (2,)*n state.
 
     Qubit by qubit, the state so far times (cos(t/2), sin(t/2)) along a new
     last axis: the same products, in the same order, as the n `apply_ry`
-    calls it replaces.  The growing layers are written alternately into the
-    two rows of `work`, a C-contiguous float64 (2, 2^n) array the caller owns
-    (allocated when None), so that the last one lands in row 0; the result is
-    a view of row 0, and row 1 is left as scratch.  Like the gate kernels, it
-    does not check `work`.
+    calls it replaces.
     """
-    n = len(angles)
-    if work is None:
-        work = _aligned_empty((2, 2**n))
-    amp = np.ones(1)
-    for k, t in enumerate(angles):
+    factors = layer.factors
+    for (column, pair), t in zip(layer.steps, angles):
+        factors[0], factors[1] = cos(t / 2.0), sin(t / 2.0)
         # Fortran order runs the long axis innermost, not the length-2 one
-        pair = work[(n - 1 - k) % 2, : 2 * amp.size].reshape(amp.size, 2)
-        np.multiply(amp[:, None], (cos(t / 2.0), sin(t / 2.0)), out=pair, order="F")
-        amp = pair.reshape(-1)
-    return amp.reshape((2,) * n)
+        np.multiply(column, factors, out=pair, order="F")
+    return layer.state
 
 
-def apply_ry(amp: np.ndarray, qubit: int, theta: float, out: np.ndarray) -> np.ndarray:
-    """Rotate the qubit on axis `qubit` of a (2,)*N amplitude array around the
-    y axis by theta.
+def product_state(angles: Sequence[float], work: np.ndarray | None = None) -> np.ndarray:
+    """Ry(angles[q]) on each qubit q of |0...0>, as a (2,)*n amplitude array:
+    `apply_product` on the `product_layer` of `work`, a C-contiguous float64
+    (2, 2^n) array the caller owns (allocated when None); the result is a
+    view of row 0.  Like the gate kernels, it does not check `work`."""
+    if work is None:
+        work = _aligned_empty((2, 2 ** len(angles)))
+    return apply_product(product_layer(work), angles)
+
+
+class RyGate(NamedTuple):
+    """The views one Ry reads and writes, built once by `ry_gate`."""
+
+    axis: int
+    source: np.ndarray  # the input state as (2^axis, 2, rest); scaled in place
+    target: np.ndarray  # the output state in the same shape
+    flipped: np.ndarray  # source with each pair swapped, transposed when rows are short
+    flipped_target: np.ndarray  # target in flipped's layout
+    order: str  # the flip pass's iteration order
+    signs: np.ndarray  # scratch for (-sin(t/2), sin(t/2)), one per pair entry
+
+
+def ry_gate(amp: np.ndarray, axis: int, out: np.ndarray) -> RyGate:
+    """The `RyGate` that rotates the qubit on axis `axis` of the (2,)*N state
+    `amp` into `out`, a C-contiguous array of the same shape distinct from it."""
+    a = amp.reshape(2**axis, 2, -1)
+    o = out.reshape(a.shape)
+    if a.shape[2] >= min(8, a.shape[0]):
+        return RyGate(axis, a, o, a[:, ::-1], o, "K", np.empty((2, 1)))
+    # rows this short make a slow innermost loop: run the long axis
+    # innermost instead, through the transposed views in C order
+    return RyGate(axis, a, o, a.T[:, ::-1], o.T, "C", np.empty((2, 1)))
+
+
+def apply_ry(gate: RyGate, theta: float) -> None:
+    """Rotate the gate's qubit around the y axis by theta, from its source
+    state into its target; the source is used as scratch, its contents lost.
 
     The 2x2 action on the (bit=0, bit=1) amplitude pair is
-    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].  Writes the result into
-    `out` (C-contiguous, of the same shape and distinct from `amp`) and
-    returns it, and uses `amp` as scratch: its contents are lost.
+    [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]].
     """
+    _, a, o, flipped, flipped_target, order, signs = gate
     c, s = cos(theta / 2.0), sin(theta / 2.0)
-    a = amp.reshape(2**qubit, 2, -1)
-    o = out.reshape(a.shape)
     # out = c*amp + s*(amp with each pair swapped and its bit-0 entry negated):
     # c*a0 + (-s)*a1 and c*a1 + s*a0 are exactly c*a0 - s*a1 and s*a0 + c*a1
-    signed_s = np.array([[-s], [s]])
-    if a.shape[2] >= min(8, a.shape[0]):
-        np.multiply(a[:, ::-1], signed_s, out=o)
-    else:
-        # rows this short make a slow innermost loop: run the long axis
-        # innermost instead, through the transposed views in C order
-        np.multiply(a.T[:, ::-1], signed_s, out=o.T, order="C")
+    signs[0, 0], signs[1, 0] = -s, s
+    np.multiply(flipped, signs, out=flipped_target, order=order)
     np.multiply(a, c, out=a)
     np.add(o, a, out=o)
-    return out
 
 
-def apply_cz(amp: np.ndarray, qa: int, qb: int) -> np.ndarray:
-    """Controlled-Z between the qubits on axes `qa` and `qb` of a (2,)*N
-    amplitude array: negate, in place, the entries with both bits set.
-    Returns `amp`."""
-    sel: list[object] = [slice(None)] * amp.ndim
-    sel[qa] = 1
-    sel[qb] = 1
-    amp[tuple(sel)] *= -1
-    return amp
+class CzGate(NamedTuple):
+    """The view one CZ negates, built once by `cz_gate`."""
+
+    axes: tuple[int, int]
+    quarter: np.ndarray  # the entries with both bits set
+
+
+def cz_gate(amp: np.ndarray, qa: int, qb: int) -> CzGate:
+    """The `CzGate` between the qubits on axes `qa` and `qb` of the (2,)*N
+    state `amp`."""
+    lo, hi = sorted((qa, qb))
+    n = amp.ndim
+    blocks = amp.reshape(2**lo, 2, 2 ** (hi - lo - 1), 2, 2 ** (n - 1 - hi))
+    return CzGate((qa, qb), blocks[:, 1, :, 1])
+
+
+def apply_cz(gate: CzGate) -> None:
+    """Controlled-Z: negate, in place, the entries with both bits set."""
+    np.negative(gate.quarter, out=gate.quarter)
 
 
 def probabilities(amp: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -1,5 +1,5 @@
 import dataclasses
-from math import tau
+from math import cos, sin, tau
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from ddqcl.ansatz import (
     _MIN_RUN,
     _ROTATE_MIN_QUBITS,
     Ansatz,
+    GateProgram,
     Topology,
     execute,
     line_topology,
@@ -16,7 +17,8 @@ from ddqcl.ansatz import (
 )
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
-from ddqcl.sim import MAX_QUBITS, _aligned_empty, apply_cz, apply_ry, probabilities, product_state
+from ddqcl.sim import MAX_QUBITS, _aligned_empty, apply_cz, apply_ry, check_params, cz_gate
+from ddqcl.sim import probabilities, product_state, ry_gate
 
 # 4x4 matrix oracle for the two-qubit primitive, built from scratch
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -107,21 +109,21 @@ def _spy_gates(monkeypatch):
 
     calls = []
     real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
-    real_product = ddqcl.ansatz.product_state
+    real_product = ddqcl.ansatz.apply_product
 
-    def product(angles, work):
+    def product(layer, angles):
         calls.extend(("ry", (q,), float(t)) for q, t in enumerate(angles))
-        return real_product(angles, work)
+        return real_product(layer, angles)
 
-    def ry(amp, qubit, theta, out):
-        calls.append(("ry", (qubit,), float(theta)))
-        return real_ry(amp, qubit, theta, out)
+    def ry(gate, theta):
+        calls.append(("ry", (gate.axis,), float(theta)))
+        return real_ry(gate, theta)
 
-    def cz(amp, qa, qb):
-        calls.append(("cz", (qa, qb), None))
-        return real_cz(amp, qa, qb)
+    def cz(gate):
+        calls.append(("cz", gate.axes, None))
+        return real_cz(gate)
 
-    monkeypatch.setattr(ddqcl.ansatz, "product_state", product)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_product", product)
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
     return calls
@@ -187,48 +189,42 @@ def test_execute_follows_layout_rule(monkeypatch):
 
 
 def test_execute_runs_in_two_buffers(monkeypatch):
-    # every kernel call inside one execute writes into a buffer it is given
-    # (Ry into `out`, CZ into `amp`) and returns it, and the state only ever
-    # lives in the two rows of the caller's `work`
+    # every kernel call inside one execute reads and writes views of the two
+    # rows of the caller's `work` (Ry from one row into the other, CZ in
+    # place), and the state only ever lives there
     import ddqcl.ansatz
 
     real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
-    real_product = ddqcl.ansatz.product_state
-    buffers, kernel_calls = set(), []
+    real_product = ddqcl.ansatz.apply_product
+    kernel_calls = []
 
-    def address(arr):
-        return arr.__array_interface__["data"][0]
+    def row(view):
+        (index,) = [i for i in (0, 1) if np.shares_memory(view, work[i])]
+        return index
 
-    def product(angles, buf):
-        assert buf is work
-        amp = real_product(angles, buf)
-        buffers.add(address(amp))
-        return amp
+    def product(layer, angles):
+        assert {row(pair) for _, pair in layer.steps} == {0, 1} and row(layer.state) == 0
+        return real_product(layer, angles)
 
-    def ry(amp, qubit, theta, out):
-        assert out is not amp
-        buffers.update((address(amp), address(out)))
+    def ry(gate, theta):
+        assert row(gate.source) == row(gate.flipped) != row(gate.target)
+        assert row(gate.flipped_target) == row(gate.target)
         kernel_calls.append("ry")
-        result = real_ry(amp, qubit, theta, out)
-        assert result is out
-        return result
+        return real_ry(gate, theta)
 
-    def cz(amp, qa, qb):
-        buffers.add(address(amp))
+    def cz(gate):
+        row(gate.quarter)
         kernel_calls.append("cz")
-        result = real_cz(amp, qa, qb)
-        assert result is amp
-        return result
+        return real_cz(gate)
 
-    monkeypatch.setattr(ddqcl.ansatz, "product_state", product)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_product", product)
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
     a = Ansatz(line_topology(6), 3)
     work = np.empty((2, 2**6))
     state = execute(a, np.random.default_rng(8).uniform(0, 2 * np.pi, a.param_count), work)
     assert kernel_calls.count("ry") == 2 * 3 * 5 and kernel_calls.count("cz") == 3 * 5
-    assert buffers == {address(work[0]), address(work[1])}
-    assert address(state) in buffers and np.shares_memory(state, work)
+    assert np.shares_memory(state, work)
 
 
 # --- rotated layouts on wide registers ---
@@ -245,9 +241,11 @@ def _canonical_execute(ansatz, params):
     angles = iter(theta[n:])
     for _ in range(ansatz.layers):
         for a, b in ansatz.topology.edges:
-            apply_cz(amp, a, b)
-            amp, spare = apply_ry(amp, a, next(angles), out=spare), amp
-            amp, spare = apply_ry(amp, b, next(angles), out=spare), amp
+            apply_cz(cz_gate(amp, a, b))
+            apply_ry(ry_gate(amp, a, spare), next(angles))
+            amp, spare = spare, amp
+            apply_ry(ry_gate(amp, b, spare), next(angles))
+            amp, spare = spare, amp
     return amp
 
 
@@ -263,13 +261,13 @@ def _spy_rotations(monkeypatch):
     import ddqcl.ansatz
 
     shifts = []
-    real_rotate = ddqcl.ansatz._rotate
+    real_rotation = ddqcl.ansatz._rotation
 
-    def rotate(amp, shift, out):
+    def rotation(amp, shift, out):
         shifts.append(shift)
-        return real_rotate(amp, shift, out)
+        return real_rotation(amp, shift, out)
 
-    monkeypatch.setattr(ddqcl.ansatz, "_rotate", rotate)
+    monkeypatch.setattr(ddqcl.ansatz, "_rotation", rotation)
     return shifts
 
 
@@ -306,33 +304,83 @@ def test_wide_line_gates_run_on_long_run_axes(monkeypatch, layers):
     n = 16
     a = Ansatz(line_topology(n), layers)
     work = _aligned_empty((2, 2**n))
-    rows = {row.__array_interface__["data"][0] for row in work}
-    real_ry, real_cz, real_rotate = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz, ddqcl.ansatz._rotate
+    real_ry, real_cz = ddqcl.ansatz.apply_ry, ddqcl.ansatz.apply_cz
+    real_rotation = ddqcl.ansatz._rotation
     axes = []
 
-    def written(arr):
-        assert arr.__array_interface__["data"][0] in rows
-        return arr
+    def written(*views):
+        assert all(any(np.shares_memory(view, row) for row in work) for view in views)
 
-    def ry(amp, axis, theta, out):
-        axes.append(axis)
-        return written(real_ry(written(amp), axis, theta, out))
+    def ry(gate, theta):
+        axes.append(gate.axis)
+        written(gate.source, gate.target)
+        return real_ry(gate, theta)
 
-    def cz(amp, qa, qb):
-        axes.extend((qa, qb))
-        return written(real_cz(written(amp), qa, qb))
+    def cz(gate):
+        axes.extend(gate.axes)
+        written(gate.quarter)
+        return real_cz(gate)
 
-    def rotate(amp, shift, out):
-        return written(real_rotate(written(amp), shift, out))
+    def rotation(amp, shift, out):
+        views = real_rotation(amp, shift, out)
+        written(*views)
+        return views
 
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", ry)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", cz)
-    monkeypatch.setattr(ddqcl.ansatz, "_rotate", rotate)
+    monkeypatch.setattr(ddqcl.ansatz, "_rotation", rotation)
     theta = np.random.default_rng(9).uniform(-20.0, 20.0, a.param_count)
     state = execute(a, theta, work)
     assert len(axes) == 4 * layers * (n - 1)
     assert max(axes) < n + 1 - _MIN_RUN.bit_length()
     assert state.tobytes() == _canonical_execute(a, theta).tobytes()
+
+
+def _reference_ry(amp, qubit, t):
+    # one Ry on allocated arrays, by the pair formula itself
+    c, s = cos(t / 2.0), sin(t / 2.0)
+    a0, a1 = amp.take(0, axis=qubit), amp.take(1, axis=qubit)
+    return np.stack([c * a0 - s * a1, s * a0 + c * a1], axis=qubit)
+
+
+def _reference_state(ansatz, theta):
+    # the layout rule gate by gate, with no kernel, program or buffer of the
+    # package: qubit q stays on axis q, and each gate returns a new array
+    theta = np.mod(theta, tau)
+    n = ansatz.n_qubits
+    # the first layer on |0...0> as its product state: each qubit's
+    # (cos, sin) pair multiplies the state so far along a new last axis,
+    # which signs the zeros as the product layer does
+    amp = np.ones(())
+    for t in theta[:n]:
+        amp = np.multiply.outer(amp, (cos(t / 2.0), sin(t / 2.0)))
+    k = n
+    for _ in range(ansatz.layers):
+        for a, b in ansatz.topology.edges:
+            sel = [slice(None)] * n
+            sel[a] = sel[b] = 1
+            amp[tuple(sel)] *= -1
+            amp = _reference_ry(_reference_ry(amp, a, theta[k]), b, theta[k + 1])
+            k += 2
+    return amp
+
+
+@pytest.mark.parametrize(
+    "n, layers", [(1, 0)] + [(n, layers) for n in (2, 4, 9, 14, 15, 16) for layers in (0, 1, 2)]
+)
+@pytest.mark.parametrize("topology", [line_topology, star_topology])
+def test_program_matches_per_gate_reference(topology, n, layers):
+    # one program per buffer, as the cost and each of its lanes build them,
+    # each run twice on its reused buffer: every run's state has the
+    # reference's bytes, whatever the buffer held before
+    a = Ansatz(topology(n), layers)
+    programs = [GateProgram(a, _aligned_empty((2, 2**n))) for _ in range(2)]
+    rng = np.random.default_rng(1000 * n + layers)
+    for _ in range(2):
+        theta = check_params(_edge_case_angles(rng, a.param_count), a.param_count)
+        expected = _reference_state(a, theta).tobytes()
+        for program in programs:
+            assert execute(program, theta).tobytes() == expected
 
 
 def test_param_count_formula():
@@ -415,7 +463,7 @@ def test_execute_rejects_non_finite_params(monkeypatch, bad):
     def no_gates(*args):
         raise AssertionError("a gate ran before the parameters were checked")
 
-    monkeypatch.setattr(ddqcl.ansatz, "product_state", no_gates)
+    monkeypatch.setattr(ddqcl.ansatz, "apply_product", no_gates)
     monkeypatch.setattr(ddqcl.ansatz, "apply_ry", no_gates)
     monkeypatch.setattr(ddqcl.ansatz, "apply_cz", no_gates)
     a = Ansatz(line_topology(4), 1)

@@ -117,6 +117,10 @@ def test_spec_validation():
         BasSpec(0, 2)
     with pytest.raises(ValueError):
         BasSpec(5, 5)  # 25 qubits over the register cap
+    # shown in full, the width of a 10**400-row image made one 833-character line
+    with pytest.raises(ValueError, match=r"x2 image needs 2000.* qubits \(max 20\)$") as refused:
+        BasSpec(10**400, 2)
+    assert len(str(refused.value)) < 200
 
 
 # --- target distribution ---

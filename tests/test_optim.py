@@ -116,6 +116,10 @@ def test_unknown_options_refused_before_evaluating():
     ctx = _ctx(_bowl, 4, 73, 0)
     with pytest.raises(ValueError, match="options must be one of"):
         run(ctx, "spsa", 12)
+    # shown in full, a 5000-character value made a 5,072-character message
+    with pytest.raises(ValueError, match="options must be one of .*, got 'xxx") as refused:
+        run(ctx, "x" * 5000, 12)
+    assert len(str(refused.value)) < 200
     assert ctx.evaluations == 0
 
 
@@ -248,7 +252,7 @@ def test_threaded_costs_equal_row_by_row_evaluation(monkeypatch):
         assert len(calls) == 7
         assert threading.get_ident() not in {thread for thread, _ in calls}
         np.testing.assert_array_equal(ctx.best_params, one_by_one.best_params)
-        assert len(ctx._buffers) <= 2  # at most two lanes, whatever the CPU count
+        assert len(ctx._lanes) <= 2  # at most two lanes, whatever the CPU count
 
 
 def test_first_row_enters_evaluate_before_any_cost_is_computed(monkeypatch):
@@ -354,6 +358,39 @@ def test_shot_and_narrow_costs_start_no_thread(monkeypatch, ansatz, target, shot
     )
     ctx.evaluate_many(np.zeros((4, ansatz.param_count)))
     assert calls == [(threading.get_ident(), threads)] * 4
+
+
+@pytest.mark.parametrize(
+    "ansatz, target, shots, cpus",
+    [
+        (Ansatz(line_topology(4), 1), bas_target_distribution(BasSpec(2, 2)), 100, 1),
+        (_ANSATZ_16, _BAS_4X4, None, 2),
+    ],
+    ids=["shots-4q", "exact-16q-two-lanes"],
+)
+def test_each_evaluation_checks_its_parameters_once(monkeypatch, ansatz, target, shots, cpus):
+    # `evaluate`, or `evaluate_many` for the rows it runs on lanes, checks a
+    # vector once, and the cost's program runs what the check returned
+    import ddqcl.ansatz
+
+    _cpus(monkeypatch, cpus)
+    checks, real_check = [], ddqcl.optim.check_params
+
+    def check_params(params, count):
+        checks.append(threading.get_ident())
+        return real_check(params, count)
+
+    monkeypatch.setattr(ddqcl.optim, "check_params", check_params)
+    monkeypatch.setattr(ddqcl.ansatz, "check_params", check_params)
+    calls = _spy_execute(monkeypatch)
+    rng = np.random.default_rng(4)
+    ctx = CostContext.for_circuit(ansatz, target, budget=6, shots=shots, rng=rng)
+    init_search(ctx, 4)
+    ctx.evaluate(np.zeros(ansatz.param_count))
+    assert ctx.evaluations == len(checks) == len(calls) == 5
+    assert set(checks) == {threading.get_ident()}
+    if cpus > 1:  # the pool's rows ran on lanes
+        assert threading.get_ident() not in {thread for thread, _ in calls[:4]}
 
 
 # --- circuit-backed cost ---

@@ -279,6 +279,9 @@ def _channel_cases(draw):
     rate = st.one_of(st.just(0.0), st.floats(0.0, 0.5, exclude_max=True))
     p10 = draw(st.lists(rate, min_size=n, max_size=n))
     p01 = draw(st.lists(rate, min_size=n, max_size=n))
+    # every qubit's two rates equal (one flip row), or one qubit's, or none forced
+    equal = draw(st.sampled_from([n, 1, 0]))
+    p01[:equal] = p10[:equal]
     block = readout._FLIP_BLOCK_DRAWS // n
     shots = draw(st.integers(2 * block + 1, 4 * block))  # at least 3 blocks
     support = draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=40, unique=True))
@@ -301,31 +304,41 @@ def test_sampled_channel_matches_per_outcome_oracle(case, seed):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+# two rates per qubit: each differs, one qubit's are equal and one rate is 0,
+# and all equal, which compares against one flip row
+_TWO_QUBIT_MODELS = [((0.3, 0.1), (0.2, 0.4)), ((0.3, 0.0), (0.3, 0.4)), ((0.3, 0.1), (0.3, 0.1))]
+
+
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_sampled_channel_matches_oracle_where_a_block_meets_a_state(offset):
     # the first state's run ends one shot before, at, or one shot after the
     # end of the first block: a block that prepares one state and one that
     # prepares two, against the same oracle
-    model = PerQubitFlipModel((0.3, 0.1), (0.2, 0.4))
     block = readout._FLIP_BLOCK_DRAWS // 2
     counts = np.array([0, block + offset, 7, 0], dtype=np.int64)
-    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
-    out = apply_channel_sampled(counts, model, rng)
-    np.testing.assert_array_equal(out, _oracle_channel(counts, model, oracle_rng))
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    for p10, p01 in _TWO_QUBIT_MODELS:
+        model = PerQubitFlipModel(p10, p01)
+        rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(8)
+        out = apply_channel_sampled(counts, model, rng)
+        np.testing.assert_array_equal(out, _oracle_channel(counts, model, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_calibrate_matches_per_outcome_oracle():
-    model = PerQubitFlipModel((0.0, 0.04, 0.2), (0.1, 0.0, 0.07))
+    # rates that each differ, one qubit's equal and one 0, and all equal
+    models = [((0.0, 0.04, 0.2), (0.1, 0.0, 0.07)), ((0.0, 0.04, 0.2), (0.1, 0.04, 0.0)),
+              ((0.1,) * 3, (0.1,) * 3)]
     shots = 3 * (readout._FLIP_BLOCK_DRAWS // 3) + 17  # 3 full blocks and a partial one per state
-    oracle_rng = np.random.default_rng(11)
-    expected = np.empty((8, 8))
-    for x in range(8):
-        prepared = np.zeros(8, dtype=np.int64)
-        prepared[x] = shots
-        expected[:, x] = _oracle_channel(prepared, model, oracle_rng) / shots
-    m = calibrate(model, shots, np.random.default_rng(11))
-    np.testing.assert_array_equal(m.entries, expected)
+    for p10, p01 in models:
+        model = PerQubitFlipModel(p10, p01)
+        oracle_rng = np.random.default_rng(11)
+        expected = np.empty((8, 8))
+        for x in range(8):
+            prepared = np.zeros(8, dtype=np.int64)
+            prepared[x] = shots
+            expected[:, x] = _oracle_channel(prepared, model, oracle_rng) / shots
+        m = calibrate(model, shots, np.random.default_rng(11))
+        np.testing.assert_array_equal(m.entries, expected)
 
 
 def _traced_calibration(monkeypatch, model, shots, rng):
@@ -340,10 +353,11 @@ def _traced_calibration(monkeypatch, model, shots, rng):
     prepared_on = {}
     flip_shots = readout._flip_shots
 
-    def spy(shots, n, stream, prepared):  # called once per experiment, before it draws
+    def spy(shots, rows, stream, states):  # called once per experiment, before it draws
         x = started_by[pickle.dumps(stream.bit_generator.state)]
+        assert states(0, shots) == x
         prepared_on.setdefault(id(stream), []).append(x)
-        return flip_shots(shots, n, stream, prepared)
+        return flip_shots(shots, rows, stream, states)
 
     monkeypatch.setattr(readout, "_flip_shots", spy)
     return calibrate(model, shots, rng), sorted(prepared_on.values())

@@ -13,6 +13,7 @@ import pytest
 
 import ddqcl.harness
 import ddqcl.optim
+from ddqcl.ansatz import Ansatz, line_topology, star_topology
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,5 +55,14 @@ def test_traced_batch_holds_every_cross_check(tmp_path, bench, name):
         batch = core.run_batch(ddqcl, doc, tmp_path / "out", tracer=tracer)
     assert batch.error is None, batch.error
     assert batch.evaluations == doc["runs"] * doc["budget"]
-    checks = tracing.cross_checks(tracer.profile(0), batch.evaluations, doc)
+    profile = tracer.profile(0)
+    checks = tracing.cross_checks(profile, batch.evaluations, doc)
     assert {name: pair for name, pair in checks.items() if pair[0] != pair[1]} == {}
+    # every gate after the product layer goes through its kernel, so that
+    # sim.gate_calls counts them: a circuit that inlined a kernel reads 0 here
+    topology = {"line": line_topology, "star": star_topology}[doc["topology"]]
+    ansatz = Ansatz(topology(doc["rows"] * doc["cols"]), doc["layers"])
+    runs = profile.layer_calls("ansatz.execute")
+    assert runs > 0
+    assert profile.layer_calls("sim.apply_ry") == runs * (ansatz.param_count - ansatz.n_qubits)
+    assert profile.layer_calls("sim.apply_cz") == runs * ansatz.layers * len(ansatz.topology.edges)
