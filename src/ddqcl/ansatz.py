@@ -17,7 +17,7 @@ from math import tau
 import numpy as np
 
 from .sim import _buffer, _check_n_qubits, apply_cz, apply_product, apply_ry, check_integer
-from .sim import check_params, cz_gate, product_layer, product_state, ry_gate
+from .sim import check_params, cz_gate, product_layer, ry_gate
 
 # numpy runs a strided operation whose contiguous runs hold fewer than 4096
 # float64 entries through its 8192-entry buffer: at 16 qubits a Ry on axes 0-3
@@ -202,7 +202,7 @@ def u2_block(theta: float, gamma: float, beta: float) -> np.ndarray:
     """
     # not through `execute`: it reduces angles mod 2*pi, and Ry has period
     # 4*pi, so a reduced angle can flip the sign of the amplitudes
-    amp = product_state((gamma, beta))
+    amp = apply_product(product_layer(np.empty((2, 4))), (gamma, beta))
     apply_cz(cz_gate(amp, 0, 1))
     out = np.empty_like(amp)
     apply_ry(ry_gate(amp, 0, out), theta)

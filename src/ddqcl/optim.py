@@ -3,16 +3,23 @@
 `run` is the one implementation of the evaluation-budget contract: it draws
 the n_ini uniform starts, hands that pool to the solver, and ends the run
 when exactly `budget` cost calls are recorded.  The learning curve is those
-costs; its best-so-far envelope and improvements are derived from them.  A
-solver is only its update rule: a generator that yields its incumbent before
-each step, so the last incumbent yielded is the run's final one.
+costs; its best-so-far envelope and improvements are derived from them.
 
-Every cost is recorded through `CostContext.evaluate`.  The initial pool and
-each ADAM step go through `CostContext.evaluate_many`, which an exact cost
-on at least 16 qubits runs on up to two usable CPUs, one thread and one
-buffer per CPU, with the costs of row-by-row evaluation: no result depends
-on the CPU count.  Shot costs, narrower registers and SVHC and ZOO, which
-propose one point at a time, run row by row on the calling thread.
+A solver is only its update rule, `steps(options, pool, rng)`: a generator
+that draws its proposals from `rng`, yields its incumbent and the rows it
+wants scored next, and is sent the list of their costs.  ADAM's request is
+its incumbent and 2L probes; SVHC and ZOO send one row per request, for a
+candidate or a suppression refresh.  A solver never sees the cost or the
+budget, so it can be driven by any loop.  `run` scores each request through
+`CostContext.evaluate_many` and, once the budget is spent, returns the
+incumbent yielded with the request it was scoring.
+
+Every cost is recorded through one `CostContext.evaluate` call, on the
+calling thread.  `evaluate_many` computes two or more rows of an exact cost
+on at least 16 qubits on up to two usable CPUs, one thread and one buffer
+per CPU, with the costs of row-by-row evaluation: no result depends on the
+CPU count.  Shot costs, narrower registers and one-row requests, such as
+every step of SVHC and ZOO, run on the calling thread and start no thread.
 
 SVHC and the elite-set zeroth-order search are reconstructions from their
 one-line descriptions; their hyperparameters are explicit config, not
@@ -26,7 +33,7 @@ from decimal import Decimal
 from itertools import chain, count, islice
 from math import inf, isfinite, pi, tau
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +66,8 @@ _LANE_AMPLITUDES = 2**16
 _MAX_LANES = 2
 
 Pool = list[tuple[float, np.ndarray]]  # (cost, params) per evaluated row
+# a solver: yields (incumbent, rows to score next) and is sent the rows' costs
+Steps = Generator[tuple[np.ndarray, Sequence[np.ndarray]], list[float], None]
 _by_cost = itemgetter(0)
 
 
@@ -192,7 +201,7 @@ class CostContext:
         if self._ahead is None:
             theta = check_params(params, self.param_count)
             cost = float(self._cost_fn(theta))
-        else:  # `params` is the next row evaluate_many checked and ran on a lane
+        else:  # `params` is the next row evaluate_many checked, and `_ahead` has its cost
             theta, cost = next(self._ahead)
         if not isfinite(cost):
             raise ValueError(f"cost function returned {cost} at evaluation {self.evaluations}")
@@ -206,17 +215,21 @@ class CostContext:
         """Score parameter vectors in row order, exactly as consecutive
         `evaluate` calls would; (cost, row) per row.
 
-        Every row is recorded through `evaluate`, on the calling thread.  An
-        exact cost on at least `_LANE_AMPLITUDES` amplitudes, with more than
-        one usable CPU, first takes only the rows the remaining budget can
-        record, up to the first one `check_params` refuses, checks them once
-        and computes their costs on one thread per CPU, up to `_MAX_LANES`,
-        each in its own buffer; `evaluate` then takes each row's checked
-        vector and cost from them.  Exact rows draw nothing, and each row's
-        arithmetic is that of `evaluate`, so the costs and the generator are
-        the same bits whatever the CPU count.  Any other cost runs the rows
-        one by one, so a shot cost's draws and the rows' own draws from `rng`
-        interleave as they would.
+        This is how `init_search` scores the initial pool and `run` each
+        request a solver yields: ADAM's 2L+1 rows, or one row of SVHC or ZOO.
+        Every row is recorded through one `evaluate` call, on the calling
+        thread.  An exact cost on at least `_LANE_AMPLITUDES` amplitudes,
+        with more than one usable CPU, first takes only the rows the
+        remaining budget can record, up to the first one `check_params`
+        refuses, and checks them once.  Two or more such rows have their
+        costs computed on one thread per CPU, up to `_MAX_LANES`, each in its
+        own buffer; a single row is computed on the calling thread and starts
+        no thread.  `evaluate` then takes each row's checked vector and cost.
+        Exact rows draw nothing, and each row's arithmetic is that of
+        `evaluate`, so the costs and the generator are the same bits whatever
+        the CPU count.  Any other cost runs the rows one by one, so a shot
+        cost's draws and the rows' own draws from `rng` interleave as they
+        would.
         """
         rows = iter(rows)
         lanes = 1 if self._new_lane is None else min(_usable_cpus(), _MAX_LANES)
@@ -244,14 +257,17 @@ class CostContext:
     ) -> Iterator[tuple[np.ndarray, float]]:
         """Each of `thetas`, checked vectors, with its cost, in order,
         computed on up to `lanes` threads, each in a buffer of its own; the
-        threads start at the first `next`."""
+        threads start at the first `next`.  A single vector is computed at
+        that `next`, on the calling thread, in the context's own buffer."""
+        if len(thetas) < 2:
+            yield from ((theta, self._cost_fn(theta)) for theta in thetas)
+            return
         lanes = min(lanes, len(thetas))
         # imported here, not at the top: their 8 ms would fall on every start
         from concurrent.futures import ThreadPoolExecutor
         from queue import SimpleQueue
 
-        while len(self._lanes) < lanes:
-            self._lanes.append(self._new_lane())
+        self._lanes += [self._new_lane() for _ in range(lanes - len(self._lanes))]
         free = SimpleQueue()  # the lanes' costs no thread holds
         for lane in self._lanes[:lanes]:
             free.put(lane)
@@ -385,24 +401,24 @@ def check_sizes(options: Options, param_count: int, n_ini: int, budget: int) -> 
 # --- solvers ---
 
 
-def adam_steps(ctx: CostContext, a: AdamConfig, pool: Pool) -> Iterator[np.ndarray]:
+def adam_steps(a: AdamConfig, pool: Pool, rng: np.random.Generator) -> Steps:
     """ADAM on a central finite-difference gradient, from the best pool start.
 
     Each step spends 2L evaluations on the gradient probes plus one on the
     incumbent itself — without the incumbent evaluation the recorded best
     would sit O(h^2) above the model actually trained.  The step is one
-    `evaluate_many` call on the incumbent and then, per coordinate i,
+    request of 2L+1 rows: the incumbent and then, per coordinate i,
     theta + h e_i and theta - h e_i; grad[i] is their cost difference over 2h.
+    ADAM draws nothing, so `rng` goes unused.
     """
     theta = min(pool, key=_by_cost)[1]
-    n = ctx.param_count
+    n = len(theta)
     steps = a.fd_step * np.eye(n)  # row i moves coordinate i alone
     m, v = np.zeros(n), np.zeros(n)
     for t in count(1):
-        yield theta
         rows = np.empty((2 * n + 1, n))
         rows[0], rows[1::2], rows[2::2] = theta, theta + steps, theta - steps
-        costs = np.array([cost for cost, _ in ctx.evaluate_many(rows)])
+        costs = np.array((yield theta, rows))
         grad = (costs[1::2] - costs[2::2]) / (2.0 * a.fd_step)
         m = a.beta1 * m + (1.0 - a.beta1) * grad
         v = a.beta2 * v + (1.0 - a.beta2) * grad * grad
@@ -411,52 +427,51 @@ def adam_steps(ctx: CostContext, a: AdamConfig, pool: Pool) -> Iterator[np.ndarr
         theta = theta - a.alpha * m_hat / (np.sqrt(v_hat) + a.eps)
 
 
-def svhc_steps(ctx: CostContext, s: SvhcConfig, pool: Pool) -> Iterator[np.ndarray]:
+def svhc_steps(s: SvhcConfig, pool: Pool, rng: np.random.Generator) -> Steps:
     """Stochastic hill climbing from the best pool start: Gaussian steps on a
     random coordinate subset, accepted on strict improvement; the incumbent's
     cost is refreshed every suppression period to shake off lucky shot-noise
-    values.
+    values.  Each candidate and each refresh is a one-row request.
     """
     fx, x = min(pool, key=_by_cost)
-    n = ctx.param_count
+    n = len(x)
     k = s.subset(n)
     for iteration in count(1):
-        yield x
         if s.suppression_period > 0 and iteration % s.suppression_period == 0:
-            fx = ctx.evaluate(x)
+            (fx,) = yield x, [x]
             continue
         y = x.copy()
-        idx = ctx.rng.choice(n, size=k, replace=False)
-        y[idx] += ctx.rng.normal(0.0, s.sigma, size=k)
-        fy = ctx.evaluate(y)
+        idx = rng.choice(n, size=k, replace=False)
+        y[idx] += rng.normal(0.0, s.sigma, size=k)
+        (fy,) = yield x, [y]
         if fy < fx:
             x, fx = y, fy
 
 
-def zoo_steps(ctx: CostContext, z: ZooConfig, pool: Pool) -> Iterator[np.ndarray]:
+def zoo_steps(z: ZooConfig, pool: Pool, rng: np.random.Generator) -> Steps:
     """Elite-set zeroth-order search over the pool's best elite_size starts:
     sample inside a shrinking box around a random elite with probability
     elite_prob, else uniformly; the box shrinks after stall_limit consecutive
     non-improving candidates, and the best elite's cost is refreshed every
-    suppression period.
+    suppression period.  Each candidate and each refresh is a one-row
+    request, and the incumbent is the best elite.
     """
     elites = sorted(pool, key=_by_cost)[: z.elite_size]
-    n = ctx.param_count
-    width = z.region_width
-    stall = 0
+    n = len(elites[0][1])
+    width, stall = z.region_width, 0
     for iteration in count(1):
-        yield elites[0][1]
+        best = elites[0][1]
         if z.suppression_period > 0 and iteration % z.suppression_period == 0:
-            best_params = elites[0][1]
-            elites[0] = (ctx.evaluate(best_params), best_params)
+            (cost,) = yield best, [best]
+            elites[0] = (cost, best)
             elites.sort(key=_by_cost)
             continue
-        if ctx.rng.random() < z.elite_prob:
-            base = elites[ctx.rng.integers(len(elites))][1]
-            cand = base + ctx.rng.uniform(-width, width, n)
+        if rng.random() < z.elite_prob:
+            base = elites[rng.integers(len(elites))][1]
+            cand = base + rng.uniform(-width, width, n)
         else:
-            cand = ctx.rng.uniform(0.0, tau, n)
-        c = ctx.evaluate(cand)
+            cand = rng.uniform(0.0, tau, n)
+        (c,) = yield best, [cand]
         if c < elites[-1][0]:
             elites[-1] = (c, cand)
             elites.sort(key=_by_cost)
@@ -480,13 +495,17 @@ _STEPS = dict(SOLVERS.values())  # options type -> step generator
 def run(ctx: CostContext, options: Options, n_ini: int) -> LearningCurve:
     """Spend the context's whole budget: n_ini uniform starts, then solver steps.
 
-    `options` is one solver's config, and its type picks the solver.
+    `options` is one solver's config, and its type picks the solver.  Each
+    request the solver yields is scored through `evaluate_many` and its
+    costs sent back; the run ends when a request's row finds the budget
+    spent, and its final parameters are the incumbent yielded with that
+    request.
     """
     check_sizes(options, ctx.param_count, n_ini, ctx.budget)
-    pool = init_search(ctx, n_ini)
-    steps = _STEPS[type(options)](ctx, options, pool)
+    steps = _STEPS[type(options)](options, init_search(ctx, n_ini), ctx.rng)
     try:
+        incumbent, rows = next(steps)
         while True:  # a solver that stops early raises StopIteration, not a short curve
-            incumbent = next(steps)
+            incumbent, rows = steps.send([cost for cost, _ in ctx.evaluate_many(rows)])
     except BudgetExhausted:
         return ctx.curve(incumbent)

@@ -15,13 +15,15 @@ kernel writes into buffers its caller owns and allocates nothing:
 `apply_ry` from its source into its target, and `apply_cz` negates its
 quarter of the state in place, so a circuit runs in two state buffers.
 The first rotation layer on |0...0> is a product state: `apply_product`
-fills the views of `product_layer` with the same products as the n Ry
-gates it replaces, and `product_state` builds and fills them in one call.
+fills the views of `product_layer` with the outer product of the n Ry
+gates' columns.  Its probabilities equal those of n `apply_ry` calls, but
+the sign bit of a zero amplitude can differ from a per-gate loop (seen at
+9-16 qubits with angles 0, pi and 2*pi).
 
-Buffers: `product_state`, `probabilities`, `ansatz.execute` and
-`metrics.js_divergence` each take an optional float64 buffer (`work` or
-`out`) that the caller owns.  Given one, they compute into it and allocate
-nothing of state size; the arrays the first three return are views of it,
+Buffers: `probabilities`, `ansatz.execute` and `metrics.js_divergence`
+each take an optional float64 buffer (`work` or `out`) that the caller
+owns.  Given one, they compute into it and allocate nothing of state
+size; the arrays the first two return are views of it,
 which the next call with the same buffer overwrites.  Without one, they
 allocate it, starting on a 64-byte cache line, and run the same code.  So a
 loop that evaluates many circuits, like the cost of `optim.CostContext`,
@@ -272,8 +274,9 @@ def apply_product(layer: ProductLayer, angles: Sequence[float]) -> np.ndarray:
     returns the (2,)*n state.
 
     Qubit by qubit, the state so far times (cos(t/2), sin(t/2)) along a new
-    last axis: the same products, in the same order, as the n `apply_ry`
-    calls it replaces.
+    last axis.  The probabilities equal those of the n `apply_ry` calls it
+    replaces, but the sign bit of a zero amplitude can differ from a per-gate
+    loop (seen at 9-16 qubits with angles 0, pi and 2*pi).
     """
     factors = layer.factors
     for (column, pair), t in zip(layer.steps, angles):
@@ -281,16 +284,6 @@ def apply_product(layer: ProductLayer, angles: Sequence[float]) -> np.ndarray:
         # Fortran order runs the long axis innermost, not the length-2 one
         np.multiply(column, factors, out=pair, order="F")
     return layer.state
-
-
-def product_state(angles: Sequence[float], work: np.ndarray | None = None) -> np.ndarray:
-    """Ry(angles[q]) on each qubit q of |0...0>, as a (2,)*n amplitude array:
-    `apply_product` on the `product_layer` of `work`, a C-contiguous float64
-    (2, 2^n) array the caller owns (allocated when None); the result is a
-    view of row 0.  Like the gate kernels, it does not check `work`."""
-    if work is None:
-        work = _aligned_empty((2, 2 ** len(angles)))
-    return apply_product(product_layer(work), angles)
 
 
 class RyGate(NamedTuple):

@@ -18,7 +18,7 @@ from ddqcl.ansatz import (
 from ddqcl.bas import BasSpec, bas_target_distribution
 from ddqcl.metrics import js_divergence
 from ddqcl.sim import MAX_QUBITS, _aligned_empty, apply_cz, apply_ry, check_params, cz_gate
-from ddqcl.sim import probabilities, product_state, ry_gate
+from ddqcl.sim import apply_product, probabilities, product_layer, ry_gate
 
 # 4x4 matrix oracle for the two-qubit primitive, built from scratch
 _CZ = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -236,7 +236,7 @@ def _canonical_execute(ansatz, params):
     theta = np.mod(np.asarray(params, dtype=float), tau)
     n = ansatz.n_qubits
     work = np.empty((2, 2**n))
-    amp = product_state(theta[:n], work)
+    amp = apply_product(product_layer(work), theta[:n])
     spare = work[1].reshape(amp.shape)
     angles = iter(theta[n:])
     for _ in range(ansatz.layers):

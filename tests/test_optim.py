@@ -131,21 +131,43 @@ def test_non_finite_cost_raises_before_recording(bad):
     assert ctx.evaluations == 0 and ctx.costs == [] and ctx.best_params is None
 
 
-@pytest.mark.parametrize("kind", ["adam", "svhc", "zoo"])
-def test_solver_yields_incumbent_before_each_step(kind):
-    # the first yield comes before the solver's first evaluation and is its
-    # start: the best pool entry (ZOO's best elite, as elites are sorted)
-    ctx = _ctx(_quad, 3, 100, 10)
-    pool = init_search(ctx, 9)
+@pytest.mark.parametrize(
+    "kind, budget",
+    # L = 3 and n_ini = 9: an ADAM request is 7 rows, so 37 ends with one and
+    # 40 ends 3 rows into one; SVHC's and ZOO's 31 steps pass a refresh at 25
+    [("adam", 37), ("adam", 40), ("svhc", 40), ("zoo", 40)],
+)
+def test_plain_loop_drives_each_solver_as_run_does(kind, budget):
+    # a solver needs no CostContext: a loop that scores its requests with the
+    # plain cost and draws from its own generator proposes the rows that
+    # `run` records, and ends on the incumbent `run` returns
+    n, n_ini, seed = 3, 9, 10
     options_type, solver = SOLVERS[kind]
-    steps = solver(ctx, options_type(), pool)
-    first = next(steps)
-    assert ctx.evaluations == 9
-    assert first is min(pool, key=lambda t: t[0])[1]
-    for _ in range(5):  # every later yield follows at least one evaluation
-        before = ctx.evaluations
-        next(steps)
-        assert ctx.evaluations > before
+    scored = []
+
+    def cost(x):
+        scored.append(x.copy())
+        return _quad(x)
+
+    ctx = _ctx(cost, n, budget, seed)
+    curve = run(ctx, options_type(), n_ini)
+
+    rng = np.random.default_rng(seed)
+    pool = [(_quad(x), x) for x in (rng.uniform(0.0, TAU, n) for _ in range(n_ini))]
+    rows = [x for _, x in pool]
+    steps = solver(options_type(), pool, rng)
+    incumbent, request = next(steps)
+    assert incumbent is min(pool, key=lambda t: t[0])[1]  # the best start comes first
+    while len(rows) + len(request) <= budget:
+        assert len(request) == (2 * n + 1 if kind == "adam" else 1)
+        rows += list(request)
+        incumbent, request = steps.send([_quad(x) for x in request])
+    rows += list(request)[: budget - len(rows)]  # the request the budget ends in
+
+    np.testing.assert_array_equal(scored, rows)
+    assert curve.costs.tolist() == [_quad(x) for x in rows]
+    np.testing.assert_array_equal(curve.final_params, incumbent)
+    assert rng.bit_generator.state == ctx.rng.bit_generator.state
 
 
 def test_adam_budget_ending_in_first_step_keeps_start():
@@ -342,22 +364,24 @@ def test_init_search_leaves_the_generator_as_draw_then_evaluate(
 
 
 @pytest.mark.parametrize(
-    "ansatz, target, shots",
+    "ansatz, target, shots, rows",
     [
-        (_ANSATZ_16, _BAS_4X4, 100),
-        (Ansatz(line_topology(4), 1), bas_target_distribution(BasSpec(2, 2)), None),
+        (_ANSATZ_16, _BAS_4X4, 100, 4),
+        (Ansatz(line_topology(4), 1), bas_target_distribution(BasSpec(2, 2)), None, 4),
+        # a one-row request, as every SVHC and ZOO step sends, to a cost with lanes
+        (_ANSATZ_16, _BAS_4X4, None, 1),
     ],
-    ids=["shots-16q", "exact-4q"],
+    ids=["shots-16q", "exact-4q", "exact-16q-one-row"],
 )
-def test_shot_and_narrow_costs_start_no_thread(monkeypatch, ansatz, target, shots):
+def test_shot_and_narrow_costs_start_no_thread(monkeypatch, ansatz, target, shots, rows):
     _cpus(monkeypatch, 2)
     calls = _spy_execute(monkeypatch)
     threads = threading.active_count()
     ctx = CostContext.for_circuit(
         ansatz, target, budget=4, shots=shots, rng=np.random.default_rng(5)
     )
-    ctx.evaluate_many(np.zeros((4, ansatz.param_count)))
-    assert calls == [(threading.get_ident(), threads)] * 4
+    ctx.evaluate_many(np.zeros((rows, ansatz.param_count)))
+    assert calls == [(threading.get_ident(), threads)] * rows
 
 
 @pytest.mark.parametrize(

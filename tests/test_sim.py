@@ -15,6 +15,7 @@ from ddqcl.readout import PerQubitFlipModel, correct, synth_confusion
 from ddqcl.sim import (
     MAX_QUBITS,
     apply_cz,
+    apply_product,
     apply_ry,
     check_counts,
     check_integer,
@@ -23,7 +24,7 @@ from ddqcl.sim import (
     check_shots,
     cz_gate,
     probabilities,
-    product_state,
+    product_layer,
     ry_gate,
     sample,
 )
@@ -238,7 +239,7 @@ def test_product_state_matches_sequential_rotations(angles):
     ref = _basis0(n)
     for q, t in enumerate(angles):
         ref = _parent_ry(ref, q, t)
-    got = product_state(np.array(angles))
+    got = apply_product(product_layer(np.empty((2, 2**n))), np.array(angles))
     assert got.shape == (2,) * n and got.dtype == np.float64
     assert np.array_equal(got, ref)
 

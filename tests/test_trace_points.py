@@ -6,6 +6,7 @@ tracer expects, breaks only traced bench runs; these tiny traced batches
 make that a test failure instead.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -32,7 +33,19 @@ BATCHES = {
         "shots": 100,
         "readout": {"p10": 0.05, "correction": False},
     },
+    # 46 initial rows and 4 of an ADAM request, each group computed on lanes
+    "exact-16q-adam": {
+        **_TINY,
+        "rows": 4,
+        "cols": 4,
+        "optimizer": "adam",
+        "exact_mode": True,
+        "n_ini_multiplier": 1,
+        "budget": 50,
+    },
 }
+# batches run as on a host with this many usable CPUs, so that lanes start
+CPUS = {"exact-16q-adam": 2}
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +60,11 @@ def bench():
 
 
 @pytest.mark.parametrize("name", sorted(BATCHES))
-def test_traced_batch_holds_every_cross_check(tmp_path, bench, name):
+def test_traced_batch_holds_every_cross_check(monkeypatch, tmp_path, bench, name):
     core, tracing = bench
+    if name in CPUS:
+        cpus = set(range(CPUS[name]))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     doc = BATCHES[name]
     tracer = tracing.Tracer()
     with tracer.installed():  # raises TraceError for a trace point that is gone
