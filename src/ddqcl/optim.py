@@ -15,11 +15,13 @@ budget, so it can be driven by any loop.  `run` scores each request through
 incumbent yielded with the request it was scoring.
 
 Every cost is recorded through one `CostContext.evaluate` call, on the
-calling thread.  `evaluate_many` computes two or more rows of an exact cost
-on at least 16 qubits on up to two usable CPUs, one thread and one buffer
-per CPU, with the costs of row-by-row evaluation: no result depends on the
-CPU count.  Shot costs, narrower registers and one-row requests, such as
-every step of SVHC and ZOO, run on the calling thread and start no thread.
+calling thread.  For an exact cost on at least 16 qubits, `evaluate_many`
+cuts a request's rows into contiguous ranges by `sim._cpu_ranges`, one per
+usable CPU and at most two, and computes each range in a buffer of its own,
+with the costs of row-by-row evaluation: no result depends on the CPU
+count.  One range, as on one CPU or for a one-row request such as every
+step of SVHC and ZOO, runs on the calling thread, and so do shot costs and
+narrower registers: none of them starts a thread.
 
 SVHC and the elite-set zeroth-order search are reconstructions from their
 one-line descriptions; their hyperparameters are explicit config, not
@@ -40,7 +42,7 @@ import numpy as np
 from .ansatz import Ansatz, GateProgram, execute
 from .metrics import histogram_to_distribution, js_divergence
 from .readout import ConfusionMatrix, PerQubitFlipModel, apply_channel_sampled, correct
-from .sim import _aligned_empty, _usable_cpus, brief, check_integer, check_params
+from .sim import _aligned_empty, _cpu_ranges, _run_ranges, brief, check_integer, check_params
 from .sim import check_probabilities, check_real, check_shots, probabilities, sample
 
 
@@ -218,23 +220,21 @@ class CostContext:
         This is how `init_search` scores the initial pool and `run` each
         request a solver yields: ADAM's 2L+1 rows, or one row of SVHC or ZOO.
         Every row is recorded through one `evaluate` call, on the calling
-        thread.  An exact cost on at least `_LANE_AMPLITUDES` amplitudes,
-        with more than one usable CPU, first takes only the rows the
-        remaining budget can record, up to the first one `check_params`
-        refuses, and checks them once.  Two or more such rows have their
-        costs computed on one thread per CPU, up to `_MAX_LANES`, each in its
-        own buffer; a single row is computed on the calling thread and starts
-        no thread.  `evaluate` then takes each row's checked vector and cost.
-        Exact rows draw nothing, and each row's arithmetic is that of
+        thread.  An exact cost on at least `_LANE_AMPLITUDES` amplitudes
+        first takes only the rows the remaining budget can record, up to the
+        first one `check_params` refuses, and checks them once.  When the
+        first of them enters `evaluate`, `_lane_costs` computes all their
+        costs, one contiguous range of rows per lane, and `evaluate` takes
+        each row's checked vector and cost; what a lane raised is raised
+        there.  Exact rows draw nothing, and each row's arithmetic is that of
         `evaluate`, so the costs and the generator are the same bits whatever
         the CPU count.  Any other cost runs the rows one by one, so a shot
         cost's draws and the rows' own draws from `rng` interleave as they
         would.
         """
         rows = iter(rows)
-        lanes = 1 if self._new_lane is None else min(_usable_cpus(), _MAX_LANES)
         pool: Pool = []
-        if lanes > 1:
+        if self._new_lane is not None:
             batch, thetas = [], []
             for row in islice(rows, self.budget - self.evaluations):
                 try:
@@ -243,46 +243,27 @@ class CostContext:
                     rows = chain([row], rows)  # refused by `evaluate` in its turn
                     break
                 batch.append(row)
-            self._ahead = self._lane_costs(thetas, lanes)
+            self._ahead = self._lane_costs(thetas)
             try:
                 pool = [(self.evaluate(row), row) for row in batch]
             finally:
-                self._ahead.close()  # cancels and waits for the lanes when a row raised
                 self._ahead = None
         # with the budget spent, the first row left raises BudgetExhausted
         return pool + [(self.evaluate(row), row) for row in rows]
 
-    def _lane_costs(
-        self, thetas: list[np.ndarray], lanes: int
-    ) -> Iterator[tuple[np.ndarray, float]]:
-        """Each of `thetas`, checked vectors, with its cost, in order,
-        computed on up to `lanes` threads, each in a buffer of its own; the
-        threads start at the first `next`.  A single vector is computed at
-        that `next`, on the calling thread, in the context's own buffer."""
-        if len(thetas) < 2:
-            yield from ((theta, self._cost_fn(theta)) for theta in thetas)
-            return
-        lanes = min(lanes, len(thetas))
-        # imported here, not at the top: their 8 ms would fall on every start
-        from concurrent.futures import ThreadPoolExecutor
-        from queue import SimpleQueue
+    def _lane_costs(self, thetas: list[np.ndarray]) -> Iterator[tuple[np.ndarray, float]]:
+        """Each of `thetas`, checked vectors, with its cost, in order.  At
+        the first `next`, `sim._run_ranges` gives each lane one contiguous
+        range of them, computed in the lane's own buffer, and that `next`
+        returns once every lane has stopped.  The first lane is the
+        context's own cost; more are made as a request first needs them."""
+        ranges = _cpu_ranges(len(thetas), _MAX_LANES)
+        self._lanes += [self._new_lane() for _ in range(len(ranges) - len(self._lanes))]
 
-        self._lanes += [self._new_lane() for _ in range(lanes - len(self._lanes))]
-        free = SimpleQueue()  # the lanes' costs no thread holds
-        for lane in self._lanes[:lanes]:
-            free.put(lane)
+        def costs(lane: int, part: range) -> list[float]:
+            return [self._lanes[lane](thetas[i]) for i in part]
 
-        def cost(theta: np.ndarray) -> tuple[np.ndarray, float]:
-            lane = free.get()
-            try:
-                return theta, lane(theta)
-            finally:
-                free.put(lane)
-
-        # closed early, or past a row that raised, map's iterator cancels the
-        # rows not started, and the pool's exit waits for those running
-        with ThreadPoolExecutor(lanes) as pool:
-            yield from pool.map(cost, thetas)
+        yield from zip(thetas, chain.from_iterable(_run_ranges(costs, ranges)))
 
     def curve(self, final_params: np.ndarray) -> LearningCurve:
         if self.best_params is None:

@@ -27,11 +27,11 @@ so no BLAS path or thread count can change a count.  A shot prepared in
 state x reads (f10 & ~x) | (~f01 & x) from its two patterns, f10 ^ x from
 one.  The rows are built once per model, at most one block long, and
 depend on no state: `calibrate` draws each column by that same step,
-`_flip_shots`, for its one prepared state.  With a PCG64
-generator it splits its 2^N experiments into contiguous ranges, one per
-usable CPU, each run in a thread on a copy of the generator advanced to
-the range's first draw.  The matrix and the generator's final state are
-those of the sequential loop, bit for bit.
+`_flip_shots`, for its one prepared state.  With a PCG64 generator it
+cuts its 2^N experiments into contiguous ranges by `sim._cpu_ranges`, one
+per usable CPU, and `sim._run_ranges` runs each on a copy of the generator
+advanced to the range's first draw.  The matrix and the generator's final
+state are those of the sequential loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from typing import Callable
 
 import numpy as np
 
-from .sim import _aligned_vector, _check_n_qubits, _real_array, _usable_cpus, _vector_width
-from .sim import check_counts, check_real, check_shots
+from .sim import _aligned_vector, _check_n_qubits, _cpu_ranges, _real_array, _run_ranges
+from .sim import _vector_width, check_counts, check_real, check_shots
 
 DEFAULT_CALIBRATION_SHOTS = 10_000
 DEFAULT_MAX_CONDITION = 1e8
@@ -296,39 +296,33 @@ def calibrate(
     """Estimate the channel matrix from one preparation experiment per basis state.
 
     The experiments run in basis-state order on `rng`'s stream.  With a
-    PCG64 generator they are split into contiguous ranges, one per usable
-    CPU, each run in a thread on a copy of the generator advanced to the
-    range's first draw; `rng` is then advanced past all of them.  So the
-    matrix and `rng`'s final state are those of one sequential loop.
+    PCG64 generator they are cut into contiguous ranges, one per usable CPU
+    and each on a copy of the generator advanced to the range's first draw;
+    `rng` then takes the state of the last copy, past every experiment.  So
+    the matrix and `rng`'s final state are those of one sequential loop.
+    Any other bit generator runs them as one range, on `rng` itself.  One
+    range runs on the calling thread, and two or more on one thread each.
     """
     shots = check_shots(shots_per_basis_state)
     n = model.n_qubits
     check_dense_width(n)  # before the 2^n experiments and the matrix they fill
     dim = 2**n
     cols = np.empty((dim, dim), order="F")  # each experiment fills one contiguous column
-    rows = model._flip_rows
+    rows, draws = model._flip_rows, shots * n  # draws per experiment
 
-    def run(experiments: range, stream: np.random.Generator) -> None:
+    def run(i: int, experiments: range) -> None:
         for x in experiments:
-            cols[:, x] = _flip_shots(shots, rows, stream, lambda lo, hi: x) / shots
+            cols[:, x] = _flip_shots(shots, rows, streams[i], lambda lo, hi: x) / shots
 
     # The split stays: in one range, `readout-9q-zoo`'s calibration took 0.42 s,
     # not 0.29 s (2 CPUs, slower in 12 of 12 alternated fresh-process pairs).
-    parts = min(_usable_cpus(), dim) if type(rng.bit_generator) is np.random.PCG64 else 1
-    if parts == 1:
-        run(range(dim), rng)
-    else:
-        draws = shots * n  # per experiment
-        firsts = [dim * i // parts for i in range(parts + 1)]
-        ranges = [range(lo, hi) for lo, hi in zip(firsts, firsts[1:])]
+    ranges, streams = [range(dim)], [rng]
+    if type(rng.bit_generator) is np.random.PCG64:
+        ranges = _cpu_ranges(dim, dim)
         bit_generator = rng.bit_generator
         streams = [np.random.Generator(_advanced(bit_generator, r.start * draws)) for r in ranges]
-        # imported here, not at the top: its 5 ms would fall on every start
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(parts) as pool:
-            list(pool.map(run, ranges, streams))  # raises what a range raised
-        bit_generator.state = _advanced(bit_generator, dim * draws).state
+    _run_ranges(run, ranges)
+    rng.bit_generator.state = streams[-1].bit_generator.state  # where one loop would end
     return ConfusionMatrix(cols)
 
 

@@ -29,6 +29,11 @@ allocate it, starting on a 64-byte cache line, and run the same code.  So a
 loop that evaluates many circuits, like the cost of `optim.CostContext`,
 allocates its buffers once and passes them down.
 
+`_run_ranges` is the one place the package starts threads: it runs the
+contiguous ranges `_cpu_ranges` cuts, one per usable CPU, for the
+experiments of `readout.calibrate` and the rows of `optim.CostContext`'s
+lanes.
+
 A probability vector is a float64 array of length 2^N, and shot counts an
 int64 array of length 2^N whose sum is the shot count; N is always read from
 the length.  Inputs are checked where they enter the package, by four
@@ -73,7 +78,7 @@ import operator
 import os
 import reprlib
 from math import cos, inf, isfinite, prod, sin
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,6 +237,28 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
+
+
+def _cpu_ranges(count: int, most: int) -> list[range]:
+    """`range(count)` cut into contiguous ranges of near-equal length: one
+    per usable CPU, but at most `most` and `count`, and at least one."""
+    parts = max(1, min(_usable_cpus(), most, count))
+    firsts = [count * i // parts for i in range(parts + 1)]
+    return [range(lo, hi) for lo, hi in zip(firsts, firsts[1:])]
+
+
+def _run_ranges(body: Callable[[int, range], object], ranges: list[range]) -> list:
+    """`body(i, ranges[i])` for each range, in order.  One range runs on the
+    calling thread and starts no thread; two or more run on one thread each,
+    and what a range raised is raised once every range has stopped."""
+    if len(ranges) == 1:
+        return [body(0, ranges[0])]
+    # imported here, not at the top: its 5 ms would fall on every start
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(ranges)) as pool:  # its exit waits for every range
+        done = [pool.submit(body, i, part) for i, part in enumerate(ranges)]
+    return [future.result() for future in done]
 
 
 def _buffer(buf: np.ndarray | None, shape: tuple[int, ...], name: str) -> np.ndarray:

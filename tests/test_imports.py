@@ -177,9 +177,52 @@ def test_rule_part_check_finds_each():
     ]
 
 
+# `sim._run_ranges` is the one place the package starts threads: it runs
+# calibration's experiments and the lanes' rows as contiguous ranges.  A module
+# that imports a thread or process pool of its own writes a second splitter.
+_THREAD_MODULES = {"concurrent", "multiprocessing", "queue", "threading"}
+
+
+def _thread_imports(tree):
+    """The roots of `_THREAD_MODULES` a module imports, at any depth."""
+    return sorted(set(_imported_roots(tree)) & _THREAD_MODULES)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "sim.py"), ids=lambda p: p.name
+)
+def test_only_sim_imports_a_thread_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _thread_imports(tree) == []
+
+
+def test_sim_holds_the_thread_pool():
+    tree = ast.parse((SRC / "sim.py").read_text(encoding="utf-8"))
+    assert _thread_imports(tree) == ["concurrent"]
+
+
+def test_thread_import_check_finds_each():
+    found = [
+        _thread_imports(ast.parse(source))
+        for source in (
+            "import threading\n",
+            "from concurrent.futures import ThreadPoolExecutor\n",
+            "import os, concurrent.futures as cf\n",
+            "def f():\n    from queue import SimpleQueue\n",
+            "class C:\n    def run(self):\n        import multiprocessing.pool\n",
+            "from .sim import _run_ranges\n",
+            "import operator, numpy as np\n",
+        )
+    ]
+    assert found == [
+        ["threading"], ["concurrent"], ["concurrent"], ["queue"], ["multiprocessing"], [], [],
+    ]
+
+
 def test_cli_imports_no_thread_pool():
-    # `readout.calibrate` and `CostContext._lane_costs` import these where they
-    # start threads, so that `ddqcl validate` does not pay 5-8 ms for them
+    # `sim._run_ranges` imports `concurrent.futures`, which imports `queue`,
+    # where it starts threads, so that `ddqcl validate` does not pay 5-8 ms
+    # for them
     code = (
         "import sys, ddqcl.cli; "
         "print(sorted({'concurrent.futures', 'queue'} & set(sys.modules)))"

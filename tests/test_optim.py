@@ -252,6 +252,19 @@ def _spy_execute(monkeypatch):
     return calls
 
 
+def _spy_thread_starts(monkeypatch):
+    """Patch `threading.Thread.start`; returns a list that gets each started
+    thread's name."""
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
 def _ctx_16(budget, seed=0):
     return CostContext.for_circuit(
         _ANSATZ_16, _BAS_4X4, budget=budget, shots=None, rng=np.random.default_rng(seed)
@@ -259,14 +272,21 @@ def _ctx_16(budget, seed=0):
 
 
 def test_threaded_costs_equal_row_by_row_evaluation(monkeypatch):
-    # each lane computes in its own buffer: the costs are those of evaluate,
-    # bit for bit, computed off the calling thread
+    # each lane computes one contiguous range of rows in its own buffer: the
+    # costs are those of evaluate, bit for bit, computed off the calling thread
     rows = np.random.default_rng(1).uniform(0.0, TAU, (7, _ANSATZ_16.param_count))
     one_by_one = _ctx_16(7)
     expected = [one_by_one.evaluate(row).hex() for row in rows]
     for cpus in (2, 64):
         _cpus(monkeypatch, cpus)
         calls = _spy_execute(monkeypatch)
+        counted, thread_of = ddqcl.optim.execute, {}
+
+        def by_row(program, theta):
+            thread_of[theta.tobytes()] = threading.get_ident()
+            return counted(program, theta)
+
+        monkeypatch.setattr(ddqcl.optim, "execute", by_row)
         ctx = _ctx_16(7)
         pool = ctx.evaluate_many(rows)
         assert [cost.hex() for cost, _ in pool] == [c.hex() for c in ctx.costs] == expected
@@ -275,6 +295,10 @@ def test_threaded_costs_equal_row_by_row_evaluation(monkeypatch):
         assert threading.get_ident() not in {thread for thread, _ in calls}
         np.testing.assert_array_equal(ctx.best_params, one_by_one.best_params)
         assert len(ctx._lanes) <= 2  # at most two lanes, whatever the CPU count
+        # rows 0-2 on one lane, 3-6 on the other: range(7) cut at 7 * 1 // 2
+        first, second = (thread_of[row.tobytes()] for row in rows[[0, 3]])
+        assert [thread_of[row.tobytes()] for row in rows] == [first] * 3 + [second] * 4
+        assert len({first, second, threading.get_ident()}) == 3
 
 
 def test_first_row_enters_evaluate_before_any_cost_is_computed(monkeypatch):
@@ -300,6 +324,12 @@ def test_evaluate_many_computes_only_what_the_budget_records(monkeypatch, cpus):
         ctx.evaluate_many(rows)
     assert len(calls) == 4
     assert ctx.evaluations == ctx.budget == 5
+    # a request after the budget is spent computes nothing and starts no thread
+    started = _spy_thread_starts(monkeypatch)
+    with pytest.raises(BudgetExhausted):
+        ctx.evaluate_many(rows)
+    assert len(calls) == 4 and started == []
+    assert ctx.evaluations == 5
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -322,6 +352,30 @@ def test_non_finite_row_raises_where_evaluate_would(monkeypatch, cpus):
     assert threading.active_count() == threads  # every lane has stopped
     assert len(calls) < len(rows)  # the rows after the error were dropped
     assert ctx.evaluate(rows[4]) == oracle.evaluate(rows[4])  # row by row again
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_lane_that_raises_raises_at_the_first_row(monkeypatch, cpus):
+    # a request's costs are computed when its first row enters `evaluate`, so
+    # what a lane raised is raised there, once every lane has stopped, and
+    # none of the request's rows is recorded
+    _cpus(monkeypatch, cpus)
+    rows = np.random.default_rng(6).uniform(0.0, TAU, (5, _ANSATZ_16.param_count))
+
+    def failing(program, theta):
+        if theta.tobytes() == rows[3].tobytes():
+            raise FloatingPointError("row 3 failed")
+        return execute(program, theta)
+
+    monkeypatch.setattr(ddqcl.optim, "execute", failing)
+    threads = threading.active_count()
+    ctx = _ctx_16(5)
+    with pytest.raises(FloatingPointError, match="row 3 failed"):
+        ctx.evaluate_many(rows)
+    assert ctx.evaluations == 0 and threading.active_count() == threads
+    oracle = _ctx_16(3)  # the rows before the failing one still score as evaluate would
+    costs = [cost for cost, _ in ctx.evaluate_many(rows[:3])]
+    assert costs == [oracle.evaluate(row) for row in rows[:3]] and ctx.evaluations == 3
 
 
 def _draw_then_evaluate(ctx, n_ini):
@@ -364,24 +418,28 @@ def test_init_search_leaves_the_generator_as_draw_then_evaluate(
 
 
 @pytest.mark.parametrize(
-    "ansatz, target, shots, rows",
+    "ansatz, target, shots, rows, cpus",
     [
-        (_ANSATZ_16, _BAS_4X4, 100, 4),
-        (Ansatz(line_topology(4), 1), bas_target_distribution(BasSpec(2, 2)), None, 4),
+        (_ANSATZ_16, _BAS_4X4, 100, 4, 2),
+        (Ansatz(line_topology(4), 1), bas_target_distribution(BasSpec(2, 2)), None, 4, 2),
         # a one-row request, as every SVHC and ZOO step sends, to a cost with lanes
-        (_ANSATZ_16, _BAS_4X4, None, 1),
+        (_ANSATZ_16, _BAS_4X4, None, 1, 2),
+        # a cost with lanes on one CPU: its rows are one range, on the calling thread
+        (_ANSATZ_16, _BAS_4X4, None, 4, 1),
     ],
-    ids=["shots-16q", "exact-4q", "exact-16q-one-row"],
+    ids=["shots-16q", "exact-4q", "exact-16q-one-row", "exact-16q-one-cpu"],
 )
-def test_shot_and_narrow_costs_start_no_thread(monkeypatch, ansatz, target, shots, rows):
-    _cpus(monkeypatch, 2)
+def test_shot_and_narrow_costs_start_no_thread(monkeypatch, ansatz, target, shots, rows, cpus):
+    _cpus(monkeypatch, cpus)
     calls = _spy_execute(monkeypatch)
+    started = _spy_thread_starts(monkeypatch)
     threads = threading.active_count()
     ctx = CostContext.for_circuit(
         ansatz, target, budget=4, shots=shots, rng=np.random.default_rng(5)
     )
     ctx.evaluate_many(np.zeros((rows, ansatz.param_count)))
     assert calls == [(threading.get_ident(), threads)] * rows
+    assert started == []
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
+import os
 import re
 import reprlib
+import threading
+import time
 import tracemalloc
 from functools import reduce
 
@@ -696,3 +699,49 @@ def test_check_counts_refuses_a_total_past_int64(counts):
 )
 def test_check_counts_admits_a_total_of_int64_max(counts):
     assert check_counts(counts) == len(counts).bit_length() - 1
+
+
+# --- the one splitter: contiguous ranges, one thread each ---
+
+
+@pytest.mark.parametrize(
+    "count, most, cpus, ranges",
+    [
+        (7, 2, 64, [range(0, 3), range(3, 7)]),
+        (8, 8, 3, [range(0, 2), range(2, 5), range(5, 8)]),
+        (3, 8, 64, [range(0, 1), range(1, 2), range(2, 3)]),  # at most one range per item
+        (5, 2, 1, [range(0, 5)]),
+        (0, 2, 2, [range(0, 0)]),  # nothing to cut is one empty range
+    ],
+)
+def test_cpu_ranges_cut_contiguous_near_equal_ranges(monkeypatch, count, most, cpus, ranges):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert sim._cpu_ranges(count, most) == ranges
+
+
+def test_run_ranges_runs_one_range_on_the_calling_thread():
+    caller = threading.get_ident()
+    started = threading.active_count()
+    ran = sim._run_ranges(lambda i, part: (i, part, threading.active_count()), [range(4)])
+    assert ran == [(0, range(4), started)]
+    assert sim._run_ranges(lambda i, part: threading.get_ident(), [range(0)]) == [caller]
+
+
+def test_run_ranges_raises_once_every_range_has_stopped():
+    stopped = []
+
+    def body(i, part):
+        if i == 0:
+            raise ValueError("range 0 failed")
+        time.sleep(0.05)  # still running when range 0 raises
+        stopped.append(threading.get_ident())
+        return list(part)
+
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="range 0 failed"):
+        sim._run_ranges(body, [range(0, 2), range(2, 4), range(4, 7)])
+    assert len(set(stopped)) == 2 and threading.get_ident() not in stopped
+    assert threading.active_count() == threads
+    assert sim._run_ranges(lambda i, part: list(part), [range(0, 2), range(2, 5)]) == [
+        [0, 1], [2, 3, 4]
+    ]
